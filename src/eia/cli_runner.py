@@ -78,8 +78,10 @@ class _Key:
                 value = float(value)
             elif self.typ is str:
                 value = str(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ValueError(f"config key {name!r}: cannot read {value!r} as {self.typ.__name__}")
+        if self.typ in (float, list) and not np.isfinite(value).all():
+            raise ValueError(f"config key {name!r}: value {value!r} must be finite")
         if self.check is not None and not self.check(value):
             raise ValueError(f"config key {name!r}: value {value!r} outside allowed "
                              f"range ({self.allowed})")

@@ -14,6 +14,7 @@ Conventions used across the package:
 
 from __future__ import annotations
 
+import cmath
 import warnings
 from dataclasses import dataclass
 
@@ -26,6 +27,13 @@ __all__ = [
     "xi_set",
     "toc_determinant",
 ]
+
+
+def _require_finite(obj, names) -> None:
+    for name in names:
+        value = getattr(obj, name)
+        if not cmath.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -53,6 +61,8 @@ class ModelParams:
     v_th: float = 1.0
 
     def __post_init__(self):
+        _require_finite(self, ("gamma_sp", "gamma_pcc", "gamma_vcc", "gamma_g",
+                               "branching_A", "n0", "v_th"))
         if not self.gamma_sp > 0:
             raise ValueError(f"gamma_sp must be > 0, got {self.gamma_sp}")
         for name in ("gamma_pcc", "gamma_vcc", "gamma_g"):
@@ -103,6 +113,8 @@ class FieldConfig:
     dq_direction: str = "transverse"
 
     def __post_init__(self):
+        _require_finite(self, ("v1", "v2", "vp", "delta1", "delta2", "deltap",
+                               "qp_vth", "dq_vth"))
         if self.qp_vth < 0 or self.dq_vth < 0:
             raise ValueError("qp_vth and dq_vth must be >= 0")
         if self.dq_direction not in _DQ_DIRECTIONS:

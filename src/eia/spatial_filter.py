@@ -65,7 +65,6 @@ class FilterParams:
     eta: float
     power_broadening: complex
     diffusion_D: float
-    k_grid: Optional[np.ndarray] = None
     probe_kernel: Optional[complex] = None
 
     def __post_init__(self):

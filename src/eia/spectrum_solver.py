@@ -2,9 +2,10 @@
 
 Three routes to R_{e1g2}/(n0 Vp):
 
-* ``solve_exact`` inverts the per-velocity 4x4 coherence system and closes the
-  strong-collision velocity-changing terms self-consistently on the four
-  velocity-integrated densities.
+* ``solve_exact`` eliminates the per-velocity 4x4 coherence system down to one
+  scalar pivot per node, xi_d / (xi2 xi3 xi4), and closes the strong-collision
+  velocity-changing terms self-consistently on the four velocity-integrated
+  densities.
 * ``solve_approximate`` evaluates the factored response built from the five
   named thermal averages G1..G5, including its three-way split into one-photon
   background, pump-broadened pedestal, and the sharp collision-induced peak.
@@ -139,47 +140,62 @@ def _exact_response_on_mesh(params, fields, detunings, v_par, v_res, w):
     m = detunings.size
     gvcc = params.gamma_vcc
     v1, v2, vp = fields.v1, fields.v2, fields.vp
+    cv1, cv2 = np.conj(v1), np.conj(v2)
     toc = 1j * params.b * params.branching_A * params.gamma_sp
 
     # xi5 carries no probe-detuning dependence; close the pump dipole once
     xi0 = xi_set(params, fields, v_par, v_res)
     gp = np.sum(w / xi0.xi5)
-    r5 = np.conj(v2) * params.n0 * gp / (1.0 - 1j * gvcc * gp)
-    src3_row = -vp * (1j * gvcc * r5 + np.conj(v2) * params.n0) / xi0.xi5
+    r5 = cv2 * params.n0 * gp / (1.0 - 1j * gvcc * gp)
+    src3_row = -vp * (1j * gvcc * r5 + cv2 * params.n0) / xi0.xi5
+    w_src = w * src3_row
 
     response = np.empty(m, dtype=complex)
     conds = np.empty(m, dtype=float)
     eye = np.eye(4, dtype=complex)
-    chunk = max(1, int(3.0e5 / max(n, 1)))
+    # ~0.5 MB per (m, n) temporary; larger chunks measured slower
+    chunk = max(1, int(3.0e4 / max(n, 1)))
     for a, bnd in _chunks(m, chunk):
         dp = detunings[a:bnd]
-        mc = dp.size
         xi = _xi_batch(params, fields, dp, v_par, v_res)
-        M = np.zeros((mc, n, 4, 4), dtype=complex)
-        M[..., 0, 0] = xi.xi1
-        M[..., 0, 1] = np.conj(v1)
-        M[..., 0, 2] = -toc
-        M[..., 0, 3] = -v2
-        M[..., 1, 0] = v1
-        M[..., 1, 1] = xi.xi2
-        M[..., 2, 1] = -np.conj(v2)
-        M[..., 2, 2] = xi.xi3
-        M[..., 2, 3] = v1
-        M[..., 3, 0] = -np.conj(v2)
-        M[..., 3, 3] = xi.xi4
+        # Per node the system M x = r reads
+        #   xi1 x0 + conj(v1) x1 - toc x2 - v2 x3 = r0
+        #   v1 x0 + xi2 x1 = r1
+        #   -conj(v2) x1 + xi3 x2 + v1 x3 = r2
+        #   -conj(v2) x0 + xi4 x3 = r3
+        # Rows 1-3 give x1, x3 and x2 from x0; row 0 then leaves
+        #   s x0 = r0 + p1 r1 + p2 r2 + p3 r3,  s = xi_d / (xi2 xi3 xi4).
+        # xi2..xi4 have imaginary parts >= gamma_sp/2, so only xi_d can vanish.
+        xd = toc_determinant(xi, params, fields)
+        zero = (xd == 0).any(axis=1)
+        if zero.any():
+            raise IllConditionedError(
+                f"exact solve: zero pivot xi_d at a velocity node, at detuning "
+                f"{float(dp[zero.argmax()])!r}")
+        i2, i3, i4 = 1.0 / xi.xi2, 1.0 / xi.xi3, 1.0 / xi.xi4
+        inv_s = 1.0 / (xd * i2 * i3 * i4)
+        p = (1.0, (toc * cv2 * i3 - cv1) * i2, toc * i3, (v2 - toc * v1 * i3) * i4)
 
-        B = np.zeros((mc, n, 4, 5), dtype=complex)
-        B[..., 0, 0] = 1.0
-        B[..., 1, 1] = 1.0
-        B[..., 2, 2] = 1.0
-        B[..., 3, 3] = 1.0
-        B[..., 1, 4] = -vp * params.n0
-        B[..., 2, 4] = src3_row[None, :]
-
-        X = np.linalg.solve(M, B)
-        Aw = np.einsum("k,mkij->mij", w, X[..., :4])
-        bw = np.einsum("k,mki->mi", w, X[..., 4])
+        # column j of M^-1 is the solution for r = e_j
+        Aw = np.empty((dp.size, 4, 4), dtype=complex)
+        for j, r in enumerate(eye):
+            x0 = p[j] * inv_s
+            x1 = (r[1] - v1 * x0) * i2
+            x3 = (r[3] + cv2 * x0) * i4
+            x2 = (r[2] + cv2 * x1 - v1 * x3) * i3
+            X = (x0, x1, x2, x3)
+            for i, x in enumerate(X):
+                Aw[:, i, j] = x @ w
+            if j == 2:
+                # the probe source (0, -vp n0, src3_row, 0) combines columns 1 and 2
+                bw = np.stack([x @ w_src for x in X], axis=1)
+        bw -= vp * params.n0 * Aw[:, :, 1]
         dens = eye[None, :, :] - 1j * gvcc * Aw
+        bad = ~(np.isfinite(dens).all(axis=(1, 2)) & np.isfinite(bw).all(axis=1))
+        if bad.any():
+            raise IllConditionedError(
+                f"exact solve: non-finite density system at detuning "
+                f"{float(dp[bad.argmax()])!r}")
         R = np.linalg.solve(dens, bw[..., None])[..., 0]
         conds[a:bnd] = np.linalg.cond(dens)
         response[a:bnd] = R[:, 1] / (params.n0 * vp)
@@ -192,13 +208,17 @@ def solve_exact(params: ModelParams, fields: FieldConfig, grid: QuadratureGrid,
                 cond_error: float = 1e12):
     """Velocity-resolved solve of the four probe-sector coherence equations.
 
-    Per detuning: the pump dipole is closed first (it decouples), each
-    velocity node's 4x4 system is inverted against the identity plus the
-    probe source, and the node-weighted accumulation yields a final 4x4
-    system for the velocity-integrated densities.  Returns (Spectrum,
-    SolveReport).  With check_convergence the whole spectrum is recomputed on
-    a node-doubled grid and the finer result is kept; disagreement beyond
-    conv_rtol raises NonConvergenceError.
+    Per detuning: the pump dipole is closed first (it decouples).  Each
+    velocity node's 4x4 system is eliminated by hand: its last three rows
+    express three coherences through the first, whose coefficient is the
+    scalar pivot xi_d / (xi2 xi3 xi4), with xi_d the ``toc_determinant``.
+    This gives the node's inverse and its probe-source solution in closed
+    form.  Their node-weighted sums yield a final 4x4 system for the
+    velocity-integrated densities.  Returns (Spectrum, SolveReport).  With
+    check_convergence the whole spectrum is recomputed on a node-doubled grid
+    and the finer result is kept; disagreement beyond conv_rtol raises
+    NonConvergenceError.  A vanishing pivot, or a density system that is not
+    finite, raises IllConditionedError naming the first such detuning.
     """
     detunings = np.asarray(detuning_grid, dtype=float)
     v_par, v_res, w = velocity_mesh(fields, grid)

@@ -239,6 +239,12 @@ class TestMainErrors:
         assert main(["at_rest", "--set", "gamma_pcc=-2"]) == 1
         assert "outside allowed range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pair", ["v1=NaN", "gamma_g=Infinity", "dq_ladder=[0, NaN]"])
+    def test_non_finite_value(self, pair, capsys):
+        assert main(["at_rest", "--set", pair]) == 1
+        err = capsys.readouterr().err
+        assert f"config key {pair.partition('=')[0]!r}" in err and "must be finite" in err
+
     def test_config_file_must_be_object(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("[1, 2]")

@@ -31,6 +31,25 @@ def test_model_params_rejects_bad_values(kwargs):
         ModelParams(**kwargs)
 
 
+@pytest.mark.parametrize("name", ["gamma_sp", "gamma_pcc", "gamma_vcc", "gamma_g",
+                                  "branching_A", "n0", "v_th"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_model_params_rejects_non_finite_values(name, bad):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        ModelParams(**{name: bad})
+
+
+@pytest.mark.parametrize("name, bad", [
+    *((n, b) for n in ("v1", "v2", "vp", "delta1", "delta2", "deltap", "qp_vth", "dq_vth")
+      for b in (float("nan"), float("inf"))),
+    ("v1", complex(0.1, float("nan"))),
+    ("v2", complex(-float("inf"), 0.1)),
+])
+def test_field_config_rejects_non_finite_values(name, bad):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        FieldConfig(**{name: bad})
+
+
 def test_field_config_rejects_bad_geometry():
     with pytest.raises(ValueError):
         FieldConfig(qp_vth=-1.0)

@@ -8,6 +8,7 @@ import pytest
 from eia.core_model import ModelParams, FieldConfig, xi_set, toc_determinant
 from eia.velocity_integrals import NonConvergenceError, make_grid, one_photon_response
 from eia.spectrum_solver import (
+    _exact_response_on_mesh,
     Components,
     Spectrum,
     SolveReport,
@@ -80,6 +81,81 @@ class TestDetuningGrid:
             default_detuning_grid(ModelParams(), span=0.0)
         with pytest.raises(ValueError):
             default_detuning_grid(ModelParams(), n=1)
+
+
+def lapack_response_on_mesh(params, fields, detunings, v_par, v_res, w):
+    """Reference: assemble every node's 4x4 system plus the probe source and
+    solve the whole stack with batched LAPACK."""
+    gvcc, n0 = params.gamma_vcc, params.n0
+    v1, v2, vp = fields.v1, fields.v2, fields.vp
+    toc = 1j * params.b * params.branching_A * params.gamma_sp
+    xi0 = xi_set(params, fields, v_par, v_res)
+    gp = np.sum(w / xi0.xi5)
+    r5 = np.conj(v2) * n0 * gp / (1.0 - 1j * gvcc * gp)
+    src3 = -vp * (1j * gvcc * r5 + np.conj(v2) * n0) / xi0.xi5
+
+    xi = xi_set(params, fields, v_par[None, :], v_res[None, :],
+                deltap=detunings[:, None])
+    M = np.zeros(xi.xi1.shape + (4, 4), dtype=complex)
+    M[..., 0, 0] = xi.xi1
+    M[..., 0, 1] = np.conj(v1)
+    M[..., 0, 2] = -toc
+    M[..., 0, 3] = -v2
+    M[..., 1, 0] = v1
+    M[..., 1, 1] = xi.xi2
+    M[..., 2, 1] = -np.conj(v2)
+    M[..., 2, 2] = xi.xi3
+    M[..., 2, 3] = v1
+    M[..., 3, 0] = -np.conj(v2)
+    M[..., 3, 3] = xi.xi4
+    B = np.zeros(xi.xi1.shape + (4, 5), dtype=complex)
+    B[..., :4, :4] = np.eye(4)
+    B[..., 1, 4] = -vp * n0
+    B[..., 2, 4] = src3
+    X = np.linalg.solve(M, B)
+    Aw = np.einsum("k,mkij->mij", w, X[..., :4])
+    bw = np.einsum("k,mki->mi", w, X[..., 4])
+    dens = np.eye(4) - 1j * gvcc * Aw
+    R = np.linalg.solve(dens, bw[..., None])[..., 0]
+    return R[:, 1] / (n0 * vp), np.linalg.cond(dens)
+
+
+class TestExactElimination:
+    @pytest.mark.parametrize("n, geometry, b, gvcc, v1, v2", [
+        (40, "collinear", 1, 0.3, 0.08 + 0.05j, 0.1 - 0.02j),
+        (40, "transverse", 1, 0.3, 0.6j, 0.4 + 0.3j),
+        (40, "transverse", 0, 0.05, 0.5 - 0.2j, -0.3j),
+        (40, "collinear", 0, 0.0, 0.2 + 0.1j, 0.3),
+        (40, "transverse", 1, 0.0, 0.3, 0.2 + 0.2j),
+        # several detuning chunks, the last one partial
+        (2500, "transverse", 1, 0.1, 0.1 + 0.1j, 0.2 - 0.1j),
+    ])
+    def test_matches_batched_lapack_on_random_meshes(self, n, geometry, b, gvcc, v1, v2):
+        rng = np.random.default_rng(n + 7 * b + int(100 * gvcc))
+        p = ModelParams(gamma_pcc=0.4, gamma_vcc=gvcc, gamma_g=0.003, b=b)
+        f = FieldConfig(v1=v1, v2=v2, vp=1e-4, delta1=0.05, delta2=-0.1,
+                        qp_vth=3.0, dq_vth=0.7, dq_direction=geometry)
+        v_par = rng.normal(size=n)
+        v_res = v_par if geometry == "collinear" else rng.normal(size=n)
+        w = rng.uniform(0.1, 1.0, n)
+        w /= w.sum()
+        dgrid = np.sort(rng.uniform(-3.0, 3.0, 31))
+        got, got_cond = _exact_response_on_mesh(p, f, dgrid, v_par, v_res, w)
+        want, want_cond = lapack_response_on_mesh(p, f, dgrid, v_par, v_res, w)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.abs(got_cond - want_cond).max() <= 1e-12 * want_cond.max()
+
+    @pytest.mark.parametrize("gamma_g", [0.0, 1e-320])
+    def test_vanishing_pivot_names_the_detuning(self, gamma_g):
+        # v1 = v2 = 0 and no ground decay: xi1 = 0 at line center, so xi_d = 0
+        # (exactly, or by underflow of the subnormal rate)
+        p = ModelParams(gamma_pcc=1.0, gamma_vcc=0.0, gamma_g=gamma_g)
+        f = FieldConfig(v1=0.0, v2=0.0, vp=0.001, qp_vth=2.0, dq_vth=0.0,
+                        dq_direction="collinear")
+        with pytest.raises(IllConditionedError, match="at detuning 0.0$"), \
+                np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            solve_exact(p, f, make_grid(20, 1), np.array([-0.5, 0.0, 0.5]),
+                        check_convergence=False)
 
 
 class TestExactSolver:
