@@ -187,12 +187,16 @@ def toc_determinant(xi: XiSet, params: ModelParams, fields: FieldConfig):
     transfer of excited-state coherence to the ground state (switch b).  For
     real pump fields this is the familiar polynomial in the five xi's; complex
     pumps enter through |v|^2 and v1*conj(v2) only.
+
+    It is evaluated as
+        xi4 (xi2 (xi1 xi3) - (|v1|^2 xi3 - toc)) + xi2 (toc - |v2|^2 xi3)
+    with toc = i b A gamma_sp v1 conj(v2).  On a product velocity mesh xi1 and
+    xi3 vary along v_res and xi2 along v_par, so xi1 xi3, |v1|^2 xi3 - toc and
+    toc - |v2|^2 xi3 stay one-axis arrays; only the products with xi2 and
+    xi4 span the whole mesh.
     """
     v1sq = abs(fields.v1) ** 2
     v2sq = abs(fields.v2) ** 2
     toc = 1j * params.b * params.branching_A * params.gamma_sp * fields.v1 * np.conj(fields.v2)
-    return (
-        xi.xi1 * xi.xi2 * xi.xi3 * xi.xi4
-        - xi.xi3 * (xi.xi2 * v2sq + xi.xi4 * v1sq)
-        + toc * (xi.xi2 + xi.xi4)
-    )
+    return (xi.xi4 * (xi.xi2 * (xi.xi1 * xi.xi3) - (v1sq * xi.xi3 - toc))
+            + xi.xi2 * (toc - v2sq * xi.xi3))

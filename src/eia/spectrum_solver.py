@@ -124,13 +124,13 @@ def default_detuning_grid(params: ModelParams, span: float = 2.0, n: int = 2001,
     return np.concatenate([-pos[:0:-1], pos])
 
 
-def _xi_batch(params, fields, dp_chunk, v_par, v_res):
-    # broadcast detunings (m,1) against velocity nodes (n,) -> (m, n) factors
-    return xi_set(params, fields, v_par[None, :], v_res[None, :],
-                  deltap=np.asarray(dp_chunk)[:, None])
+# Mesh elements (detunings x velocity nodes) per chunk: each full-size
+# temporary stays near 0.5 MB, and larger chunks measured slower on both routes.
+_CHUNK_ELEMENTS = 30_000
 
 
-def _chunks(total: int, size: int):
+def _chunks(total: int, nodes: int):
+    size = max(1, _CHUNK_ELEMENTS // max(nodes, 1))
     for start in range(0, total, size):
         yield start, min(start + size, total)
 
@@ -153,11 +153,10 @@ def _exact_response_on_mesh(params, fields, detunings, v_par, v_res, w):
     response = np.empty(m, dtype=complex)
     conds = np.empty(m, dtype=float)
     eye = np.eye(4, dtype=complex)
-    # ~0.5 MB per (m, n) temporary; larger chunks measured slower
-    chunk = max(1, int(3.0e4 / max(n, 1)))
-    for a, bnd in _chunks(m, chunk):
+    for a, bnd in _chunks(m, n):
         dp = detunings[a:bnd]
-        xi = _xi_batch(params, fields, dp, v_par, v_res)
+        # detunings (m, 1) against velocity nodes (n,) -> (m, n) factors
+        xi = xi_set(params, fields, v_par, v_res, deltap=dp[:, None])
         # Per node the system M x = r reads
         #   xi1 x0 + conj(v1) x1 - toc x2 - v2 x3 = r0
         #   v1 x0 + xi2 x1 = r1
@@ -202,6 +201,25 @@ def _exact_response_on_mesh(params, fields, detunings, v_par, v_res, w):
     return response, conds
 
 
+def _doubling_check(what, solve_on, fields, grid, response, conv_rtol):
+    """Solve again on the node-doubled grid and compare the two responses.
+
+    ``solve_on(grid)`` returns ``(response, extra)``.  Returns the doubled
+    grid's result and the report note; a relative change above conv_rtol
+    raises NonConvergenceError.
+    """
+    need_res = fields.dq_vth != 0.0 and fields.dq_direction == "transverse"
+    fine = solve_on(_doubled(grid, need_res))
+    scale = max(np.abs(fine[0]).max(initial=0.0), np.finfo(float).tiny)
+    rel = np.abs(fine[0] - response).max(initial=0.0) / scale
+    if rel > conv_rtol:
+        raise NonConvergenceError(
+            f"{what} solve not converged: doubling {grid.n_par}x{grid.n_res} nodes "
+            f"moved the spectrum by {rel:.3e} (> rtol {conv_rtol:.1e})"
+        )
+    return fine, f"doubling check rel change {rel:.2e}"
+
+
 def solve_exact(params: ModelParams, fields: FieldConfig, grid: QuadratureGrid,
                 detuning_grid, check_convergence: bool = True,
                 conv_rtol: float = 1e-6, cond_warn: float = 1e8,
@@ -221,26 +239,18 @@ def solve_exact(params: ModelParams, fields: FieldConfig, grid: QuadratureGrid,
     finite, raises IllConditionedError naming the first such detuning.
     """
     detunings = np.asarray(detuning_grid, dtype=float)
-    v_par, v_res, w = velocity_mesh(fields, grid)
-    response, conds = _exact_response_on_mesh(params, fields, detunings, v_par, v_res, w)
 
-    notes = []
+    def solve_on(g):
+        return _exact_response_on_mesh(params, fields, detunings, *velocity_mesh(fields, g))
+
+    response, conds = solve_on(grid)
+    notes = ""
     converged = None
     if check_convergence:
-        need_res = fields.dq_vth != 0.0 and fields.dq_direction == "transverse"
-        g2 = _doubled(grid, need_res)
-        vp2, vr2, w2 = velocity_mesh(fields, g2)
-        response2, conds2 = _exact_response_on_mesh(params, fields, detunings, vp2, vr2, w2)
-        scale = max(np.abs(response2).max(initial=0.0), np.finfo(float).tiny)
-        rel = np.abs(response2 - response).max(initial=0.0) / scale
-        if rel > conv_rtol:
-            raise NonConvergenceError(
-                f"exact solve not converged: doubling {grid.n_par}x{grid.n_res} nodes "
-                f"moved the spectrum by {rel:.3e} (> rtol {conv_rtol:.1e})"
-            )
-        response, conds = response2, np.maximum(conds, conds2)
+        (response, conds2), notes = _doubling_check("exact", solve_on, fields, grid,
+                                                    response, conv_rtol)
+        conds = np.maximum(conds, conds2)
         converged = True
-        notes.append(f"doubling check rel change {rel:.2e}")
 
     max_cond = float(conds.max(initial=1.0))
     if max_cond > cond_error:
@@ -253,35 +263,74 @@ def solve_exact(params: ModelParams, fields: FieldConfig, grid: QuadratureGrid,
 
     report = SolveReport(method="exact", n_par=grid.n_par, n_res=grid.n_res,
                          n_detunings=detunings.size, max_condition=max_cond,
-                         converged=converged, notes="; ".join(notes))
+                         converged=converged, notes=notes)
     return Spectrum.from_response(detunings, response), report
 
 
-def _approx_terms_on_mesh(params, fields, detunings, v_par, v_res, w):
-    gvcc = params.gamma_vcc
-    v1, v2 = fields.v1, fields.v2
-    v2sq = abs(v2) ** 2
-    toc = 1j * params.b * params.branching_A * params.gamma_sp * v1 * np.conj(v2)
+def _product_mesh(fields, grid):
+    """``velocity_mesh`` in broadcastable product form, v_par on the last axis.
 
-    n = v_par.size
-    m = detunings.size
-    bg = np.empty(m, dtype=complex)
-    ped = np.empty(m, dtype=complex)
-    sharp = np.empty(m, dtype=complex)
-    chunk = max(1, int(2.0e6 / max(n, 1)))
-    for a, bnd in _chunks(m, chunk):
-        xi = _xi_batch(params, fields, detunings[a:bnd], v_par, v_res)
-        xd = toc_determinant(xi, params, fields)
-        x34 = xi.xi3 * xi.xi4
-        g1 = (w * xi.xi2 * x34 / xd).sum(axis=1)
-        g2 = (w * x34 / xd).sum(axis=1)
-        g3 = (w * xi.xi2 * xi.xi4 / (xi.xi5 * xd)).sum(axis=1)
-        g4 = (w * xi.xi1 * x34 / xd).sum(axis=1)
-        g5 = (w * xi.xi3 / xd).sum(axis=1)
-        bg[a:bnd] = -g4
-        ped[a:bnd] = v2sq * g5
-        sharp[a:bnd] = toc * 1j * g2 * g3 * gvcc / (1.0 - 1j * g1 * gvcc)
-    return bg, ped, sharp
+    On a transverse mesh (r = n_res nodes per v_par) v_par becomes (n_par,),
+    v_res (n_res, 1) and w (n_res, n_par); otherwise (r = 1) v_par and v_res
+    are (n_par,) and w is (1, n_par).  The transverse mesh is C-ordered by
+    repeat/tile, so every r-th v_par and the first r v_res are the axes.  The
+    long v_par axis goes last to keep numpy's inner loops long.
+    """
+    v_par, v_res, w = velocity_mesh(fields, grid)
+    r = v_par.size // grid.n_par
+    return (v_par[::r], v_res[:r, None] if r > 1 else v_res,
+            np.ascontiguousarray(w.reshape(grid.n_par, r).T))
+
+
+def _mesh_sum(f, x):
+    """Sum of f * x over the two mesh axes, per detuning.
+
+    x is reduced first along the axes where f is constant, so the product
+    with f is taken on the small, reduced array.
+    """
+    along = tuple(ax for ax in (1, 2) if f.shape[ax] == 1)
+    return (f * x.sum(axis=along, keepdims=True)).sum(axis=(1, 2))
+
+
+def _approx_terms_on_mesh(params, fields, detunings, v_par, v_res, w):
+    # Detunings sit on a leading axis against the product mesh of
+    # _product_mesh.  xi1 and xi3 then follow v_res only, xi2 v_par only and
+    # xi5 no detuning, so only xi4 and xi_d are full (m, r, n_par) arrays.
+    # With inv = w / xi_d, the one complex division per node, T = xi4 inv and
+    # S = xi3 T:
+    #   G1 = <xi2 xi3 xi4/d>     = sum xi2 S
+    #   G2 = <xi3 xi4/d>         = sum S
+    #   G3 = <xi2 xi4/(xi5 d)>   = sum xi2 T / xi5
+    #   G4 = <xi1 xi3 xi4/d>     = sum xi1 S
+    #   G5 = <xi3/d>             = sum xi3 inv
+    gvcc = params.gamma_vcc
+    toc = 1j * params.b * params.branching_A * params.gamma_sp * fields.v1 * np.conj(fields.v2)
+    inv_xi5 = 1.0 / xi_set(params, fields, v_par, v_res).xi5
+
+    g = np.empty((5, detunings.size), dtype=complex)
+    # a vanishing xi_d turns its detuning's sums into inf/nan; they are
+    # checked below, once, instead of every node
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for a, bnd in _chunks(detunings.size, w.size):
+            xi = xi_set(params, fields, v_par, v_res, deltap=detunings[a:bnd, None, None])
+            inv = w / toc_determinant(xi, params, fields)
+            t = xi.xi4 * inv
+            s = xi.xi3 * t
+            g[0, a:bnd] = _mesh_sum(xi.xi2, s)
+            g[1, a:bnd] = s.sum(axis=(1, 2))
+            g[2, a:bnd] = _mesh_sum(xi.xi2, t * inv_xi5)
+            g[3, a:bnd] = _mesh_sum(xi.xi1, s)
+            g[4, a:bnd] = _mesh_sum(xi.xi3, inv)
+    bad = ~np.isfinite(g).all(axis=0)
+    if bad.any():
+        raise IllConditionedError(
+            f"factored solve: non-finite velocity average (xi_d vanishes at a node) "
+            f"at detuning {float(detunings[bad.argmax()])!r}")
+    g1, g2, g3, g4, g5 = g
+    bg = -g4
+    ped = abs(fields.v2) ** 2 * g5
+    sharp = toc * 1j * g2 * g3 * gvcc / (1.0 - 1j * g1 * gvcc)
+    return bg + ped + sharp, Components(bg, ped, sharp)
 
 
 def solve_approximate(params: ModelParams, fields: FieldConfig, grid: QuadratureGrid,
@@ -289,9 +338,20 @@ def solve_approximate(params: ModelParams, fields: FieldConfig, grid: Quadrature
                       conv_rtol: float = 1e-6):
     """Factored response from the five named thermal averages, with components.
 
+    The averages G1..G5 (``G1_SPEC``..``G5_SPEC``) are taken on the velocity
+    mesh in its broadcastable product form, a chunk of detunings at a time,
+    with one complex division per node.  The response splits into the
+    one-photon background -G4, the pump-broadened pedestal |v2|^2 G5 and the
+    collision-fed sharp peak toc i G2 G3 gamma_vcc / (1 - i G1 gamma_vcc),
+    with toc = i b A gamma_sp v1 conj(v2).
+
     Valid for gamma_vcc below the homogeneous width Gamma_pcc + Gamma/2; a
     warning (not an error) is emitted outside that regime.  Returns
-    (Spectrum with components, SolveReport).
+    (Spectrum with components, SolveReport).  With check_convergence the
+    spectrum is recomputed on a node-doubled grid and the finer result is
+    kept; disagreement beyond conv_rtol raises NonConvergenceError.  An
+    average that is not finite, because xi_d vanishes at a node, raises
+    IllConditionedError naming the first such detuning.
     """
     if params.gamma_vcc >= params.gamma_pcc + 0.5 * params.gamma_sp:
         import warnings
@@ -300,35 +360,22 @@ def solve_approximate(params: ModelParams, fields: FieldConfig, grid: Quadrature
             "response is outside its validity regime", stacklevel=2)
 
     detunings = np.asarray(detuning_grid, dtype=float)
-    v_par, v_res, w = velocity_mesh(fields, grid)
-    bg, ped, sharp = _approx_terms_on_mesh(params, fields, detunings, v_par, v_res, w)
 
-    notes = []
+    def solve_on(g):
+        return _approx_terms_on_mesh(params, fields, detunings, *_product_mesh(fields, g))
+
+    response, parts = solve_on(grid)
+    notes = ""
     converged = None
     if check_convergence:
-        need_res = fields.dq_vth != 0.0 and fields.dq_direction == "transverse"
-        g2 = _doubled(grid, need_res)
-        vp2, vr2, w2 = velocity_mesh(fields, g2)
-        bg2, ped2, sharp2 = _approx_terms_on_mesh(params, fields, detunings, vp2, vr2, w2)
-        r1 = bg + ped + sharp
-        r2 = bg2 + ped2 + sharp2
-        scale = max(np.abs(r2).max(initial=0.0), np.finfo(float).tiny)
-        rel = np.abs(r2 - r1).max(initial=0.0) / scale
-        if rel > conv_rtol:
-            raise NonConvergenceError(
-                f"factored solve not converged: doubling {grid.n_par}x{grid.n_res} "
-                f"nodes moved the spectrum by {rel:.3e} (> rtol {conv_rtol:.1e})"
-            )
-        bg, ped, sharp = bg2, ped2, sharp2
+        (response, parts), notes = _doubling_check("factored", solve_on, fields, grid,
+                                                   response, conv_rtol)
         converged = True
-        notes.append(f"doubling check rel change {rel:.2e}")
 
-    response = bg + ped + sharp
-    spectrum = Spectrum.from_response(detunings, response,
-                                      Components(bg, ped, sharp))
+    spectrum = Spectrum.from_response(detunings, response, parts)
     report = SolveReport(method="approximate", n_par=grid.n_par, n_res=grid.n_res,
                          n_detunings=detunings.size, max_condition=0.0,
-                         converged=converged, notes="; ".join(notes))
+                         converged=converged, notes=notes)
     return spectrum, report
 
 
@@ -341,11 +388,18 @@ def at_rest_spectrum(params: ModelParams, fields: FieldConfig, detuning_grid) ->
     an explicit gamma_vcc factor and drops out; what survives is the
     pedestal plus a background that also holds the b-switched two-pump
     interference term (zero at line center for delta1 = 0, broad off it).
+    A determinant xi_d that vanishes, or underflows to a subnormal, raises
+    IllConditionedError naming the first such detuning.
     """
     params0 = replace(params, gamma_vcc=0.0)
     detunings = np.asarray(detuning_grid, dtype=float)
     xi = xi_set(params0, fields, 0.0, 0.0, deltap=detunings)
     xd = toc_determinant(xi, params0, fields)
+    bad = ~(np.abs(xd) >= np.finfo(float).tiny)
+    if bad.any():
+        raise IllConditionedError(
+            f"at-rest spectrum: xi_d vanishes or underflows at detuning "
+            f"{float(detunings[bad.argmax()])!r}")
     toc = 1j * params0.b * params0.branching_A * params0.gamma_sp \
         * fields.v1 * np.conj(fields.v2)
     bg = (-xi.xi1 * xi.xi3 * xi.xi4 + toc * (xi.xi4 - xi.xi5) / xi.xi5) / xd

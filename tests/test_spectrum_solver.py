@@ -1,13 +1,19 @@
 """Exact vs factored vs closed-form probe response routes."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eia.core_model import ModelParams, FieldConfig, xi_set, toc_determinant
-from eia.velocity_integrals import NonConvergenceError, make_grid, one_photon_response
+from eia.velocity_integrals import (
+    G1_SPEC, G2_SPEC, G3_SPEC, G4_SPEC, G5_SPEC,
+    NonConvergenceError, g_integral, make_grid, one_photon_response,
+)
 from eia.spectrum_solver import (
+    _CHUNK_ELEMENTS,
     _exact_response_on_mesh,
     Components,
     Spectrum,
@@ -273,6 +279,80 @@ class TestFactoredSolver:
         assert np.abs(sp.absorption - sp.absorption[::-1]).max() \
             < 1e-10 * sp.absorption.max()
 
+    @pytest.mark.parametrize("n_par, n_res, geometry, dq, b, v1, v2", [
+        (30, 8, "transverse", 0.7, 1, 0.08 + 0.05j, 0.1 - 0.02j),
+        (30, 8, "transverse", 0.7, 0, 0.5 - 0.2j, -0.3j),
+        (300, 1, "collinear", 0.7, 1, 0.6j, 0.4 + 0.3j),
+        (300, 1, "transverse", 0.0, 1, 0.2 + 0.1j, 0.3),
+    ])
+    def test_matches_the_named_kernel_averages(self, n_par, n_res, geometry, dq, b, v1, v2):
+        """Oracle: the components assembled from g_integral(G1_SPEC..G5_SPEC)
+        one detuning at a time, over enough detunings for several chunks."""
+        p = ModelParams(gamma_pcc=0.4, gamma_vcc=0.2, gamma_g=0.003, b=b)
+        f = FieldConfig(v1=v1, v2=v2, vp=1e-4, delta1=0.05, delta2=-0.1,
+                        qp_vth=3.0, dq_vth=dq, dq_direction=geometry)
+        grid = make_grid(n_par, n_res)
+        nodes = n_par * (n_res if geometry == "transverse" and dq > 0 else 1)
+        dgrid = np.linspace(-3.0, 3.0, 2 * (_CHUNK_ELEMENTS // nodes) + 5)
+        sp, _ = solve_approximate(p, f, grid, dgrid, check_convergence=False)
+
+        toc = 1j * b * p.branching_A * p.gamma_sp * v1 * np.conj(v2)
+        g = np.array([[g_integral(spec, p, replace(f, deltap=dp), grid, rtol=None)
+                       for dp in dgrid]
+                      for spec in (G1_SPEC, G2_SPEC, G3_SPEC, G4_SPEC, G5_SPEC)])
+        want = Components(
+            background=-g[3],
+            pedestal=abs(v2) ** 2 * g[4],
+            sharp_peak=toc * 1j * g[1] * g[2] * p.gamma_vcc / (1.0 - 1j * g[0] * p.gamma_vcc))
+        for got_part, want_part in zip(sp.components, want):
+            assert np.abs(got_part - want_part).max() <= 1e-12 * np.abs(want_part).max()
+
+    def test_doubling_check_report_and_gate(self):
+        # the note is parsed by tools that read reports; keep its wording
+        p = ModelParams(gamma_pcc=1.0, gamma_vcc=0.1, gamma_g=0.05)
+        f = FieldConfig(v1=0.1, v2=0.1, vp=1e-4, qp_vth=1.0, dq_vth=0.2)
+        grid, dgrid = make_grid(20, 4), np.linspace(-1, 1, 5)
+        _, rep = solve_approximate(p, f, grid, dgrid, conv_rtol=1e-2)
+        assert rep.converged is True
+        assert rep.notes.startswith("doubling check rel change ")
+        assert 1e-3 < float(rep.notes.rsplit(" ", 1)[1]) <= 1e-2
+        with pytest.raises(NonConvergenceError, match="^factored solve not converged"):
+            solve_approximate(p, f, grid, dgrid, conv_rtol=1e-3)
+
+    @pytest.mark.parametrize("gamma_g", [0.0, 1e-320])
+    def test_vanishing_determinant_names_the_detuning(self, gamma_g):
+        # no pumps and no ground decay: xi1 = 0 at line center, so xi_d = 0
+        # (exactly, or as a subnormal whose weighted inverse overflows)
+        p = ModelParams(gamma_pcc=1.0, gamma_vcc=0.0, gamma_g=gamma_g)
+        f = FieldConfig(v1=0.0, v2=0.0, dq_vth=0.0)
+        with pytest.raises(IllConditionedError, match="at detuning 0.0$"), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            solve_approximate(p, f, make_grid(20, 1), np.array([-0.5, 0.0, 0.5]),
+                              check_convergence=False)
+
+
+positive_detunings = st.lists(st.floats(min_value=1e-3, max_value=3.0), min_size=1,
+                              max_size=8, unique=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(gpcc=st.floats(0.05, 5.0), gvcc=st.floats(0.0, 0.5), gg=st.floats(1e-3, 0.1),
+       qp=st.floats(0.0, 40.0), dq=st.floats(0.0, 2.0),
+       geometry=st.sampled_from(["transverse", "collinear"]), b=st.integers(0, 1),
+       v1=st.floats(-0.5, 0.5), v2=st.floats(-0.5, 0.5), pos=positive_detunings)
+def test_factored_reflection_symmetry(gpcc, gvcc, gg, qp, dq, geometry, b, v1, v2, pos):
+    """response(-delta) = -conj(response(delta)) for real pumps and
+    delta1 = delta2 = 0: negating the detuning and every velocity maps each
+    xi to -conj(xi), and the Gauss-Hermite nodes are symmetric."""
+    p = ModelParams(gamma_pcc=gpcc, gamma_vcc=gvcc, gamma_g=gg, b=b)
+    f = FieldConfig(v1=v1, v2=v2, vp=0.0, qp_vth=qp, dq_vth=dq, dq_direction=geometry)
+    pos = np.sort(pos)
+    dgrid = np.concatenate([-pos[::-1], [0.0], pos])
+    sp, _ = solve_approximate(p, f, make_grid(40, 8), dgrid, check_convergence=False)
+    r = sp.response
+    assert np.abs(r[::-1] + np.conj(r)).max() <= 1e-10 * np.abs(r).max()
+
 
 class TestAtRest:
     def test_on_resonance_enhancement_factor(self):
@@ -303,3 +383,13 @@ class TestAtRest:
         p = motionless_params(gamma_vcc=0.0)
         sp = at_rest_spectrum(p, motionless_fields(), np.linspace(-3, 3, 301))
         assert np.all(sp.absorption > 0)
+
+    @pytest.mark.parametrize("gamma_g", [0.0, 1e-320])
+    def test_vanishing_determinant_names_the_detuning(self, gamma_g):
+        # xi_d = 0 at line center, or a subnormal that has lost its digits
+        p = ModelParams(gamma_pcc=1.0, gamma_vcc=0.0, gamma_g=gamma_g)
+        f = FieldConfig(v1=0.0, v2=0.0, dq_vth=0.0)
+        with pytest.raises(IllConditionedError, match="at detuning 0.0$"), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            at_rest_spectrum(p, f, np.array([-0.5, 0.0, 0.5]))
