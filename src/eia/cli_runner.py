@@ -33,6 +33,7 @@ from .spatial_filter import (
     save_profile,
 )
 from .spectrum_solver import (
+    _mirrored_grid,
     at_rest_spectrum,
     default_detuning_grid,
     solve_approximate,
@@ -355,11 +356,7 @@ def _run_beam_filter(cfg: ScenarioConfig):
 
 def _ramsey_detuning_grid(cfg: ScenarioConfig) -> np.ndarray:
     span, n = cfg.values["ramsey_span"], cfg.values["ramsey_n"]
-    pos = np.unique(np.concatenate([
-        np.linspace(0.0, span, (n + 1) // 2),
-        np.geomspace(span * 1e-4, span, 81),
-    ]))
-    return np.concatenate([-pos[:0:-1], pos])
+    return _mirrored_grid(span, (n + 1) // 2, np.geomspace(span * 1e-4, span, 81))
 
 
 def _run_ramsey(cfg: ScenarioConfig):

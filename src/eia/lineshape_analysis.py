@@ -14,7 +14,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .core_model import FieldConfig, ModelParams
-from .spectrum_solver import Spectrum, solve_approximate
+from .spectrum_solver import Spectrum, _mirrored_grid, solve_approximate
 from .velocity_integrals import QuadratureGrid
 
 __all__ = [
@@ -208,16 +208,11 @@ def _scan_detuning_grid(params: ModelParams, dq: float) -> np.ndarray:
     # peak (closed-form width) with log-dense center sampling
     w_est = dicke_fwhm_model(params.gamma_vcc, dq) if (dq > 0 and params.gamma_vcc > 0) else 0.0
     span = max(2.0, 6.0 * w_est, 12.0 * (params.gamma_vcc + params.gamma_g))
-    pos = np.unique(np.concatenate([
-        np.linspace(0.0, span, 1001),
-        np.geomspace(span * 1e-6, span, 301),
-    ]))
-    return np.concatenate([-pos[:0:-1], pos])
+    return _mirrored_grid(span, 1001, np.geomspace(span * 1e-6, span, 301))
 
 
 def scan_delta_q(params: ModelParams, fields: FieldConfig, grid: QuadratureGrid,
-                 dq_ladder: Sequence[float], detuning_grid=None,
-                 check_convergence: bool = False) -> list:
+                 dq_ladder: Sequence[float], check_convergence: bool = False) -> list:
     """Sweep the pump-probe wave-vector mismatch; one factored solve per rung.
 
     Returns ScanPoint rows: narrow-peak FWHM (sharp component), the narrow
@@ -238,8 +233,7 @@ def scan_delta_q(params: ModelParams, fields: FieldConfig, grid: QuadratureGrid,
     rows = []
     for dq in ladder:
         f_i = replace(fields, dq_vth=dq)
-        dg = _scan_detuning_grid(params, dq) if detuning_grid is None else detuning_grid
-        spectrum, _ = solve_approximate(params, f_i, grid, dg,
+        spectrum, _ = solve_approximate(params, f_i, grid, _scan_detuning_grid(params, dq),
                                         check_convergence=check_convergence)
         sharp = extract_fwhm(spectrum, feature="sharp_peak_component")
         ped = extract_fwhm(spectrum, feature="pedestal_component")

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -33,6 +33,7 @@ __all__ = [
     "ATOMIC_MASS_UNIT",
     "MASS_RB85",
     "RamseyConfig",
+    "OnePhotonKernels",
     "RamseyCoefficients",
     "RamseySolution",
     "DiffusionResidualReport",
@@ -76,7 +77,6 @@ class RamseyConfig:
     wavelength: float = 780e-9
     mass: float = MASS_RB85
     gamma_sp_si: float = 2.0 * np.pi * 6e6
-    x_grid: Optional[np.ndarray] = None
     n_par: int = 4000
     kernel_rtol: Optional[float] = 1e-7
 
@@ -132,6 +132,18 @@ def _decay_root(z: complex) -> complex:
     return r
 
 
+class OnePhotonKernels(NamedTuple):
+    """Strong-collision one-photon kernels (``one_photon_response``) at one detuning.
+
+    k_1p is the probe kernel (denominator xi2), k_3p the three-photon kernel
+    (xi4) and k_pump the pump-dipole kernel (xi5).
+    """
+
+    k_1p: complex
+    k_3p: complex
+    k_pump: complex
+
+
 @dataclass(frozen=True)
 class RamseyCoefficients:
     deltap: float
@@ -167,14 +179,15 @@ def _mode_vector(d_hat, alpha2_sq, beta2, k_sq):
     return (gv / nm, ev / nm)
 
 
-def ramsey_coefficients(cfg: RamseyConfig, kernels, deltap: Optional[float] = None,
+def ramsey_coefficients(cfg: RamseyConfig, kernels: OnePhotonKernels,
+                        deltap: Optional[float] = None,
                         params: Optional[ModelParams] = None) -> RamseyCoefficients:
     """Decay constants, sources, and coupled-mode wave numbers at one detuning.
 
-    kernels supplies the one-photon responses k_1p, k_3p, k_pump (any object
-    with those attributes).  The two interior wave numbers come from the
-    quadratic in k^2 produced by inserting exp(kx) into the coupled system;
-    the discriminant is guarded against catastrophic cancellation.
+    kernels is the OnePhotonKernels record of the one-photon responses k_1p,
+    k_3p and k_pump at this detuning.  The two interior wave numbers come
+    from the quadratic in k^2 produced by inserting exp(kx) into the coupled
+    system; the discriminant is guarded against catastrophic cancellation.
     """
     p = cfg.params if params is None else params
     f = cfg.fields
@@ -363,15 +376,11 @@ class RamseySolution:
 
 
 def _probe_kernels(params: ModelParams, fields: FieldConfig, grid: QuadratureGrid,
-                   rtol: Optional[float] = 1e-7):
-    class _K:
-        pass
-
-    k = _K()
-    k.k_1p = one_photon_response(params, fields, grid, denominator=2, rtol=rtol)
-    k.k_3p = one_photon_response(params, fields, grid, denominator=4, rtol=rtol)
-    k.k_pump = one_photon_response(params, fields, grid, denominator=5, rtol=rtol)
-    return k
+                   rtol: Optional[float] = 1e-7) -> OnePhotonKernels:
+    return OnePhotonKernels(
+        k_1p=one_photon_response(params, fields, grid, denominator=2, rtol=rtol),
+        k_3p=one_photon_response(params, fields, grid, denominator=4, rtol=rtol),
+        k_pump=one_photon_response(params, fields, grid, denominator=5, rtol=rtol))
 
 
 def build_solution(cfg: RamseyConfig, deltap: Optional[float] = None,

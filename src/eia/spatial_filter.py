@@ -12,24 +12,17 @@ from __future__ import annotations
 import struct
 import warnings
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .core_model import FieldConfig, ModelParams
-from .velocity_integrals import (
-    G_1P,
-    QuadratureGrid,
-    g_integral,
-    one_photon_response,
-)
+from .velocity_integrals import G_1P, QuadratureGrid, g_integral
 
 __all__ = [
     "FilterParams",
     "TransverseProfile",
-    "KKernels",
     "ParaxialError",
-    "k_kernels",
     "filter_params_from_model",
     "filter_response",
     "apply_filter",
@@ -44,13 +37,6 @@ class ParaxialError(RuntimeError):
     """Populated spatial frequencies violate the paraxial bound."""
 
 
-class KKernels(NamedTuple):
-    k_1p: complex
-    k_3p: complex
-    k_pump: complex
-    k_common: complex
-
-
 @dataclass(frozen=True)
 class FilterParams:
     """Reduced parameter set of the k-space filter.
@@ -58,14 +44,14 @@ class FilterParams:
     eta is the pump amplitude ratio (0 < eta <= 1); power_broadening is
     K*|V2|^2 (complex; its real part acts as the rate); diffusion_D is the
     dimensionless combination D*q_p^2/Gamma so that filter arguments are k in
-    units of q_p.  probe_kernel caches the K used to assemble the full
-    susceptibility (recoverable from power_broadening when V2 != 0).
+    units of q_p.  probe_kernel is the K that assembles the full
+    susceptibility.
     """
 
     eta: float
     power_broadening: complex
     diffusion_D: float
-    probe_kernel: Optional[complex] = None
+    probe_kernel: complex
 
     def __post_init__(self):
         if not 0 < self.eta <= 1:
@@ -74,44 +60,35 @@ class FilterParams:
             raise ValueError("diffusion_D must be > 0")
 
 
-def k_kernels(params: ModelParams, fields: FieldConfig, grid: QuadratureGrid,
-              rtol: float | None = 1e-7) -> KKernels:
-    """One-photon kernels on the three optical transitions plus the common K.
-
-    The first three carry the velocity-changing self-consistency denominator;
-    the common K is the bare thermal average i*<1/xi2>, the single-kernel
-    stand-in valid near zero probe detuning (a warning flags configs outside
-    that regime).
-    """
-    k1 = one_photon_response(params, fields, grid, denominator=2, rtol=rtol)
-    k3 = one_photon_response(params, fields, grid, denominator=4, rtol=rtol)
-    kp = one_photon_response(params, fields, grid, denominator=5, rtol=rtol)
-    kc = 1j * g_integral(G_1P, params, fields, grid, rtol=rtol)
-    gamma_hom = params.gamma_g + np.real(kc * abs(fields.v2) ** 2)
-    if abs(fields.deltap) > gamma_hom > 0:
-        warnings.warn(
-            f"|deltap| = {abs(fields.deltap):.3g} exceeds the homogeneous width "
-            f"{gamma_hom:.3g}; the single-kernel approximation degrades", stacklevel=2)
-    return KKernels(k_1p=k1, k_3p=k3, k_pump=kp, k_common=kc)
-
-
 def filter_params_from_model(params: ModelParams, fields: FieldConfig,
                              grid: QuadratureGrid, deltap: float = 0.0,
                              rtol: float | None = 1e-7) -> FilterParams:
-    """Assemble FilterParams from the microscopic model at one detuning."""
+    """Assemble FilterParams from the microscopic model at one detuning.
+
+    The filter uses one kernel, K = i*<1/xi2> (``G_1P``), the bare thermal
+    average of the probe transition taken at deltap, with the doubling check
+    of ``g_integral`` at rtol.  This single-kernel stand-in holds near zero
+    probe detuning; a warning flags |deltap| beyond the homogeneous width
+    gamma_g + Re(K)|V2|^2.  power_broadening is K|V2|^2, probe_kernel is K.
+    """
     if not params.gamma_vcc > 0:
         raise ValueError("the diffusion coefficient requires gamma_vcc > 0")
-    kern = k_kernels(params, replace(fields, deltap=deltap), grid, rtol=rtol)
+    kern = 1j * g_integral(G_1P, params, replace(fields, deltap=deltap), grid, rtol=rtol)
+    gamma_hom = params.gamma_g + np.real(kern * abs(fields.v2) ** 2)
+    if abs(deltap) > gamma_hom > 0:
+        warnings.warn(
+            f"|deltap| = {abs(deltap):.3g} exceeds the homogeneous width "
+            f"{gamma_hom:.3g}; the single-kernel approximation degrades", stacklevel=2)
     if fields.v2 != 0:
         eta = abs(fields.v1 / fields.v2)
     elif fields.v1 == 0:
         eta = 1.0  # no pumps at all: power_broadening = 0 makes eta inert
     else:
         raise ValueError("eta undefined for V2 = 0 with V1 != 0")
-    gamma_p = kern.k_common * abs(fields.v2) ** 2
+    gamma_p = kern * abs(fields.v2) ** 2
     d_hat = fields.qp_vth ** 2 / params.gamma_vcc
     return FilterParams(eta=eta, power_broadening=complex(gamma_p),
-                        diffusion_D=d_hat, probe_kernel=complex(kern.k_common))
+                        diffusion_D=d_hat, probe_kernel=complex(kern))
 
 
 def filter_response(fp: FilterParams, params: ModelParams, fields: FieldConfig,
@@ -207,15 +184,8 @@ def apply_filter(profile: TransverseProfile, fp: FilterParams, params: ModelPara
             f"populated spatial frequency {worst:.3e} 1/m exceeds 0.1*q_p = "
             f"{0.1 * qp_physical:.3e} 1/m")
 
-    if fp.probe_kernel is not None:
-        kern = fp.probe_kernel
-    elif fields.v2 != 0:
-        kern = fp.power_broadening / abs(fields.v2) ** 2
-    else:
-        raise ValueError("probe kernel unavailable: set FilterParams.probe_kernel for V2 = 0")
-
     ell = filter_response(fp, params, fields, deltap, kmag / qp_physical)
-    chi = optical_depth_scale * 1j * kern * (1.0 + ell)
+    chi = optical_depth_scale * 1j * fp.probe_kernel * (1.0 + ell)
     if force_unitary:
         chi = chi.real
     transfer = np.exp(1j * (chi - kmag**2 / (2.0 * qp_physical)) * slice_length)

@@ -25,9 +25,8 @@ import numpy as np
 
 from .core_model import FieldConfig, ModelParams, toc_determinant, xi_set
 from .velocity_integrals import (
-    NonConvergenceError,
     QuadratureGrid,
-    _doubled,
+    _doubling_check,
     velocity_mesh,
 )
 
@@ -114,12 +113,18 @@ def default_detuning_grid(params: ModelParams, span: float = 2.0, n: int = 2001,
     """
     if span <= 0 or n < 2:
         raise ValueError("span must be > 0 and n >= 2")
-    pos = np.linspace(0.0, span, (n + 1) // 2)
-    if refine:
-        w = 10.0 * (params.gamma_g + params.gamma_vcc)
-        if w > 0:
-            inner = np.geomspace(max(w * 1e-6, 1e-12), min(w, span), 121)
-            pos = np.concatenate([pos, inner])
+    inner = None
+    w = 10.0 * (params.gamma_g + params.gamma_vcc)
+    if refine and w > 0:
+        inner = np.geomspace(max(w * 1e-6, 1e-12), min(w, span), 121)
+    return _mirrored_grid(span, (n + 1) // 2, inner)
+
+
+def _mirrored_grid(span, n_uniform, log_points=None):
+    """linspace(0, span, n_uniform) merged with log_points, sorted and mirrored about 0."""
+    pos = np.linspace(0.0, span, n_uniform)
+    if log_points is not None:
+        pos = np.concatenate([pos, log_points])
     pos = np.unique(pos)
     return np.concatenate([-pos[:0:-1], pos])
 
@@ -201,25 +206,6 @@ def _exact_response_on_mesh(params, fields, detunings, v_par, v_res, w):
     return response, conds
 
 
-def _doubling_check(what, solve_on, fields, grid, response, conv_rtol):
-    """Solve again on the node-doubled grid and compare the two responses.
-
-    ``solve_on(grid)`` returns ``(response, extra)``.  Returns the doubled
-    grid's result and the report note; a relative change above conv_rtol
-    raises NonConvergenceError.
-    """
-    need_res = fields.dq_vth != 0.0 and fields.dq_direction == "transverse"
-    fine = solve_on(_doubled(grid, need_res))
-    scale = max(np.abs(fine[0]).max(initial=0.0), np.finfo(float).tiny)
-    rel = np.abs(fine[0] - response).max(initial=0.0) / scale
-    if rel > conv_rtol:
-        raise NonConvergenceError(
-            f"{what} solve not converged: doubling {grid.n_par}x{grid.n_res} nodes "
-            f"moved the spectrum by {rel:.3e} (> rtol {conv_rtol:.1e})"
-        )
-    return fine, f"doubling check rel change {rel:.2e}"
-
-
 def solve_exact(params: ModelParams, fields: FieldConfig, grid: QuadratureGrid,
                 detuning_grid, check_convergence: bool = True,
                 conv_rtol: float = 1e-6, cond_warn: float = 1e8,
@@ -247,8 +233,8 @@ def solve_exact(params: ModelParams, fields: FieldConfig, grid: QuadratureGrid,
     notes = ""
     converged = None
     if check_convergence:
-        (response, conds2), notes = _doubling_check("exact", solve_on, fields, grid,
-                                                    response, conv_rtol)
+        (response, conds2), notes = _doubling_check("exact solve", solve_on, fields,
+                                                    grid, response, conv_rtol)
         conds = np.maximum(conds, conds2)
         converged = True
 
@@ -368,8 +354,8 @@ def solve_approximate(params: ModelParams, fields: FieldConfig, grid: Quadrature
     notes = ""
     converged = None
     if check_convergence:
-        (response, parts), notes = _doubling_check("factored", solve_on, fields, grid,
-                                                   response, conv_rtol)
+        (response, parts), notes = _doubling_check("factored solve", solve_on, fields,
+                                                   grid, response, conv_rtol)
         converged = True
 
     spectrum = Spectrum.from_response(detunings, response, parts)

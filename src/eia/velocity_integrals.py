@@ -101,6 +101,26 @@ def _doubled(grid: QuadratureGrid, need_res: bool) -> QuadratureGrid:
     return QuadratureGrid(xp, wp, xr, wr, 2 * grid.n_par, nr)
 
 
+def _doubling_check(what, solve_on, fields, grid, response, rtol):
+    """Solve again on the node-doubled grid and compare the two responses.
+
+    ``solve_on(grid)`` returns ``(response, extra)``, with response a complex
+    scalar or array.  Returns the doubled grid's result and the report note;
+    a relative change above rtol raises NonConvergenceError, whose message
+    starts with ``what``.
+    """
+    need_res = fields.dq_vth != 0.0 and fields.dq_direction == "transverse"
+    fine = solve_on(_doubled(grid, need_res))
+    scale = max(np.abs(fine[0]).max(initial=0.0), np.finfo(float).tiny)
+    rel = np.abs(fine[0] - response).max(initial=0.0) / scale
+    if rel > rtol:
+        raise NonConvergenceError(
+            f"{what} not converged: doubling {grid.n_par}x{grid.n_res} nodes "
+            f"moved the result by {rel:.3e} (> rtol {rtol:.1e})"
+        )
+    return fine, f"doubling check rel change {rel:.2e}"
+
+
 def velocity_mesh(fields: FieldConfig, grid: QuadratureGrid):
     """Flatten the grid into (v_par, v_res, weight) arrays for the geometry.
 
@@ -180,15 +200,9 @@ def g_integral(spec: GKernelSpec, params: ModelParams, fields: FieldConfig,
     coarse = _eval_on_grid(spec, params, fields, grid)
     if rtol is None:
         return coarse
-    need_res = fields.dq_vth != 0.0 and fields.dq_direction == "transverse"
-    fine = _eval_on_grid(spec, params, fields, _doubled(grid, need_res))
-    denom = max(abs(fine), np.finfo(float).tiny)
-    rel = abs(fine - coarse) / denom
-    if rel > rtol:
-        raise NonConvergenceError(
-            f"quadrature not converged: doubling {grid.n_par}x{grid.n_res} nodes "
-            f"moved the result by {rel:.3e} (> rtol {rtol:.1e})"
-        )
+    (fine, _), _ = _doubling_check(
+        "quadrature", lambda g: (_eval_on_grid(spec, params, fields, g), None),
+        fields, grid, coarse, rtol)
     return fine
 
 
@@ -224,7 +238,7 @@ def pole_average(x: float, q: float, gamma_pos: float) -> complex:
     return -1j * np.sqrt(np.pi / 2.0) / q * faddeeva_oracle(z)
 
 
-_DENOM_NAMES = {2: "probe", 4: "three_photon", 5: "pump"}
+_ONE_PHOTON_SPECS = {2: G_1P, 4: G_3P, 5: G_PUMP}
 
 
 def one_photon_response(params: ModelParams, fields: FieldConfig, grid: QuadratureGrid,
@@ -232,11 +246,12 @@ def one_photon_response(params: ModelParams, fields: FieldConfig, grid: Quadratu
     """Strong-collision one-photon kernel K = iG/(1 - i gamma_vcc G).
 
     G is the bare thermal average of 1/xi_denominator; denominator 2 gives the
-    probe kernel, 4 the three-photon variant, 5 the pump-dipole absorption
-    kernel.  In the motionless limit the gamma_vcc contributions cancel
-    algebraically and K -> i/(deltap + i*gamma_tilde) for the probe case.
+    probe kernel (G_1P), 4 the three-photon variant (G_3P), 5 the pump-dipole
+    absorption kernel (G_PUMP).  In the motionless limit the gamma_vcc
+    contributions cancel algebraically and K -> i/(deltap + i*gamma_tilde)
+    for the probe case.
     """
-    if denominator not in _DENOM_NAMES:
-        raise ValueError(f"denominator must be one of {sorted(_DENOM_NAMES)}, got {denominator}")
-    g = g_integral(GKernelSpec((), (denominator,)), params, fields, grid, rtol=rtol)
+    if denominator not in _ONE_PHOTON_SPECS:
+        raise ValueError(f"denominator must be one of {sorted(_ONE_PHOTON_SPECS)}, got {denominator}")
+    g = g_integral(_ONE_PHOTON_SPECS[denominator], params, fields, grid, rtol=rtol)
     return 1j * g / (1.0 - 1j * params.gamma_vcc * g)

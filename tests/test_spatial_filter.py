@@ -6,17 +6,15 @@ import numpy as np
 import pytest
 
 from eia.core_model import ModelParams, FieldConfig
-from eia.velocity_integrals import make_grid
+from eia.velocity_integrals import G_1P, g_integral, make_grid, one_photon_response
 from eia.spatial_filter import (
     DEFAULT_QP_PHYSICAL,
     FilterParams,
-    KKernels,
     ParaxialError,
     TransverseProfile,
     apply_filter,
     filter_params_from_model,
     filter_response,
-    k_kernels,
     load_profile,
     save_profile,
 )
@@ -26,7 +24,7 @@ F0 = FieldConfig(v1=0.0816, v2=0.1, vp=0.001, qp_vth=36.5, dq_vth=0.0,
                  dq_direction="collinear")
 
 
-def hand_params(gamma_p=0.5 + 0j, eta=0.816, d_hat=1000.0, kern=None):
+def hand_params(gamma_p=0.5 + 0j, eta=0.816, d_hat=1000.0, kern=0.3 + 0.05j):
     return FilterParams(eta=eta, power_broadening=gamma_p, diffusion_D=d_hat,
                         probe_kernel=kern)
 
@@ -84,11 +82,11 @@ class TestFilterResponse:
 
     def test_params_validation(self):
         with pytest.raises(ValueError, match="eta"):
-            FilterParams(eta=0.0, power_broadening=0.1, diffusion_D=1.0)
+            FilterParams(eta=0.0, power_broadening=0.1, diffusion_D=1.0, probe_kernel=0.3j)
         with pytest.raises(ValueError, match="eta"):
-            FilterParams(eta=1.2, power_broadening=0.1, diffusion_D=1.0)
+            FilterParams(eta=1.2, power_broadening=0.1, diffusion_D=1.0, probe_kernel=0.3j)
         with pytest.raises(ValueError, match="diffusion_D"):
-            FilterParams(eta=0.5, power_broadening=0.1, diffusion_D=0.0)
+            FilterParams(eta=0.5, power_broadening=0.1, diffusion_D=0.0, probe_kernel=0.3j)
 
 
 class TestFromModel:
@@ -123,19 +121,21 @@ class TestKernels:
     def test_three_transitions_coincide_on_resonance(self):
         # all detunings zero, no mismatch: the three one-photon averages see
         # mirror-image velocity denominators, so they must agree exactly
-        kk = k_kernels(P0, F0, make_grid(500, 1), rtol=None)
-        assert kk.k_1p == pytest.approx(kk.k_3p, rel=1e-12)
-        assert kk.k_1p == pytest.approx(kk.k_pump, rel=1e-12)
+        grid = make_grid(500, 1)
+        k_1p, k_3p, k_pump = (one_photon_response(P0, F0, grid, denominator=d, rtol=None)
+                              for d in (2, 4, 5))
+        assert k_1p == pytest.approx(k_3p, rel=1e-12)
+        assert k_1p == pytest.approx(k_pump, rel=1e-12)
 
     def test_no_vcc_reduces_to_bare_average(self):
         p = ModelParams(gamma_pcc=5.0, gamma_vcc=0.0, gamma_g=0.001)
-        kk = k_kernels(p, F0, make_grid(500, 1), rtol=None)
-        assert kk.k_1p == pytest.approx(kk.k_common, rel=1e-12)
+        grid = make_grid(500, 1)
+        k_1p = one_photon_response(p, F0, grid, denominator=2, rtol=None)
+        assert k_1p == pytest.approx(1j * g_integral(G_1P, p, F0, grid, rtol=None), rel=1e-12)
 
     def test_detuned_configuration_warns(self):
-        f = FieldConfig(v1=0.0816, v2=0.1, vp=0.001, deltap=5.0, qp_vth=36.5)
         with pytest.warns(UserWarning, match="single-kernel"):
-            k_kernels(P0, f, make_grid(200, 1), rtol=None)
+            filter_params_from_model(P0, F0, make_grid(200, 1), deltap=5.0, rtol=None)
 
 
 def gaussian_profile(n=64, extent=0.01, waist=0.002):
@@ -146,7 +146,7 @@ def gaussian_profile(n=64, extent=0.01, waist=0.002):
 
 
 class TestApplyFilter:
-    FP = hand_params(kern=0.3 + 0.05j)
+    FP = hand_params()
 
     def test_uniform_profile_attenuates_by_the_dc_response(self):
         prof = TransverseProfile(samples=np.full((8, 8), 2.0 + 0.0j),
@@ -188,13 +188,6 @@ class TestApplyFilter:
                                  extent=(8e-6, 8e-6))  # Nyquist ~ 3e6 1/m
         with pytest.raises(ParaxialError, match="exceeds"):
             apply_filter(prof, self.FP, P0, F0, 0.0, 0.1)
-
-    def test_kernel_required_when_pumps_off(self):
-        fp = hand_params(kern=None)
-        f = FieldConfig(v1=0.0, v2=0.0, vp=0.001, qp_vth=36.5)
-        prof = TransverseProfile(samples=np.ones((4, 4), complex), extent=(0.01, 0.01))
-        with pytest.raises(ValueError, match="probe kernel unavailable"):
-            apply_filter(prof, fp, P0, f, 0.0, 0.1)
 
 
 class TestProfileIO:

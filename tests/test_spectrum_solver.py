@@ -12,6 +12,8 @@ from eia.velocity_integrals import (
     G1_SPEC, G2_SPEC, G3_SPEC, G4_SPEC, G5_SPEC,
     NonConvergenceError, g_integral, make_grid, one_photon_response,
 )
+from eia.cli_runner import _ramsey_detuning_grid, parse_config
+from eia.lineshape_analysis import _scan_detuning_grid, dicke_fwhm_model
 from eia.spectrum_solver import (
     _CHUNK_ELEMENTS,
     _exact_response_on_mesh,
@@ -87,6 +89,61 @@ class TestDetuningGrid:
             default_detuning_grid(ModelParams(), span=0.0)
         with pytest.raises(ValueError):
             default_detuning_grid(ModelParams(), n=1)
+
+
+# The three symmetric detuning grids as each builder once spelled them out;
+# the shared builder must reproduce them bit for bit (criteria 6 and 7 run on
+# the scan grid, and the fig7 data files carry the Ramsey grid).
+def spelled_out_default_grid(params, span, n, refine):
+    pos = np.linspace(0.0, span, (n + 1) // 2)
+    if refine:
+        w = 10.0 * (params.gamma_g + params.gamma_vcc)
+        if w > 0:
+            inner = np.geomspace(max(w * 1e-6, 1e-12), min(w, span), 121)
+            pos = np.concatenate([pos, inner])
+    pos = np.unique(pos)
+    return np.concatenate([-pos[:0:-1], pos])
+
+
+def spelled_out_scan_grid(params, dq):
+    w_est = dicke_fwhm_model(params.gamma_vcc, dq) if (dq > 0 and params.gamma_vcc > 0) else 0.0
+    span = max(2.0, 6.0 * w_est, 12.0 * (params.gamma_vcc + params.gamma_g))
+    pos = np.unique(np.concatenate([
+        np.linspace(0.0, span, 1001),
+        np.geomspace(span * 1e-6, span, 301),
+    ]))
+    return np.concatenate([-pos[:0:-1], pos])
+
+
+def spelled_out_ramsey_grid(span, n):
+    pos = np.unique(np.concatenate([
+        np.linspace(0.0, span, (n + 1) // 2),
+        np.geomspace(span * 1e-4, span, 81),
+    ]))
+    return np.concatenate([-pos[:0:-1], pos])
+
+
+class TestMirroredGrids:
+    RATES = [(0.025, 0.001), (0.1, 0.001), (0.0, 0.0), (0.0, 0.3), (1.5, 0.01)]
+
+    @pytest.mark.parametrize("gvcc, gg", RATES)
+    @pytest.mark.parametrize("span, n", [(2.0, 2001), (2.0, 1201), (0.1, 21), (3.0, 2)])
+    @pytest.mark.parametrize("refine", [True, False])
+    def test_default_grid(self, gvcc, gg, span, n, refine):
+        p = ModelParams(gamma_vcc=gvcc, gamma_g=gg)
+        got = default_detuning_grid(p, span=span, n=n, refine=refine)
+        assert np.array_equal(got, spelled_out_default_grid(p, span, n, refine))
+
+    @pytest.mark.parametrize("gvcc, gg", RATES)
+    @pytest.mark.parametrize("dq", [0.0, 0.002, 0.02, 0.5, 5.0])
+    def test_scan_grid(self, gvcc, gg, dq):
+        p = ModelParams(gamma_pcc=1.0, gamma_vcc=gvcc, gamma_g=gg)
+        assert np.array_equal(_scan_detuning_grid(p, dq), spelled_out_scan_grid(p, dq))
+
+    @pytest.mark.parametrize("span, n", [(0.02, 301), (0.02, 300), (1.0, 2), (5e-4, 41)])
+    def test_ramsey_grid(self, span, n):
+        cfg = parse_config("ramsey", {"ramsey_span": span, "ramsey_n": n})
+        assert np.array_equal(_ramsey_detuning_grid(cfg), spelled_out_ramsey_grid(span, n))
 
 
 def lapack_response_on_mesh(params, fields, detunings, v_par, v_res, w):

@@ -154,6 +154,19 @@ class TestGIntegral:
         val = g_integral(G_1P, p, f, make_grid(80, 1), rtol=None)
         assert np.isfinite(val)
 
+    @pytest.mark.parametrize("geometry, dq", [("transverse", 0.02), ("collinear", 0.02),
+                                              ("transverse", 0.0)])
+    def test_checked_value_is_the_doubled_grid_value(self, geometry, dq):
+        # with rtol set the result is the doubled grid's own value, bit for
+        # bit; only a live transverse residual axis doubles its nodes too
+        p = ModelParams(gamma_pcc=1.0, gamma_vcc=0.1, gamma_g=0.001)
+        f = FieldConfig(v1=0.0816, v2=0.1, vp=0.001, deltap=0.15, qp_vth=2.0,
+                        dq_vth=dq, dq_direction=geometry)
+        n_res_fine = 12 if (dq > 0 and geometry == "transverse") else 6
+        for spec in (G1_SPEC, G3_SPEC, G_1P):
+            checked = g_integral(spec, p, f, make_grid(60, 6), rtol=1e-2)
+            assert checked == g_integral(spec, p, f, make_grid(120, n_res_fine), rtol=None)
+
     def test_residual_axis_count_is_inert_when_dq_vanishes(self):
         p = ModelParams(gamma_pcc=5.0, gamma_vcc=0.025, gamma_g=0.001)
         f = FieldConfig(v1=0.0816, v2=0.1, vp=0.001, qp_vth=36.5, dq_vth=0.0)
@@ -196,6 +209,16 @@ class TestOnePhotonResponse:
         k = one_photon_response(p, f, make_grid(5000, 1))
         assert k.real > 0
         assert abs(k.imag) < 1e-12 * k.real
+
+    @pytest.mark.parametrize("denominator, spec", [(2, G_1P), (4, G_3P), (5, G_PUMP)])
+    def test_each_denominator_resums_its_named_kernel(self, denominator, spec):
+        # detuned so that the three one-photon averages all differ
+        p = ModelParams(gamma_pcc=2.0, gamma_vcc=0.3, gamma_g=0.01)
+        f = FieldConfig(deltap=0.4, delta1=0.1, delta2=-0.2, qp_vth=3.0)
+        grid = make_grid(200, 1)
+        g = g_integral(spec, p, f, grid, rtol=None)
+        k = one_photon_response(p, f, grid, denominator=denominator, rtol=None)
+        assert k == pytest.approx(1j * g / (1.0 - 1j * p.gamma_vcc * g), rel=1e-14)
 
     def test_denominator_selector_is_validated(self):
         p = ModelParams()
