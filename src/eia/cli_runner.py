@@ -300,14 +300,14 @@ def _resolve_filter_deltap(cfg: ScenarioConfig, fp) -> float:
     return cfg.values["deltap"]
 
 
-def _kernel_rtol(cfg: ScenarioConfig):
+def _filter_rtol(cfg: ScenarioConfig):
     return 1e-7 if cfg.values["check_convergence"] else None
 
 
 def _run_filter_curve(cfg: ScenarioConfig):
     params, fields = cfg.model_params(), cfg.field_config()
     fp = filter_params_from_model(params, fields, cfg.quad_grid(), deltap=0.0,
-                                  rtol=_kernel_rtol(cfg))
+                                  rtol=_filter_rtol(cfg))
     deltap = _resolve_filter_deltap(cfg, fp)
     k = np.linspace(0.0, cfg.values["k_max"], cfg.values["n_k"])
     ell = filter_response(fp, params, fields, deltap, k)
@@ -336,7 +336,7 @@ def _default_beam(cfg: ScenarioConfig) -> TransverseProfile:
 def _run_beam_filter(cfg: ScenarioConfig):
     params, fields = cfg.model_params(), cfg.field_config()
     fp = filter_params_from_model(params, fields, cfg.quad_grid(), deltap=0.0,
-                                  rtol=_kernel_rtol(cfg))
+                                  rtol=_filter_rtol(cfg))
     deltap = _resolve_filter_deltap(cfg, fp)
     if cfg.values["profile_in"]:
         profile = load_profile(cfg.values["profile_in"], fmt=cfg.values["profile_format"])
@@ -364,8 +364,7 @@ def _run_ramsey(cfg: ScenarioConfig):
     rcfg = RamseyConfig(params=cfg.model_params(), fields=cfg.field_config(),
                         half_width_a=v["half_width_a"], temperature=v["temperature"],
                         wavelength=v["wavelength"], mass=v["mass"],
-                        gamma_sp_si=v["gamma_sp_si"], n_par=v["n_par"],
-                        kernel_rtol=_kernel_rtol(cfg))
+                        gamma_sp_si=v["gamma_sp_si"])
     spectrum = ramsey_spectrum(rcfg, _ramsey_detuning_grid(cfg))
     path = _emit_spectrum(cfg, spectrum, cfg.out)
     meta = {"method": "ramsey", "half_width_a": v["half_width_a"],
@@ -412,7 +411,6 @@ _FIG45 = {**_FIG2, "gamma_pcc": 1.0, "gamma_vcc": 0.1,
           "dq_direction": "transverse", "n_par": 1500, "n_res": 48}
 _FIG6 = {**_FIG2, "gamma_pcc": 10.0, "gamma_vcc": 0.025, "n_par": 4000,
          "k_max": 8e-4, "n_k": 241}
-_FIG7 = {**_FIG2, "n_par": 4000}
 
 PRESETS: Dict[str, List[Tuple[str, str, dict]]] = {
     "fig2": [("exact", "spectrum_exact", _FIG2), ("approx", "spectrum_approx", _FIG2)],
@@ -424,7 +422,7 @@ PRESETS: Dict[str, List[Tuple[str, str, dict]]] = {
               {**_FIG45, "dq_ladder": [0.05, 0.1, 0.2, 0.3, 0.4, 0.5]})],
     "fig6": [(f"dp{f:+g}", "filter_curve", {**_FIG6, "deltap_hom_factor": float(f)})
              for f in (0, 1, -1, 2, -2)],
-    "fig7": [(f"a{a:g}", "ramsey", {**_FIG7, "half_width_a": a})
+    "fig7": [(f"a{a:g}", "ramsey", {**_FIG2, "half_width_a": a})
              for a in (50e-6, 5e-3)],
 }
 

@@ -20,20 +20,19 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .core_model import FieldConfig, ModelParams
 from .spectrum_solver import Spectrum
-from .velocity_integrals import QuadratureGrid, make_grid, one_photon_response
+from .velocity_integrals import pole_average
 
 __all__ = [
     "K_BOLTZMANN",
     "ATOMIC_MASS_UNIT",
     "MASS_RB85",
     "RamseyConfig",
-    "OnePhotonKernels",
     "RamseyCoefficients",
     "RamseySolution",
     "DiffusionResidualReport",
@@ -67,7 +66,9 @@ class RamseyConfig:
     The model parameters stay in spontaneous-rate units; half_width_a,
     temperature, wavelength, and mass fix the meter scale.  fields.qp_vth = 0
     (the constructor default) means "use the bridged value" derived from the
-    thermal speed and the optical wave number.
+    thermal speed and the optical wave number.  The one-photon kernels are
+    closed-form thermal averages (see ramsey_coefficients), so the
+    configuration holds no quadrature settings.
     """
 
     params: ModelParams
@@ -77,8 +78,6 @@ class RamseyConfig:
     wavelength: float = 780e-9
     mass: float = MASS_RB85
     gamma_sp_si: float = 2.0 * np.pi * 6e6
-    n_par: int = 4000
-    kernel_rtol: Optional[float] = 1e-7
 
     def __post_init__(self):
         if not self.half_width_a > 0:
@@ -132,18 +131,6 @@ def _decay_root(z: complex) -> complex:
     return r
 
 
-class OnePhotonKernels(NamedTuple):
-    """Strong-collision one-photon kernels (``one_photon_response``) at one detuning.
-
-    k_1p is the probe kernel (denominator xi2), k_3p the three-photon kernel
-    (xi4) and k_pump the pump-dipole kernel (xi5).
-    """
-
-    k_1p: complex
-    k_3p: complex
-    k_pump: complex
-
-
 @dataclass(frozen=True)
 class RamseyCoefficients:
     deltap: float
@@ -179,15 +166,19 @@ def _mode_vector(d_hat, alpha2_sq, beta2, k_sq):
     return (gv / nm, ev / nm)
 
 
-def ramsey_coefficients(cfg: RamseyConfig, kernels: OnePhotonKernels,
-                        deltap: Optional[float] = None,
+def ramsey_coefficients(cfg: RamseyConfig, deltap: Optional[float] = None,
                         params: Optional[ModelParams] = None) -> RamseyCoefficients:
-    """Decay constants, sources, and coupled-mode wave numbers at one detuning.
+    """Kernels, decay constants, sources, and coupled-mode wave numbers at one detuning.
 
-    kernels is the OnePhotonKernels record of the one-photon responses k_1p,
-    k_3p and k_pump at this detuning.  The two interior wave numbers come
-    from the quadratic in k^2 produced by inserting exp(kx) into the coupled
-    system; the discriminant is guarded against catastrophic cancellation.
+    params (default cfg.params) sets every rate, the kernels' included.  The
+    three strong-collision one-photon kernels K = iG/(1 - i gamma_vcc G) are
+    taken in closed form: with dq = delta1 = delta2 = 0 each bare average G
+    has one pole linear in velocity, of width gamma_tilde + gamma_vcc, so it
+    is one pole_average.  xi4 has the pole of xi2 mirrored in v, so k_3p
+    equals k_1p; xi5 carries no detuning, so k_pump is the same closure at
+    zero detuning.  The two interior wave numbers come from the quadratic in
+    k^2 produced by inserting exp(kx) into the coupled system; the
+    discriminant is guarded against catastrophic cancellation.
     """
     p = cfg.params if params is None else params
     f = cfg.fields
@@ -199,13 +190,21 @@ def ramsey_coefficients(cfg: RamseyConfig, kernels: OnePhotonKernels,
     ba = p.b * p.branching_A * big_g
     v1, v2, vp = f.v1, f.v2, f.vp
 
+    q = cfg.effective_fields(dp).qp_vth
+    width = p.gamma_tilde + gvcc
+    g_1p = pole_average(dp, q, width)
+    g_pump = pole_average(0.0, q, width)
+    k_1p = 1j * g_1p / (1.0 - 1j * gvcc * g_1p)
+    k_3p = k_1p
+    k_pump = 1j * g_pump / (1.0 - 1j * gvcc * g_pump)
+
     alpha3_sq = (-1j * dp + gam) / d_hat
     alpha2_sq = alpha3_sq + big_g / d_hat
     alpha1_sq = (-1j * dp + gam
-                 + kernels.k_1p * abs(v1) ** 2 + kernels.k_3p * abs(v2) ** 2) / d_hat
-    beta1 = np.conj(v1) * vp * kernels.k_1p * p.n0
-    beta2 = v1 * np.conj(v2) * (kernels.k_1p + kernels.k_3p)
-    beta3 = np.conj(v2) * vp * (kernels.k_1p + kernels.k_pump) * p.n0
+                 + k_1p * abs(v1) ** 2 + k_3p * abs(v2) ** 2) / d_hat
+    beta1 = np.conj(v1) * vp * k_1p * p.n0
+    beta2 = v1 * np.conj(v2) * (k_1p + k_3p)
+    beta3 = np.conj(v2) * vp * (k_1p + k_pump) * p.n0
 
     ap2 = alpha1_sq + alpha2_sq
     am2 = alpha2_sq - alpha1_sq
@@ -244,8 +243,8 @@ def ramsey_coefficients(cfg: RamseyConfig, kernels: OnePhotonKernels,
         beta3=complex(beta3), k1=complex(k1), k2=complex(k2),
         alpha2=complex(alpha2), alpha3=complex(alpha3),
         g0=complex(g0), e0=complex(e0), modes=modes, t_factor=complex(t_factor),
-        diffusion_D=float(d_hat), k_1p=complex(kernels.k_1p),
-        k_3p=complex(kernels.k_3p), k_pump=complex(kernels.k_pump))
+        diffusion_D=float(d_hat), k_1p=complex(k_1p), k_3p=complex(k_3p),
+        k_pump=complex(k_pump))
 
 
 def solve_continuity(cfg: RamseyConfig, co: RamseyCoefficients):
@@ -375,29 +374,17 @@ class RamseySolution:
         return self._piecewise(x, inner, outer)
 
 
-def _probe_kernels(params: ModelParams, fields: FieldConfig, grid: QuadratureGrid,
-                   rtol: Optional[float] = 1e-7) -> OnePhotonKernels:
-    return OnePhotonKernels(
-        k_1p=one_photon_response(params, fields, grid, denominator=2, rtol=rtol),
-        k_3p=one_photon_response(params, fields, grid, denominator=4, rtol=rtol),
-        k_pump=one_photon_response(params, fields, grid, denominator=5, rtol=rtol))
-
-
-def build_solution(cfg: RamseyConfig, deltap: Optional[float] = None,
-                   grid: Optional[QuadratureGrid] = None) -> RamseySolution:
-    """Kernels, coefficients, continuity solve, and beam-averaged response."""
+def build_solution(cfg: RamseyConfig, deltap: Optional[float] = None) -> RamseySolution:
+    """Coefficients, continuity solve, and beam-averaged response."""
     dp = cfg.fields.deltap if deltap is None else float(deltap)
-    if grid is None:
-        grid = make_grid(cfg.n_par, 1)
-    fields = cfg.effective_fields(dp)
-    kern = _probe_kernels(cfg.params, fields, grid, rtol=cfg.kernel_rtol)
-    co = ramsey_coefficients(cfg, kern, deltap=dp)
+    fields = cfg.fields
+    co = ramsey_coefficients(cfg, deltap=dp)
 
     if abs(co.k1 - co.k2) < 1e-8 * (abs(co.k1) + abs(co.k2)):
         warnings.warn("degenerate diffusion modes; perturbing gamma_vcc by 1e-9 "
                       "relative", stacklevel=2)
         co = ramsey_coefficients(
-            cfg, kern, deltap=dp,
+            cfg, deltap=dp,
             params=replace(cfg.params, gamma_vcc=cfg.params.gamma_vcc * (1 + 1e-9)))
 
     try:
@@ -406,7 +393,7 @@ def build_solution(cfg: RamseyConfig, deltap: Optional[float] = None,
         warnings.warn("continuity matrix singular; perturbing gamma_vcc by 1e-9 "
                       "relative", stacklevel=2)
         co = ramsey_coefficients(
-            cfg, kern, deltap=dp,
+            cfg, deltap=dp,
             params=replace(cfg.params, gamma_vcc=cfg.params.gamma_vcc * (1 + 1e-9)))
         c, resid = solve_continuity(cfg, co)
 
@@ -426,25 +413,18 @@ def build_solution(cfg: RamseyConfig, deltap: Optional[float] = None,
         probe_vp=fields.vp, n0=cfg.params.n0, v1=fields.v1)
 
 
-def uniform_response(cfg: RamseyConfig, deltap: float,
-                     grid: Optional[QuadratureGrid] = None) -> complex:
+def uniform_response(cfg: RamseyConfig, deltap: float) -> complex:
     """Plane-illumination limit: gradient-free solution of the coupled system."""
-    if grid is None:
-        grid = make_grid(cfg.n_par, 1)
-    fields = cfg.effective_fields(deltap)
-    kern = _probe_kernels(cfg.params, fields, grid, rtol=cfg.kernel_rtol)
-    co = ramsey_coefficients(cfg, kern, deltap=deltap)
+    fields = cfg.fields
+    co = ramsey_coefficients(cfg, deltap=deltap)
     return complex(1j * co.k_1p * (fields.v1 * co.g0 + fields.vp * cfg.params.n0)
                    / (cfg.params.n0 * fields.vp))
 
 
-def ramsey_spectrum(cfg: RamseyConfig, detuning_grid,
-                    grid: Optional[QuadratureGrid] = None) -> Spectrum:
+def ramsey_spectrum(cfg: RamseyConfig, detuning_grid) -> Spectrum:
     """Beam-averaged absorption spectrum of the stepwise sheet."""
     detunings = np.asarray(detuning_grid, dtype=float)
-    if grid is None:
-        grid = make_grid(cfg.n_par, 1)
-    response = np.array([build_solution(cfg, dp, grid).response for dp in detunings])
+    response = np.array([build_solution(cfg, dp).response for dp in detunings])
     return Spectrum.from_response(detunings, response)
 
 
@@ -459,7 +439,6 @@ class DiffusionResidualReport:
 
 def diffusion_operator_check(cfg: RamseyConfig, solution: Optional[RamseySolution] = None,
                              rg_fn=None, re_fn=None, deltap: Optional[float] = None,
-                             grid: Optional[QuadratureGrid] = None,
                              n_points: int = 33, h: Optional[float] = None
                              ) -> DiffusionResidualReport:
     """Finite-difference residual of the coupled diffusion equations.
@@ -472,7 +451,7 @@ def diffusion_operator_check(cfg: RamseyConfig, solution: Optional[RamseySolutio
     equation; an all-zero configuration reports zero.
     """
     if solution is None:
-        solution = build_solution(cfg, deltap=deltap, grid=grid)
+        solution = build_solution(cfg, deltap=deltap)
     co = solution.coefficients
     rg = rg_fn if rg_fn is not None else solution.rg
     re = re_fn if re_fn is not None else solution.re_excited

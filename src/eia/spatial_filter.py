@@ -12,7 +12,7 @@ from __future__ import annotations
 import struct
 import warnings
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -126,7 +126,6 @@ class TransverseProfile:
 
     samples: np.ndarray
     extent: Tuple[float, float]
-    k_samples: Optional[np.ndarray] = None
 
     def __post_init__(self):
         s = np.asarray(self.samples)
@@ -189,9 +188,8 @@ def apply_filter(profile: TransverseProfile, fp: FilterParams, params: ModelPara
     if force_unitary:
         chi = chi.real
     transfer = np.exp(1j * (chi - kmag**2 / (2.0 * qp_physical)) * slice_length)
-    out_hat = a_hat * transfer
-    out = np.fft.ifft2(out_hat)
-    return TransverseProfile(samples=out, extent=profile.extent, k_samples=out_hat)
+    out = np.fft.ifft2(a_hat * transfer)
+    return TransverseProfile(samples=out, extent=profile.extent)
 
 
 # profile files: header (nx, ny, dx, dy) then row-major (y rows, x fastest)

@@ -243,13 +243,16 @@ _ONE_PHOTON_SPECS = {2: G_1P, 4: G_3P, 5: G_PUMP}
 
 def one_photon_response(params: ModelParams, fields: FieldConfig, grid: QuadratureGrid,
                         denominator: int = 2, rtol: float | None = 1e-7) -> complex:
-    """Strong-collision one-photon kernel K = iG/(1 - i gamma_vcc G).
+    """Strong-collision one-photon kernel K = iG/(1 - i gamma_vcc G), by Gauss-Hermite.
 
     G is the bare thermal average of 1/xi_denominator; denominator 2 gives the
     probe kernel (G_1P), 4 the three-photon variant (G_3P), 5 the pump-dipole
     absorption kernel (G_PUMP).  In the motionless limit the gamma_vcc
     contributions cancel algebraically and K -> i/(deltap + i*gamma_tilde)
-    for the probe case.
+    for the probe case.  This quadrature form is the reference the tests
+    hold the closed-form kernels of ramsey_diffusion.ramsey_coefficients
+    (built on pole_average) against, and the kernel the exact solve reduces
+    to with the pumps off.
     """
     if denominator not in _ONE_PHOTON_SPECS:
         raise ValueError(f"denominator must be one of {sorted(_ONE_PHOTON_SPECS)}, got {denominator}")

@@ -1,6 +1,7 @@
-"""Package surface: every exported name resolves."""
+"""Package surface: every exported name resolves, and the benchmark's calls bind."""
 
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -17,3 +18,45 @@ def test_every_exported_name_resolves(name):
     mod = importlib.import_module(name)
     missing = [entry for entry in mod.__all__ if not hasattr(mod, entry)]
     assert missing == []
+
+
+# the calls the benchmark in perfbench/ makes, spelled as it spells them; a
+# signature change that breaks one must fail here, not in a benchmark run
+_P, _F, _GRID, _D = object(), object(), object(), object()
+BENCHMARK_CALLS = [
+    ("spatial_filter.filter_params_from_model", (_P, _F, _GRID),
+     {"deltap": 0.0, "rtol": 1e-7}),
+    ("spectrum_solver.solve_exact", (_P, _F, _GRID, _D),
+     {"check_convergence": True, "conv_rtol": 1e-6}),
+    ("spectrum_solver.solve_approximate", (_P, _F, _GRID, _D),
+     {"check_convergence": False}),
+    ("spectrum_solver.default_detuning_grid", (_P,), {}),
+    ("lineshape_analysis.scan_delta_q", (_P, _F, _GRID, [0.0]), {}),
+    ("spatial_filter.TransverseProfile", (), {"samples": _D, "extent": (1.0, 1.0)}),
+    ("spatial_filter.save_profile", (_D, "path"), {}),
+    ("spatial_filter.load_profile", ("path",), {}),
+    ("velocity_integrals.make_grid", (4000, 1), {}),
+    ("cli_runner.main", (["fig7"],), {}),
+]
+
+
+@pytest.mark.parametrize("target, args, kwargs", BENCHMARK_CALLS,
+                         ids=[c[0] for c in BENCHMARK_CALLS])
+def test_benchmark_call_binds(target, args, kwargs):
+    module, _, name = target.partition(".")
+    fn = getattr(importlib.import_module(f"eia.{module}"), name)
+    inspect.signature(fn).bind(*args, **kwargs)
+
+
+def test_benchmark_cli_surface():
+    from eia.cli_runner import PRESETS, expand_target, parse_config
+
+    cfg = parse_config("beam_filter", {"n_par": 4000, "n_res": 1, "slice_length": 0.01,
+                                       "optical_depth_scale": 100.0, "profile_in": "in.txt",
+                                       "profile_out": "out.txt"})
+    assert (cfg.values["n_par"], cfg.values["n_res"]) == (4000, 1)
+    assert {"fig6", "fig7"} <= set(PRESETS)
+    # the reference maker reruns both presets with a doubled n_par
+    for preset in ("fig6", "fig7"):
+        runs = expand_target(preset, {}, {"n_par": 8000}, "", "csv")
+        assert [r.values["n_par"] for r in runs] == [8000] * len(PRESETS[preset])

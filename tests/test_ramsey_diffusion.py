@@ -10,9 +10,11 @@ from eia.ramsey_diffusion import (
     RamseyConfig,
     build_solution,
     diffusion_operator_check,
+    ramsey_coefficients,
     ramsey_spectrum,
     uniform_response,
 )
+from eia.velocity_integrals import make_grid, one_photon_response
 
 P = ModelParams(gamma_pcc=5.0, gamma_vcc=0.025, gamma_g=0.001)
 F = FieldConfig(v1=0.0816, v2=0.1, vp=0.001, qp_vth=36.5, dq_vth=0.0,
@@ -102,6 +104,24 @@ class TestGoldenSolution:
         assert u.imag == pytest.approx(0.03621172227165973, rel=1e-9)
 
 
+class TestClosedFormKernels:
+    """The closed-form kernels against the Gauss-Hermite one_photon_response."""
+
+    @pytest.mark.parametrize("params", [
+        P, ModelParams(gamma_pcc=3.0, gamma_vcc=0.5, gamma_g=0.01)])
+    @pytest.mark.parametrize("qp_vth", [36.5, 0.0])  # 0.0 takes the SI bridge
+    def test_kernels_match_quadrature(self, params, qp_vth):
+        cfg = RamseyConfig(params=params, fields=replace(F, qp_vth=qp_vth),
+                           half_width_a=5e-3)
+        grid = make_grid(8000, 1)
+        for dp in (0.0, 0.003, -2.0, 7.5):
+            co = ramsey_coefficients(cfg, dp)
+            fields = cfg.effective_fields(dp)
+            for got, denominator in ((co.k_1p, 2), (co.k_3p, 4), (co.k_pump, 5)):
+                ref = one_photon_response(params, fields, grid, denominator=denominator)
+                assert got == pytest.approx(ref, rel=1e-9), (dp, denominator)
+
+
 class TestSolutionStructure:
     def test_continuity_residuals_are_tiny(self, sol5mm):
         assert np.max(sol5mm.continuity_residuals) < 1e-10
@@ -168,7 +188,7 @@ class TestOperatorResidual:
 
 class TestSpectrum:
     def test_spectrum_shape_and_peak(self):
-        cfg = config(n_par=1500, kernel_rtol=None)
+        cfg = config()
         d = np.array([-0.01, -0.003, -0.001, 0.0, 0.001, 0.003, 0.01])
         sp = ramsey_spectrum(cfg, d)
         assert sp.absorption.shape == (7,)

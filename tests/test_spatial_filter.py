@@ -177,11 +177,6 @@ class TestApplyFilter:
         b = apply_filter(doubled, self.FP, P0, F0, 0.0, 0.1)
         assert np.allclose(b.samples, 2.0 * a.samples, rtol=1e-12)
 
-    def test_spectrum_cache_matches_output(self):
-        out = apply_filter(gaussian_profile(n=32), self.FP, P0, F0, 0.0, 0.1)
-        assert out.k_samples is not None
-        assert np.allclose(np.fft.fft2(out.samples), out.k_samples, rtol=1e-9)
-
     def test_paraxial_bound_enforced(self):
         tile = np.array([[1.0, -1.0], [-1.0, 1.0]])
         prof = TransverseProfile(samples=np.tile(tile, (4, 4)).astype(complex),
