@@ -380,18 +380,16 @@ def build_solution(cfg: RamseyConfig, deltap: Optional[float] = None) -> RamseyS
     fields = cfg.fields
     co = ramsey_coefficients(cfg, deltap=dp)
 
+    trigger = None
     if abs(co.k1 - co.k2) < 1e-8 * (abs(co.k1) + abs(co.k2)):
-        warnings.warn("degenerate diffusion modes; perturbing gamma_vcc by 1e-9 "
-                      "relative", stacklevel=2)
-        co = ramsey_coefficients(
-            cfg, deltap=dp,
-            params=replace(cfg.params, gamma_vcc=cfg.params.gamma_vcc * (1 + 1e-9)))
-
-    try:
-        c, resid = solve_continuity(cfg, co)
-    except SingularMatchingError:
-        warnings.warn("continuity matrix singular; perturbing gamma_vcc by 1e-9 "
-                      "relative", stacklevel=2)
+        trigger = "degenerate diffusion modes"
+    else:
+        try:
+            c, resid = solve_continuity(cfg, co)
+        except SingularMatchingError:
+            trigger = "continuity matrix singular"
+    if trigger is not None:
+        warnings.warn(f"{trigger}; perturbing gamma_vcc by 1e-9 relative", stacklevel=2)
         co = ramsey_coefficients(
             cfg, deltap=dp,
             params=replace(cfg.params, gamma_vcc=cfg.params.gamma_vcc * (1 + 1e-9)))

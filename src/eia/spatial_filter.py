@@ -216,16 +216,23 @@ def save_profile(profile: TransverseProfile, path, fmt: str = "text") -> None:
 def load_profile(path, fmt: str = "text") -> TransverseProfile:
     if fmt == "text":
         with open(path, "r") as fh:
-            nx, ny, dx, dy = fh.readline().split()
-            nx, ny, dx, dy = int(nx), int(ny), float(dx), float(dy)
+            header = fh.readline().split()
+            if len(header) != 4:
+                raise ValueError(f"profile {path}: header has {len(header)} fields, not 4")
+            nx, ny, dx, dy = int(header[0]), int(header[1]), float(header[2]), float(header[3])
             flat = np.loadtxt(fh, dtype=float, ndmin=2)
         if flat.shape != (nx * ny, 2):
-            raise ValueError(f"profile body has shape {flat.shape}, expected ({nx * ny}, 2)")
+            raise ValueError(f"profile {path}: body has shape {flat.shape}, expected ({nx * ny}, 2)")
         samples = (flat[:, 0] + 1j * flat[:, 1]).reshape(ny, nx)
     elif fmt == "binary":
         with open(path, "rb") as fh:
             raw = fh.read()
+        if len(raw) < _BIN_HEADER.size:
+            raise ValueError(f"profile {path}: file has {len(raw)} bytes, shorter than its header")
         nx, ny, dx, dy = _BIN_HEADER.unpack_from(raw, 0)
+        if len(raw) != _BIN_HEADER.size + 16 * nx * ny:
+            raise ValueError(f"profile {path}: body has {len(raw) - _BIN_HEADER.size} "
+                             f"bytes, expected {16 * nx * ny} for {nx}x{ny} samples")
         samples = np.frombuffer(raw, dtype="<c16", offset=_BIN_HEADER.size).reshape(ny, nx).copy()
     else:
         raise ValueError(f"fmt must be 'text' or 'binary', got {fmt!r}")

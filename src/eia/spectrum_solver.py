@@ -12,12 +12,17 @@ Three routes to R_{e1g2}/(n0 Vp):
 * ``at_rest_spectrum`` is the motionless, collisionless closed form of the
   response.
 
+The first two share one solve routine, which walks chunks of detunings on the
+product velocity mesh of ``velocity_integrals``.  A vanishing xi_d shows as a
+non-finite result; IllConditionedError names the first such detuning.
+
 All detunings are in units of the spontaneous rate; response values are
 R_{e1g2}/(n0 Vp) and absorption is its imaginary part.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
@@ -27,7 +32,8 @@ from .core_model import FieldConfig, ModelParams, toc_determinant, xi_set
 from .velocity_integrals import (
     QuadratureGrid,
     _doubling_check,
-    velocity_mesh,
+    _mesh_sum,
+    _product_mesh,
 )
 
 __all__ = [
@@ -134,15 +140,48 @@ def _mirrored_grid(span, n_uniform, log_points=None):
 _CHUNK_ELEMENTS = 30_000
 
 
-def _chunks(total: int, nodes: int):
-    size = max(1, _CHUNK_ELEMENTS // max(nodes, 1))
-    for start in range(0, total, size):
-        yield start, min(start + size, total)
+def _mesh_chunks(params, fields, detunings, v_par, v_res, w):
+    """The detuning loop of both routes: yields (slice, XiSet) per chunk, with
+    the chunk's detunings as (m, 1, 1) against ``_product_mesh``'s mesh."""
+    # Allocation order, measured on exact_fig2 (glibc, 2 vCPUs): a callback loop
+    # that frees each chunk first ran 1.7x slower, and xi_d built here, while
+    # the caller holds the last XiSet, 2-8% slower: fresh pages fault in.
+    size = max(1, _CHUNK_ELEMENTS // w.size)
+    for a in range(0, detunings.size, size):
+        xi = xi_set(params, fields, v_par, v_res, deltap=detunings[a:a + size, None, None])
+        yield slice(a, a + size), xi
+
+
+def _name_bad_detuning(what, detunings, ok):
+    """Raise IllConditionedError naming the first detuning whose ``ok`` is false."""
+    if not ok.all():
+        raise IllConditionedError(f"{what} at detuning {float(detunings[np.argmin(ok)])!r}")
+
+
+def _solve(route, method, what, params, fields, grid, detuning_grid,
+           check_convergence, conv_rtol):
+    """Run ``route`` on the grid's product mesh, and on the node-doubled one
+    with check_convergence; each run gives (response, extra).  Returns
+    (detunings, the runs in order, report with max_condition 0)."""
+    detunings = np.asarray(detuning_grid, dtype=float)
+
+    def solve_on(g):
+        # a vanishing xi_d shows in the per-detuning results the routes check
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return route(params, fields, detunings, *_product_mesh(fields, g))
+
+    runs, notes, converged = [solve_on(grid)], "", None
+    if check_convergence:
+        fine, notes = _doubling_check(what, solve_on, fields, grid, runs[0][0], conv_rtol)
+        runs.append(fine)
+        converged = True
+    report = SolveReport(method=method, n_par=grid.n_par, n_res=grid.n_res,
+                         n_detunings=detunings.size, max_condition=0.0,
+                         converged=converged, notes=notes)
+    return detunings, runs, report
 
 
 def _exact_response_on_mesh(params, fields, detunings, v_par, v_res, w):
-    n = v_par.size
-    m = detunings.size
     gvcc = params.gamma_vcc
     v1, v2, vp = fields.v1, fields.v2, fields.vp
     cv1, cv2 = np.conj(v1), np.conj(v2)
@@ -153,15 +192,15 @@ def _exact_response_on_mesh(params, fields, detunings, v_par, v_res, w):
     gp = np.sum(w / xi0.xi5)
     r5 = cv2 * params.n0 * gp / (1.0 - 1j * gvcc * gp)
     src3_row = -vp * (1j * gvcc * r5 + cv2 * params.n0) / xi0.xi5
-    w_src = w * src3_row
+    w_src = (w * src3_row).ravel()
+    w_nodes = w.ravel()
 
-    response = np.empty(m, dtype=complex)
-    conds = np.empty(m, dtype=float)
+    response = np.empty(detunings.size, dtype=complex)
+    conds = np.empty(detunings.size, dtype=float)
     eye = np.eye(4, dtype=complex)
-    for a, bnd in _chunks(m, n):
-        dp = detunings[a:bnd]
-        # detunings (m, 1) against velocity nodes (n,) -> (m, n) factors
-        xi = xi_set(params, fields, v_par, v_res, deltap=dp[:, None])
+    for chunk, xi in _mesh_chunks(params, fields, detunings, v_par, v_res, w):
+        xd = toc_determinant(xi, params, fields)
+        m = xd.shape[0]
         # Per node the system M x = r reads
         #   xi1 x0 + conj(v1) x1 - toc x2 - v2 x3 = r0
         #   v1 x0 + xi2 x1 = r1
@@ -170,39 +209,32 @@ def _exact_response_on_mesh(params, fields, detunings, v_par, v_res, w):
         # Rows 1-3 give x1, x3 and x2 from x0; row 0 then leaves
         #   s x0 = r0 + p1 r1 + p2 r2 + p3 r3,  s = xi_d / (xi2 xi3 xi4).
         # xi2..xi4 have imaginary parts >= gamma_sp/2, so only xi_d can vanish.
-        xd = toc_determinant(xi, params, fields)
-        zero = (xd == 0).any(axis=1)
-        if zero.any():
-            raise IllConditionedError(
-                f"exact solve: zero pivot xi_d at a velocity node, at detuning "
-                f"{float(dp[zero.argmax()])!r}")
         i2, i3, i4 = 1.0 / xi.xi2, 1.0 / xi.xi3, 1.0 / xi.xi4
+        # one-axis inverses made full-size: broadcast complex products run ~1.5x slower
+        i2, i3 = (np.ascontiguousarray(np.broadcast_to(i, xd.shape)) for i in (i2, i3))
         inv_s = 1.0 / (xd * i2 * i3 * i4)
         p = (1.0, (toc * cv2 * i3 - cv1) * i2, toc * i3, (v2 - toc * v1 * i3) * i4)
 
         # column j of M^-1 is the solution for r = e_j
-        Aw = np.empty((dp.size, 4, 4), dtype=complex)
+        Aw = np.empty((m, 4, 4), dtype=complex)
         for j, r in enumerate(eye):
             x0 = p[j] * inv_s
             x1 = (r[1] - v1 * x0) * i2
             x3 = (r[3] + cv2 * x0) * i4
             x2 = (r[2] + cv2 * x1 - v1 * x3) * i3
-            X = (x0, x1, x2, x3)
+            X = [x.reshape(m, -1) for x in (x0, x1, x2, x3)]
             for i, x in enumerate(X):
-                Aw[:, i, j] = x @ w
+                Aw[:, i, j] = x @ w_nodes
             if j == 2:
                 # the probe source (0, -vp n0, src3_row, 0) combines columns 1 and 2
                 bw = np.stack([x @ w_src for x in X], axis=1)
         bw -= vp * params.n0 * Aw[:, :, 1]
         dens = eye[None, :, :] - 1j * gvcc * Aw
-        bad = ~(np.isfinite(dens).all(axis=(1, 2)) & np.isfinite(bw).all(axis=1))
-        if bad.any():
-            raise IllConditionedError(
-                f"exact solve: non-finite density system at detuning "
-                f"{float(dp[bad.argmax()])!r}")
+        _name_bad_detuning("exact solve: non-finite density system", detunings[chunk],
+                           np.isfinite(dens).all(axis=(1, 2)) & np.isfinite(bw).all(axis=1))
         R = np.linalg.solve(dens, bw[..., None])[..., 0]
-        conds[a:bnd] = np.linalg.cond(dens)
-        response[a:bnd] = R[:, 1] / (params.n0 * vp)
+        conds[chunk] = np.linalg.cond(dens)
+        response[chunk] = R[:, 1] / (params.n0 * vp)
     return response, conds
 
 
@@ -217,70 +249,31 @@ def solve_exact(params: ModelParams, fields: FieldConfig, grid: QuadratureGrid,
     express three coherences through the first, whose coefficient is the
     scalar pivot xi_d / (xi2 xi3 xi4), with xi_d the ``toc_determinant``.
     This gives the node's inverse and its probe-source solution in closed
-    form.  Their node-weighted sums yield a final 4x4 system for the
-    velocity-integrated densities.  Returns (Spectrum, SolveReport).  With
-    check_convergence the whole spectrum is recomputed on a node-doubled grid
-    and the finer result is kept; disagreement beyond conv_rtol raises
-    NonConvergenceError.  A vanishing pivot, or a density system that is not
-    finite, raises IllConditionedError naming the first such detuning.
+    form.  Each inverse entry spans the whole (m, r, n_par) product mesh, and
+    one matrix-vector product with the flattened weights gives its node sum.
+    These sums yield a final 4x4 system for the velocity-integrated
+    densities.  Returns (Spectrum, SolveReport).  With check_convergence the
+    whole spectrum is recomputed on a node-doubled grid and the finer result
+    is kept; disagreement beyond conv_rtol raises NonConvergenceError.  A
+    density system that is not finite, as a vanishing pivot makes it, raises
+    IllConditionedError naming the first such detuning.
     """
-    detunings = np.asarray(detuning_grid, dtype=float)
-
-    def solve_on(g):
-        return _exact_response_on_mesh(params, fields, detunings, *velocity_mesh(fields, g))
-
-    response, conds = solve_on(grid)
-    notes = ""
-    converged = None
-    if check_convergence:
-        (response, conds2), notes = _doubling_check("exact solve", solve_on, fields,
-                                                    grid, response, conv_rtol)
-        conds = np.maximum(conds, conds2)
-        converged = True
-
-    max_cond = float(conds.max(initial=1.0))
+    detunings, runs, report = _solve(
+        _exact_response_on_mesh, "exact", "exact solve", params, fields, grid,
+        detuning_grid, check_convergence, conv_rtol)
+    max_cond = float(np.max([conds for _, conds in runs], initial=1.0))
     if max_cond > cond_error:
         raise IllConditionedError(
             f"density system condition estimate {max_cond:.3e} exceeds {cond_error:.1e}")
     if max_cond > cond_warn:
-        import warnings
         warnings.warn(f"density system condition estimate {max_cond:.3e} exceeds "
                       f"{cond_warn:.1e}; results may lose accuracy", stacklevel=2)
-
-    report = SolveReport(method="exact", n_par=grid.n_par, n_res=grid.n_res,
-                         n_detunings=detunings.size, max_condition=max_cond,
-                         converged=converged, notes=notes)
-    return Spectrum.from_response(detunings, response), report
-
-
-def _product_mesh(fields, grid):
-    """``velocity_mesh`` in broadcastable product form, v_par on the last axis.
-
-    On a transverse mesh (r = n_res nodes per v_par) v_par becomes (n_par,),
-    v_res (n_res, 1) and w (n_res, n_par); otherwise (r = 1) v_par and v_res
-    are (n_par,) and w is (1, n_par).  The transverse mesh is C-ordered by
-    repeat/tile, so every r-th v_par and the first r v_res are the axes.  The
-    long v_par axis goes last to keep numpy's inner loops long.
-    """
-    v_par, v_res, w = velocity_mesh(fields, grid)
-    r = v_par.size // grid.n_par
-    return (v_par[::r], v_res[:r, None] if r > 1 else v_res,
-            np.ascontiguousarray(w.reshape(grid.n_par, r).T))
-
-
-def _mesh_sum(f, x):
-    """Sum of f * x over the two mesh axes, per detuning.
-
-    x is reduced first along the axes where f is constant, so the product
-    with f is taken on the small, reduced array.
-    """
-    along = tuple(ax for ax in (1, 2) if f.shape[ax] == 1)
-    return (f * x.sum(axis=along, keepdims=True)).sum(axis=(1, 2))
+    return (Spectrum.from_response(detunings, runs[-1][0]),
+            replace(report, max_condition=max_cond))
 
 
 def _approx_terms_on_mesh(params, fields, detunings, v_par, v_res, w):
-    # Detunings sit on a leading axis against the product mesh of
-    # _product_mesh.  xi1 and xi3 then follow v_res only, xi2 v_par only and
+    # On the product mesh xi1 and xi3 follow v_res only, xi2 v_par only and
     # xi5 no detuning, so only xi4 and xi_d are full (m, r, n_par) arrays.
     # With inv = w / xi_d, the one complex division per node, T = xi4 inv and
     # S = xi3 T:
@@ -294,24 +287,17 @@ def _approx_terms_on_mesh(params, fields, detunings, v_par, v_res, w):
     inv_xi5 = 1.0 / xi_set(params, fields, v_par, v_res).xi5
 
     g = np.empty((5, detunings.size), dtype=complex)
-    # a vanishing xi_d turns its detuning's sums into inf/nan; they are
-    # checked below, once, instead of every node
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for a, bnd in _chunks(detunings.size, w.size):
-            xi = xi_set(params, fields, v_par, v_res, deltap=detunings[a:bnd, None, None])
-            inv = w / toc_determinant(xi, params, fields)
-            t = xi.xi4 * inv
-            s = xi.xi3 * t
-            g[0, a:bnd] = _mesh_sum(xi.xi2, s)
-            g[1, a:bnd] = s.sum(axis=(1, 2))
-            g[2, a:bnd] = _mesh_sum(xi.xi2, t * inv_xi5)
-            g[3, a:bnd] = _mesh_sum(xi.xi1, s)
-            g[4, a:bnd] = _mesh_sum(xi.xi3, inv)
-    bad = ~np.isfinite(g).all(axis=0)
-    if bad.any():
-        raise IllConditionedError(
-            f"factored solve: non-finite velocity average (xi_d vanishes at a node) "
-            f"at detuning {float(detunings[bad.argmax()])!r}")
+    for chunk, xi in _mesh_chunks(params, fields, detunings, v_par, v_res, w):
+        inv = w / toc_determinant(xi, params, fields)
+        t = xi.xi4 * inv
+        s = xi.xi3 * t
+        g[0, chunk] = _mesh_sum(xi.xi2, s)
+        g[1, chunk] = s.sum(axis=(1, 2))
+        g[2, chunk] = _mesh_sum(xi.xi2, t * inv_xi5)
+        g[3, chunk] = _mesh_sum(xi.xi1, s)
+        g[4, chunk] = _mesh_sum(xi.xi3, inv)
+    _name_bad_detuning("factored solve: non-finite velocity average (xi_d vanishes "
+                       "at a node)", detunings, np.isfinite(g).all(axis=0))
     g1, g2, g3, g4, g5 = g
     bg = -g4
     ped = abs(fields.v2) ** 2 * g5
@@ -324,9 +310,8 @@ def solve_approximate(params: ModelParams, fields: FieldConfig, grid: Quadrature
                       conv_rtol: float = 1e-6):
     """Factored response from the five named thermal averages, with components.
 
-    The averages G1..G5 (``G1_SPEC``..``G5_SPEC``) are taken on the velocity
-    mesh in its broadcastable product form, a chunk of detunings at a time,
-    with one complex division per node.  The response splits into the
+    The averages G1..G5 (``G1_SPEC``..``G5_SPEC``) are taken on the product
+    velocity mesh with one complex division per node.  The response splits into the
     one-photon background -G4, the pump-broadened pedestal |v2|^2 G5 and the
     collision-fed sharp peak toc i G2 G3 gamma_vcc / (1 - i G1 gamma_vcc),
     with toc = i b A gamma_sp v1 conj(v2).
@@ -340,29 +325,14 @@ def solve_approximate(params: ModelParams, fields: FieldConfig, grid: Quadrature
     IllConditionedError naming the first such detuning.
     """
     if params.gamma_vcc >= params.gamma_pcc + 0.5 * params.gamma_sp:
-        import warnings
         warnings.warn(
             "gamma_vcc is not small against gamma_pcc + gamma_sp/2; the factored "
             "response is outside its validity regime", stacklevel=2)
 
-    detunings = np.asarray(detuning_grid, dtype=float)
-
-    def solve_on(g):
-        return _approx_terms_on_mesh(params, fields, detunings, *_product_mesh(fields, g))
-
-    response, parts = solve_on(grid)
-    notes = ""
-    converged = None
-    if check_convergence:
-        (response, parts), notes = _doubling_check("factored solve", solve_on, fields,
-                                                   grid, response, conv_rtol)
-        converged = True
-
-    spectrum = Spectrum.from_response(detunings, response, parts)
-    report = SolveReport(method="approximate", n_par=grid.n_par, n_res=grid.n_res,
-                         n_detunings=detunings.size, max_condition=0.0,
-                         converged=converged, notes=notes)
-    return spectrum, report
+    detunings, runs, report = _solve(
+        _approx_terms_on_mesh, "approximate", "factored solve", params, fields, grid,
+        detuning_grid, check_convergence, conv_rtol)
+    return Spectrum.from_response(detunings, *runs[-1]), report
 
 
 def at_rest_spectrum(params: ModelParams, fields: FieldConfig, detuning_grid) -> Spectrum:
@@ -381,11 +351,8 @@ def at_rest_spectrum(params: ModelParams, fields: FieldConfig, detuning_grid) ->
     detunings = np.asarray(detuning_grid, dtype=float)
     xi = xi_set(params0, fields, 0.0, 0.0, deltap=detunings)
     xd = toc_determinant(xi, params0, fields)
-    bad = ~(np.abs(xd) >= np.finfo(float).tiny)
-    if bad.any():
-        raise IllConditionedError(
-            f"at-rest spectrum: xi_d vanishes or underflows at detuning "
-            f"{float(detunings[bad.argmax()])!r}")
+    _name_bad_detuning("at-rest spectrum: xi_d vanishes or underflows", detunings,
+                       np.abs(xd) >= np.finfo(float).tiny)
     toc = 1j * params0.b * params0.branching_A * params0.gamma_sp \
         * fields.v1 * np.conj(fields.v2)
     bg = (-xi.xi1 * xi.xi3 * xi.xi4 + toc * (xi.xi4 - xi.xi5) / xi.xi5) / xd

@@ -5,7 +5,8 @@ the probe-sector determinant, averaged against one or two standard-normal
 velocity components.  Gauss-Hermite quadrature (probabilists' weight) handles
 the Gaussian factor; a node-doubling self-check guards against under-resolved
 poles, which matters once the Doppler scale exceeds the pressure-broadened
-linewidth.
+linewidth.  Every Gauss-Hermite average of the package, here and in
+``spectrum_solver``, walks the velocity mesh in one product form.
 """
 
 from __future__ import annotations
@@ -139,6 +140,32 @@ def velocity_mesh(fields: FieldConfig, grid: QuadratureGrid):
     return v_par, v_res, w
 
 
+def _product_mesh(fields, grid):
+    """``velocity_mesh`` in broadcastable product form, v_par on the last axis.
+
+    Every Gauss-Hermite average of the package walks this form.  On a
+    transverse mesh (r = n_res nodes per v_par) v_par becomes (n_par,),
+    v_res (n_res, 1) and w (n_res, n_par); otherwise (r = 1) v_par and v_res
+    are (n_par,) and w is (1, n_par).  The long v_par axis goes last to keep
+    numpy's inner loops long.  Detunings lead as (m, 1, 1), giving
+    (m, r, n_par) factors whose flattened mesh axes match w.ravel().
+    """
+    v_par, v_res, w = velocity_mesh(fields, grid)
+    r = v_par.size // grid.n_par
+    return (v_par[::r], v_res[:r, None] if r > 1 else v_res,
+            np.ascontiguousarray(w.reshape(grid.n_par, r).T))
+
+
+def _mesh_sum(f, x):
+    """Sum of f * x over the two mesh axes of (m, r, n_par) arrays, per detuning.
+
+    x is reduced first along the axes where f is constant, so the product
+    with f is taken on the small, reduced array.
+    """
+    along = tuple(ax for ax in (1, 2) if f.shape[ax] == 1)
+    return (f * x.sum(axis=along, keepdims=True)).sum(axis=(1, 2))
+
+
 _XI_INDEX = {1: "xi1", 2: "xi2", 3: "xi3", 4: "xi4", 5: "xi5"}
 _FactorKey = Union[int, str]
 
@@ -178,7 +205,7 @@ def _factor(key: _FactorKey, xi, params, fields):
 
 
 def _eval_on_grid(spec, params, fields, grid):
-    v_par, v_res, w = velocity_mesh(fields, grid)
+    v_par, v_res, w = _product_mesh(fields, grid)
     xi = xi_set(params, fields, v_par, v_res)
     val = w.astype(complex)
     for k in spec.numerator:

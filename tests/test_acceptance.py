@@ -150,6 +150,7 @@ def test_criterion_5(fig2_fields):
     assert spread < 0.30, sharp_widths
 
 
+@pytest.mark.slow
 def test_criterion_6():
     # Dicke narrowing: measured sharp-line FWHM against the closed-form
     # collision-kernel model, 15% agreement per rung over
@@ -178,6 +179,7 @@ def test_criterion_6():
     assert all(abs(r - 1.0) <= 0.15 for _, _, _, r in report), "\n" + lines
 
 
+@pytest.mark.slow
 def test_criterion_7(fig2_fields):
     # transverse mismatch ladder at the low-dephasing rates: peak height of
     # the narrow line strictly decreasing, pedestal width unaffected (<10%)

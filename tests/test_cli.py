@@ -245,6 +245,16 @@ class TestMainErrors:
         err = capsys.readouterr().err
         assert f"config key {pair.partition('=')[0]!r}" in err and "must be finite" in err
 
+    def test_malformed_profile_names_the_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.profile.txt"
+        bad.write_text("4 4 0.1\n" + "1.0 0.0\n" * 16)
+        rc = main(["beam_filter", "--set", f"profile_in={bad}", "--set", "gamma_vcc=0.025",
+                   "--set", "n_par=400", "--set", "check_convergence=false",
+                   "--out", str(tmp_path / "beam")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and "header has 3 fields, not 4" in err
+
     def test_config_file_must_be_object(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("[1, 2]")

@@ -5,8 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from eia import ramsey_diffusion
 from eia.core_model import ModelParams, FieldConfig
 from eia.ramsey_diffusion import (
+    SingularMatchingError,
     RamseyConfig,
     build_solution,
     diffusion_operator_check,
@@ -169,6 +171,49 @@ class TestLimits:
         wide = build_solution(config(5e-3), 0.0).response.imag
         narrow = build_solution(config(2.5e-5), 0.0).response.imag
         assert 0 < narrow < wide
+
+
+class TestPerturbedRebuild:
+    """Degenerate modes and a singular matching both rebuild the solution
+    once at gamma_vcc (1 + 1e-9), with a warning that names the trigger."""
+
+    def perturbed_response(self):
+        cfg = config()
+        cfg = replace(cfg, params=replace(P, gamma_vcc=P.gamma_vcc * (1 + 1e-9)))
+        return build_solution(cfg, deltap=0.0).response
+
+    def test_singular_matching(self, monkeypatch):
+        real = ramsey_diffusion.solve_continuity
+        calls = []
+
+        def singular_once(cfg, co):
+            calls.append(co)
+            if len(calls) == 1:
+                raise SingularMatchingError("forced")
+            return real(cfg, co)
+
+        monkeypatch.setattr(ramsey_diffusion, "solve_continuity", singular_once)
+        with pytest.warns(UserWarning, match="^continuity matrix singular; perturbing"):
+            got = build_solution(config(), deltap=0.0).response
+        monkeypatch.undo()
+        assert len(calls) == 2
+        assert got == self.perturbed_response()
+
+    def test_degenerate_modes(self, monkeypatch):
+        real = ramsey_diffusion.ramsey_coefficients
+        calls = []
+
+        def degenerate_once(cfg, deltap=None, params=None):
+            co = real(cfg, deltap=deltap, params=params)
+            calls.append(params)
+            return replace(co, k2=co.k1) if len(calls) == 1 else co
+
+        monkeypatch.setattr(ramsey_diffusion, "ramsey_coefficients", degenerate_once)
+        with pytest.warns(UserWarning, match="^degenerate diffusion modes; perturbing"):
+            got = build_solution(config(), deltap=0.0).response
+        monkeypatch.undo()
+        assert len(calls) == 2
+        assert got == self.perturbed_response()
 
 
 class TestOperatorResidual:

@@ -222,3 +222,26 @@ class TestProfileIO:
         path.write_text("2 2 0.1 0.1\n1.0 0.0\n2.0 0.0\n3.0 0.0\n")
         with pytest.raises(ValueError, match="body"):
             load_profile(path, fmt="text")
+
+    def test_short_binary_body_names_the_file(self, tmp_path):
+        path = tmp_path / "short.bin"
+        save_profile(TransverseProfile(samples=np.ones((4, 4), complex), extent=(1.0, 1.0)),
+                     path, fmt="binary")
+        path.write_bytes(path.read_bytes()[:-16])
+        with pytest.raises(ValueError, match="body has 240 bytes, expected 256") as exc:
+            load_profile(path, fmt="binary")
+        assert str(path) in str(exc.value)
+
+    def test_binary_file_shorter_than_its_header_names_the_file(self, tmp_path):
+        path = tmp_path / "stub.bin"
+        path.write_bytes(b"0123456789")
+        with pytest.raises(ValueError, match="file has 10 bytes") as exc:
+            load_profile(path, fmt="binary")
+        assert str(path) in str(exc.value)
+
+    def test_text_header_field_count_names_the_file(self, tmp_path):
+        path = tmp_path / "head.txt"
+        path.write_text("4 4 0.1\n" + "1.0 0.0\n" * 16)
+        with pytest.raises(ValueError, match="header has 3 fields, not 4") as exc:
+            load_profile(path, fmt="text")
+        assert str(path) in str(exc.value)

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from eia.core_model import ModelParams, FieldConfig, xi_set, toc_determinant
 from eia.velocity_integrals import (
     G1_SPEC, G2_SPEC, G3_SPEC, G4_SPEC, G5_SPEC,
-    NonConvergenceError, g_integral, make_grid, one_photon_response,
+    NonConvergenceError, _product_mesh, g_integral, make_grid, one_photon_response,
+    velocity_mesh,
 )
 from eia.cli_runner import _ramsey_detuning_grid, parse_config
 from eia.lineshape_analysis import _scan_detuning_grid, dicke_fwhm_model
@@ -205,6 +206,29 @@ class TestExactElimination:
         dgrid = np.sort(rng.uniform(-3.0, 3.0, 31))
         got, got_cond = _exact_response_on_mesh(p, f, dgrid, v_par, v_res, w)
         want, want_cond = lapack_response_on_mesh(p, f, dgrid, v_par, v_res, w)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.abs(got_cond - want_cond).max() <= 1e-12 * want_cond.max()
+
+    @pytest.mark.parametrize("n_par, n_res, geometry, dq", [
+        (30, 8, "transverse", 0.7),
+        (200, 4, "collinear", 0.7),
+        (200, 4, "transverse", 0.0),
+    ])
+    def test_product_mesh_matches_lapack_on_the_flat_mesh(self, n_par, n_res,
+                                                          geometry, dq):
+        """solve_exact walks the product mesh, the reference the flat
+        velocity_mesh of the same grid, over two full detuning chunks and a
+        partial one: a mis-sliced axis or a dropped chunk shows here."""
+        p = ModelParams(gamma_pcc=0.4, gamma_vcc=0.2, gamma_g=0.003)
+        f = FieldConfig(v1=0.1 + 0.05j, v2=0.2 - 0.1j, vp=1e-4, delta1=0.05,
+                        delta2=-0.1, qp_vth=3.0, dq_vth=dq, dq_direction=geometry)
+        grid = make_grid(n_par, n_res)
+        v_par, v_res, w = velocity_mesh(f, grid)
+        dgrid = np.linspace(-3.0, 3.0, 2 * (_CHUNK_ELEMENTS // w.size) + 5)
+        sp, rep = solve_exact(p, f, grid, dgrid, check_convergence=False)
+        got, got_cond = _exact_response_on_mesh(p, f, dgrid, *_product_mesh(f, grid))
+        want, want_cond = lapack_response_on_mesh(p, f, dgrid, v_par, v_res, w)
+        assert np.array_equal(sp.response, got) and rep.max_condition == got_cond.max()
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         assert np.abs(got_cond - want_cond).max() <= 1e-12 * want_cond.max()
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from eia.core_model import ModelParams, FieldConfig
+from eia.core_model import ModelParams, FieldConfig, toc_determinant, xi_set
 from eia.velocity_integrals import (
     MAX_NODES,
     NonConvergenceError,
@@ -225,3 +225,24 @@ class TestOnePhotonResponse:
         f = FieldConfig()
         with pytest.raises(ValueError, match="denominator"):
             one_photon_response(p, f, make_grid(10, 1), denominator=3)
+
+
+@pytest.mark.parametrize("spec", [G1_SPEC, G2_SPEC, G3_SPEC, G4_SPEC, G5_SPEC, G_1P])
+def test_g_integral_matches_the_flat_mesh_sum(spec):
+    """g_integral sums on the product mesh; the reference sums the same
+    integrand node by node on the flat velocity_mesh of the same grid."""
+    p = ModelParams(gamma_pcc=0.4, gamma_vcc=0.2, gamma_g=0.003)
+    f = FieldConfig(v1=0.1 + 0.05j, v2=0.2 - 0.1j, delta1=0.05, delta2=-0.1,
+                    deltap=0.3, qp_vth=3.0, dq_vth=0.7, dq_direction="transverse")
+    grid = make_grid(30, 8)
+    v_par, v_res, w = velocity_mesh(f, grid)
+    xi = xi_set(p, f, v_par, v_res)
+    factor = {k: getattr(xi, f"xi{k}") for k in range(1, 6)}
+    factor["d"] = toc_determinant(xi, p, f)
+    val = w.astype(complex)
+    for k in spec.numerator:
+        val = val * factor[k]
+    for k in spec.denominator:
+        val = val / factor[k]
+    want = val.sum()
+    assert g_integral(spec, p, f, grid, rtol=None) == pytest.approx(want, rel=1e-13)
