@@ -34,6 +34,7 @@ from .spatial_filter import (
 )
 from .spectrum_solver import (
     _mirrored_grid,
+    _solve_mirrored,
     at_rest_spectrum,
     default_detuning_grid,
     solve_approximate,
@@ -262,9 +263,9 @@ def _report_dict(report) -> dict:
 
 def _run_spectrum(cfg: ScenarioConfig, exact: bool):
     solver = solve_exact if exact else solve_approximate
-    spectrum, report = solver(cfg.model_params(), cfg.field_config(), cfg.quad_grid(),
-                              cfg.detuning_grid(),
-                              check_convergence=cfg.values["check_convergence"])
+    spectrum, report = _solve_mirrored(solver, cfg.model_params(), cfg.field_config(),
+                                       cfg.quad_grid(), cfg.detuning_grid(),
+                                       check_convergence=cfg.values["check_convergence"])
     path = _emit_spectrum(cfg, spectrum, cfg.out)
     return [path], _report_dict(report)
 
@@ -288,7 +289,8 @@ def _run_fwhm_scan(cfg: ScenarioConfig):
                                      "peak_abs": r.peak_absorption,
                                      "pedestal_fwhm": r.pedestal_fwhm} for r in rows]})
     meta = {"method": "fwhm_scan", "pedestal_convention": PEDESTAL_CONVENTION,
-            "pedestal_fwhm": [r.pedestal_fwhm for r in rows]}
+            "pedestal_fwhm": [r.pedestal_fwhm for r in rows],
+            "reports": [_report_dict(r.report) for r in rows]}
     return [path], meta
 
 
@@ -384,8 +386,17 @@ _RUNNERS = {
 }
 
 
+# scenarios whose filter or sheet needs the diffusion coefficient, which
+# divides by gamma_vcc
+_DIFFUSION_SCENARIOS = ("filter_curve", "beam_filter", "ramsey")
+
+
 def run_scenario(cfg: ScenarioConfig) -> List[str]:
     """Dispatch, write the data file(s), and write the manifest alongside."""
+    if cfg.scenario in _DIFFUSION_SCENARIOS and not cfg.values["gamma_vcc"] > 0:
+        raise ValueError(f"config key 'gamma_vcc': scenario {cfg.scenario!r} needs "
+                         f"gamma_vcc > 0 for its diffusion coefficient, got "
+                         f"{cfg.values['gamma_vcc']!r}")
     start = time.perf_counter()
     files, meta = _RUNNERS[cfg.scenario](cfg)
     manifest = {

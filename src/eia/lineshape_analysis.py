@@ -14,7 +14,13 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .core_model import FieldConfig, ModelParams
-from .spectrum_solver import Spectrum, _mirrored_grid, solve_approximate
+from .spectrum_solver import (
+    SolveReport,
+    Spectrum,
+    _mirrored_grid,
+    _solve_mirrored,
+    solve_approximate,
+)
 from .velocity_integrals import QuadratureGrid
 
 __all__ = [
@@ -201,6 +207,7 @@ class ScanPoint:
     fwhm: float
     peak_absorption: float
     pedestal_fwhm: float
+    report: SolveReport
 
 
 def _scan_detuning_grid(params: ModelParams, dq: float) -> np.ndarray:
@@ -216,11 +223,14 @@ def scan_delta_q(params: ModelParams, fields: FieldConfig, grid: QuadratureGrid,
     """Sweep the pump-probe wave-vector mismatch; one factored solve per rung.
 
     Returns ScanPoint rows: narrow-peak FWHM (sharp component), the narrow
-    peak's absorption height above its own wing baseline, and the
-    pedestal-component FWHM as a stability diagnostic.  The height of the
-    narrow component is the right trend variable: the total maximum drifts
-    toward the bare one-photon level once the mismatch washes out the pump
-    coherences, which masks the decay of the narrow feature itself.
+    peak's absorption height above its own wing baseline, the
+    pedestal-component FWHM as a stability diagnostic, and the rung's
+    SolveReport.  The height of the narrow component is the right trend
+    variable: the total maximum drifts toward the bare one-photon level once
+    the mismatch washes out the pump coherences, which masks the decay of
+    the narrow feature itself.  The scan grids are symmetric, so with zero
+    pump detunings and a real v1 conj(v2) each rung solves only its
+    detunings >= 0 (``_solve_mirrored``).
     """
     ladder = [float(d) for d in dq_ladder]
     if len(ladder) == 0:
@@ -233,11 +243,12 @@ def scan_delta_q(params: ModelParams, fields: FieldConfig, grid: QuadratureGrid,
     rows = []
     for dq in ladder:
         f_i = replace(fields, dq_vth=dq)
-        spectrum, _ = solve_approximate(params, f_i, grid, _scan_detuning_grid(params, dq),
-                                        check_convergence=check_convergence)
+        spectrum, report = _solve_mirrored(solve_approximate, params, f_i, grid,
+                                           _scan_detuning_grid(params, dq),
+                                           check_convergence=check_convergence)
         sharp = extract_fwhm(spectrum, feature="sharp_peak_component")
         ped = extract_fwhm(spectrum, feature="pedestal_component")
         rows.append(ScanPoint(dq_vth=dq, fwhm=sharp.fwhm,
                               peak_absorption=sharp.peak_value - sharp.baseline,
-                              pedestal_fwhm=ped.fwhm))
+                              pedestal_fwhm=ped.fwhm, report=report))
     return rows

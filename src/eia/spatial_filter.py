@@ -213,13 +213,24 @@ def save_profile(profile: TransverseProfile, path, fmt: str = "text") -> None:
         raise ValueError(f"fmt must be 'text' or 'binary', got {fmt!r}")
 
 
+def _check_sizes(path, nx, ny) -> None:
+    if nx < 1 or ny < 1:
+        raise ValueError(f"profile {path}: header gives {nx}x{ny} samples; "
+                         "both sizes must be >= 1")
+
+
 def load_profile(path, fmt: str = "text") -> TransverseProfile:
     if fmt == "text":
         with open(path, "r") as fh:
             header = fh.readline().split()
             if len(header) != 4:
                 raise ValueError(f"profile {path}: header has {len(header)} fields, not 4")
-            nx, ny, dx, dy = int(header[0]), int(header[1]), float(header[2]), float(header[3])
+            try:
+                nx, ny, dx, dy = int(header[0]), int(header[1]), float(header[2]), float(header[3])
+            except ValueError:
+                raise ValueError(f"profile {path}: header {' '.join(header)!r} is not "
+                                 "two integers and two floats") from None
+            _check_sizes(path, nx, ny)
             flat = np.loadtxt(fh, dtype=float, ndmin=2)
         if flat.shape != (nx * ny, 2):
             raise ValueError(f"profile {path}: body has shape {flat.shape}, expected ({nx * ny}, 2)")
@@ -230,6 +241,7 @@ def load_profile(path, fmt: str = "text") -> TransverseProfile:
         if len(raw) < _BIN_HEADER.size:
             raise ValueError(f"profile {path}: file has {len(raw)} bytes, shorter than its header")
         nx, ny, dx, dy = _BIN_HEADER.unpack_from(raw, 0)
+        _check_sizes(path, nx, ny)
         if len(raw) != _BIN_HEADER.size + 16 * nx * ny:
             raise ValueError(f"profile {path}: body has {len(raw) - _BIN_HEADER.size} "
                              f"bytes, expected {16 * nx * ny} for {nx}x{ny} samples")

@@ -96,6 +96,14 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class SolveReport:
+    """What one solve did.
+
+    n_detunings counts the detunings the solver evaluated: for a spectrum
+    filled in by reflection (``_solve_mirrored``) that is the half with
+    detuning >= 0, not the length of the returned grid.  notes holds the
+    doubling-check change when the check ran.
+    """
+
     method: str
     n_par: int
     n_res: int
@@ -333,6 +341,35 @@ def solve_approximate(params: ModelParams, fields: FieldConfig, grid: Quadrature
         _approx_terms_on_mesh, "approximate", "factored solve", params, fields, grid,
         detuning_grid, check_convergence, conv_rtol)
     return Spectrum.from_response(detunings, *runs[-1]), report
+
+
+def _solve_mirrored(solver, params: ModelParams, fields: FieldConfig,
+                    grid: QuadratureGrid, detuning_grid, **kwargs):
+    """``solver`` (``solve_exact`` or ``solve_approximate``) on a grid
+    symmetric about 0, evaluating only the detunings >= 0 when it may.
+
+    With delta1 = delta2 = 0 and a real v1 conj(v2), negating the detuning
+    and the velocity maps each xi to -conj(xi) and xi_d to conj(xi_d); the
+    Gauss-Hermite nodes are symmetric, so response(-delta) =
+    -conj(response(delta)), and likewise each component.  The negative half
+    is filled in from that identity.  If any condition fails this is the
+    plain solver call.  The report's n_detunings counts the detunings solved.
+    """
+    d = np.asarray(detuning_grid, dtype=float)
+    if not (fields.delta1 == fields.delta2 == 0
+            and (fields.v1 * np.conj(fields.v2)).imag == 0
+            and np.array_equal(d, -d[::-1])):
+        return solver(params, fields, grid, detuning_grid, **kwargs)
+    spectrum, report = solver(params, fields, grid, d[d.size // 2:], **kwargs)
+    odd = d.size % 2  # an odd grid holds 0 once: do not mirror it
+
+    def mirrored(x):
+        return np.concatenate([-np.conj(x[odd:][::-1]), x])
+
+    components = spectrum.components
+    if components is not None:
+        components = Components(*map(mirrored, components))
+    return Spectrum.from_response(d, mirrored(spectrum.response), components), report
 
 
 def at_rest_spectrum(params: ModelParams, fields: FieldConfig, detuning_grid) -> Spectrum:

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from eia.cli_runner import PRESETS, SCENARIOS, expand_target, main, parse_config
+from eia.lineshape_analysis import _scan_detuning_grid
 from eia.spatial_filter import load_profile
+from eia.spectrum_solver import solve_approximate
 
 
 def read_csv(path):
@@ -226,7 +228,56 @@ class TestMainRuns:
         assert mid and all(r[2] <= mid[0] + 1e-12 for r in rows)
 
 
+    def test_spectrum_approx_matches_a_direct_solve(self, tmp_path):
+        # the runner solves the detunings >= 0 of its symmetric grid and
+        # reflects them
+        sets = {"gamma_pcc": 5.0, "gamma_vcc": 0.025, "gamma_g": 0.001, "n_par": 200,
+                "detuning_n": 41, "check_convergence": False}
+        out = tmp_path / "sp"
+        rc = main(["spectrum_approx", "--format", "json", "--out", str(out),
+                   *[a for k, v in sets.items() for a in ("--set", f"{k}={v}")]])
+        assert rc == 0
+        doc = json.loads(Path(str(out) + ".json").read_text())
+        cfg = parse_config("spectrum_approx", sets)
+        d = cfg.detuning_grid()
+        want, _ = solve_approximate(cfg.model_params(), cfg.field_config(), cfg.quad_grid(),
+                                    d, check_convergence=False)
+        assert doc["deltap"] == d.tolist()
+        got = [(np.array(doc["re_response"]) + 1j * np.array(doc["im_response"]),
+                want.response)]
+        for name, part in zip(("background", "pedestal", "sharp_peak"), want.components):
+            c = doc["components"][name]
+            got.append((np.array(c["re"]) + 1j * np.array(c["im"]), part))
+        for g, w in got:
+            assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+        assert read_manifest(out)["report"]["n_detunings"] == (d.size + 1) // 2
+
+    def test_fwhm_scan_manifest_reports_each_rung(self, tmp_path):
+        out = tmp_path / "scan"
+        rc = main(["fwhm_scan", "--set", "gamma_pcc=1", "--set", "gamma_vcc=0.1",
+                   "--set", "gamma_g=0.001", "--set", "dq_ladder=[0, 0.01, 0.02]",
+                   "--set", "n_par=300", "--set", "n_res=1",
+                   "--set", "check_convergence=false", "--out", str(out)])
+        assert rc == 0
+        report = read_manifest(out)["report"]
+        params = parse_config("fwhm_scan", {"gamma_vcc": 0.1, "gamma_g": 0.001}).model_params()
+        assert [r["n_detunings"] for r in report["reports"]] == \
+            [(_scan_detuning_grid(params, dq).size + 1) // 2 for dq in (0.0, 0.01, 0.02)]
+        assert all(r["method"] == "approximate" and r["n_par"] == 300
+                   for r in report["reports"])
+
+
 class TestMainErrors:
+    @pytest.mark.parametrize("scenario", ["filter_curve", "beam_filter", "ramsey"])
+    def test_diffusion_scenarios_need_velocity_collisions(self, scenario, tmp_path, capsys):
+        # default gamma_vcc is 0; beam_filter must fail before reading its profile
+        missing = tmp_path / "missing.profile.txt"
+        assert main([scenario, "--set", f"profile_in={missing}",
+                     "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert "error: config key 'gamma_vcc':" in err and "gamma_vcc > 0" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_target(self, capsys):
         assert main(["fig99"]) == 1
         assert "error: unknown scenario or preset" in capsys.readouterr().err

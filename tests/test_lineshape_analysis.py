@@ -1,15 +1,18 @@
 """Width extraction, Lorentzian fitting, and the narrowing-law model."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from eia.core_model import ModelParams, FieldConfig
 from eia.velocity_integrals import make_grid
-from eia.spectrum_solver import Components, Spectrum
+from eia.spectrum_solver import Components, Spectrum, solve_approximate
 from eia.lineshape_analysis import (
     LineMetrics,
     PEDESTAL_CONVENTION,
+    _scan_detuning_grid,
     extract_fwhm,
     dicke_fwhm_model,
     fit_lorentzian,
@@ -182,6 +185,25 @@ class TestScan:
             assert r.fwhm > 0
             assert r.peak_absorption > 0
             assert r.pedestal_fwhm > 0
+
+    @pytest.mark.parametrize("geometry, n_res", [("collinear", 1), ("transverse", 8)])
+    def test_rows_match_full_grid_solves(self, geometry, n_res):
+        """Each rung solves its detunings >= 0 and reflects them; its row
+        equals the row of the solver's own full-grid spectrum."""
+        f, grid = replace(self.F, dq_direction=geometry), make_grid(300, n_res)
+        rows = scan_delta_q(self.P, f, grid, [0.0, 0.01])
+        for row in rows:
+            d = _scan_detuning_grid(self.P, row.dq_vth)
+            sp, _ = solve_approximate(self.P, replace(f, dq_vth=row.dq_vth), grid, d,
+                                      check_convergence=False)
+            sharp = extract_fwhm(sp, feature="sharp_peak_component")
+            ped = extract_fwhm(sp, feature="pedestal_component")
+            assert row.fwhm == pytest.approx(sharp.fwhm, rel=1e-12)
+            assert row.peak_absorption == pytest.approx(sharp.peak_value - sharp.baseline,
+                                                        rel=1e-12)
+            assert row.pedestal_fwhm == pytest.approx(ped.fwhm, rel=1e-12)
+            assert row.report.method == "approximate"
+            assert row.report.n_detunings == (d.size + 1) // 2
 
     def test_convention_constant_is_stable(self):
         # CLI metadata depends on this exact string

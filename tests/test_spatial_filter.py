@@ -1,5 +1,6 @@
 """k-space filter shape, thin-slice propagation, and profile IO."""
 
+import struct
 import warnings
 
 import numpy as np
@@ -243,5 +244,23 @@ class TestProfileIO:
         path = tmp_path / "head.txt"
         path.write_text("4 4 0.1\n" + "1.0 0.0\n" * 16)
         with pytest.raises(ValueError, match="header has 3 fields, not 4") as exc:
+            load_profile(path, fmt="text")
+        assert str(path) in str(exc.value)
+
+    def test_binary_header_with_negative_sizes_names_the_file(self, tmp_path):
+        # -2 x -2 passes the body-size check (16 * 4 bytes) on its own
+        path = tmp_path / "neg.bin"
+        save_profile(TransverseProfile(samples=np.ones((2, 2), complex), extent=(1.0, 1.0)),
+                     path, fmt="binary")
+        raw = path.read_bytes()
+        path.write_bytes(struct.pack("<qq", -2, -2) + raw[16:])
+        with pytest.raises(ValueError, match="header gives -2x-2 samples") as exc:
+            load_profile(path, fmt="binary")
+        assert str(path) in str(exc.value)
+
+    def test_text_header_non_integer_size_names_the_file(self, tmp_path):
+        path = tmp_path / "head.txt"
+        path.write_text("2 x 0.1 0.1\n" + "1.0 0.0\n" * 4)
+        with pytest.raises(ValueError, match="header '2 x 0.1 0.1' is not two integers") as exc:
             load_profile(path, fmt="text")
         assert str(path) in str(exc.value)

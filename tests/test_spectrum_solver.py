@@ -18,6 +18,7 @@ from eia.lineshape_analysis import _scan_detuning_grid, dicke_fwhm_model
 from eia.spectrum_solver import (
     _CHUNK_ELEMENTS,
     _exact_response_on_mesh,
+    _solve_mirrored,
     Components,
     Spectrum,
     SolveReport,
@@ -433,6 +434,109 @@ def test_factored_reflection_symmetry(gpcc, gvcc, gg, qp, dq, geometry, b, v1, v
     sp, _ = solve_approximate(p, f, make_grid(40, 8), dgrid, check_convergence=False)
     r = sp.response
     assert np.abs(r[::-1] + np.conj(r)).max() <= 1e-10 * np.abs(r).max()
+
+
+def assert_same_spectrum(got, want, rtol=1e-12):
+    """got matches want on the same grid: response and each component to rtol
+    of that array's largest magnitude."""
+    assert np.array_equal(got.detunings, want.detunings)
+    pairs = [(got.response, want.response)]
+    assert (got.components is None) == (want.components is None)
+    if want.components is not None:
+        pairs += list(zip(got.components, want.components))
+    for g, w in pairs:
+        assert np.abs(g - w).max() <= rtol * np.abs(w).max()
+
+
+ROUTES = {"exact": solve_exact, "approx": solve_approximate}
+
+
+def symmetric_grid(n, span=2.0):
+    """n detunings on [-span, span], exactly symmetric about 0 (np.linspace
+    is not); odd n holds 0."""
+    pos = np.linspace(0.0, span, n // 2 + 1)[1 - n % 2:]
+    return np.concatenate([-pos[n % 2:][::-1], pos])
+
+
+class TestMirroredSolve:
+    """_solve_mirrored solves detunings >= 0 and reflects them; it must
+    match the solver's own evaluation of the whole grid."""
+
+    P = ModelParams(gamma_pcc=0.4, gamma_vcc=0.1, gamma_g=0.003)
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    @pytest.mark.parametrize("n_det", [31, 32])
+    @pytest.mark.parametrize("n_par, n_res, geometry, dq, v1, v2, vp", [
+        (80, 1, "collinear", 0.0, 0.0816, 0.1, 0.001),
+        (80, 1, "collinear", 0.3, 0.0816, 0.1, 0.001),
+        (40, 7, "transverse", 0.02, 0.0816, 0.1, 0.001),
+        (40, 8, "transverse", 0.02, 0.0816, 0.1, 0.001),
+        # a common pump phase keeps v1 conj(v2) exactly real
+        (40, 8, "transverse", 0.3, 0.06 * (1 + 1j), 0.07 * (1 + 1j), 2e-3 - 1e-3j),
+    ])
+    def test_matches_the_full_grid(self, route, n_det, n_par, n_res, geometry, dq,
+                                   v1, v2, vp):
+        f = FieldConfig(v1=v1, v2=v2, vp=vp, qp_vth=3.0, dq_vth=dq, dq_direction=geometry)
+        grid, d = make_grid(n_par, n_res), symmetric_grid(n_det)
+        got, rep = _solve_mirrored(ROUTES[route], self.P, f, grid, d,
+                                   check_convergence=False)
+        want, _ = ROUTES[route](self.P, f, grid, d, check_convergence=False)
+        assert_same_spectrum(got, want)
+        assert rep.n_detunings == (n_det + 1) // 2
+
+    def test_doubling_check_solves_the_same_half(self, fig2_params, fig2_fields):
+        d = symmetric_grid(21, 1.0)
+        got, rep = _solve_mirrored(solve_approximate, fig2_params, fig2_fields,
+                                   make_grid(300, 1), d, conv_rtol=1.0)
+        want, full = solve_approximate(fig2_params, fig2_fields, make_grid(300, 1), d,
+                                       conv_rtol=1.0)
+        assert_same_spectrum(got, want)
+        assert rep.converged is True and rep.n_detunings == 11
+        assert rep.notes == full.notes
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    @pytest.mark.parametrize("change, d", [
+        ({"delta1": 0.05}, symmetric_grid(9, 1.0)),
+        ({"delta2": -0.05}, symmetric_grid(9, 1.0)),
+        ({"v1": 0.0816j}, symmetric_grid(9, 1.0)),
+        ({}, np.array([-1.0, -0.5, 0.0, 0.4, 1.0])),
+    ], ids=["delta1", "delta2", "complex_v1_conj_v2", "asymmetric_grid"])
+    def test_falls_back_to_the_plain_call(self, route, change, d, fig2_params):
+        f = FieldConfig(**{**dict(v1=0.0816, v2=0.1, vp=0.001, qp_vth=3.0), **change})
+        grid = make_grid(60, 1)
+        got, got_rep = _solve_mirrored(ROUTES[route], fig2_params, f, grid, d,
+                                       check_convergence=False)
+        want, want_rep = ROUTES[route](fig2_params, f, grid, d, check_convergence=False)
+        assert got.detunings.tobytes() == want.detunings.tobytes()
+        assert got.response.tobytes() == want.response.tobytes()
+        if want.components is not None:
+            for g, w in zip(got.components, want.components):
+                assert g.tobytes() == w.tobytes()
+        assert got_rep == want_rep and got_rep.n_detunings == d.size
+
+
+@settings(max_examples=30, deadline=None)
+@given(route=st.sampled_from(sorted(ROUTES)), gpcc=st.floats(0.05, 5.0),
+       gvcc=st.floats(0.0, 0.5), gg=st.floats(1e-3, 0.1), qp=st.floats(0.0, 40.0),
+       dq=st.floats(0.0, 2.0), geometry=st.sampled_from(["transverse", "collinear"]),
+       b=st.integers(0, 1), v1=st.floats(-0.5, 0.5), v2=st.floats(-0.5, 0.5),
+       pos=positive_detunings, center=st.booleans())
+def test_mirrored_solve_matches_the_full_grid(route, gpcc, gvcc, gg, qp, dq, geometry,
+                                              b, v1, v2, pos, center):
+    """The reflected half equals the solver's own full-grid evaluation, on
+    grids with and without the line center."""
+    p = ModelParams(gamma_pcc=gpcc, gamma_vcc=gvcc, gamma_g=gg, b=b)
+    pos = np.sort(pos)
+    dgrid = np.concatenate([-pos[::-1], [0.0] * center, pos])
+    grid = make_grid(40, 8)
+    with warnings.catch_warnings():
+        # weak pumps against vp, and the factored route's regime note
+        warnings.simplefilter("ignore", UserWarning)
+        f = FieldConfig(v1=v1, v2=v2, vp=1e-3, qp_vth=qp, dq_vth=dq, dq_direction=geometry)
+        got, rep = _solve_mirrored(ROUTES[route], p, f, grid, dgrid, check_convergence=False)
+        want, _ = ROUTES[route](p, f, grid, dgrid, check_convergence=False)
+    assert_same_spectrum(got, want)
+    assert rep.n_detunings == pos.size + center
 
 
 class TestAtRest:
