@@ -2,7 +2,7 @@
 
 Submodules:
   core_model          parameter records and per-velocity complex frequencies
-  velocity_integrals  thermal averaging (Gauss-Hermite) and closed-form oracle
+  velocity_integrals  thermal averaging: closed-form pole averages, Gauss-Hermite
   spectrum_solver     exact / factored / motionless probe spectra
   lineshape_analysis  widths, peaks, Lorentzian fits, narrowing-law scans
   spatial_filter      k-space filter response and thin-slice beam filtering
@@ -26,7 +26,6 @@ from .velocity_integrals import (
     GKernelSpec,
     NonConvergenceError,
     QuadratureGrid,
-    faddeeva_oracle,
     g_integral,
     make_grid,
     one_photon_response,
@@ -37,7 +36,7 @@ __all__ = [
     "__version__",
     "ModelParams", "FieldConfig", "XiSet", "xi_set", "toc_determinant",
     "QuadratureGrid", "GKernelSpec", "NonConvergenceError", "make_grid",
-    "g_integral", "faddeeva_oracle", "pole_average", "one_photon_response",
+    "g_integral", "pole_average", "one_photon_response",
     "Spectrum", "Components", "SolveReport", "default_detuning_grid",
     "solve_exact", "solve_approximate", "at_rest_spectrum",
 ]

@@ -47,8 +47,6 @@ class ModelParams:
     b           transfer-of-coherence switch, exactly 0 or 1
     branching_A branching amplitude A in (0, 1); A**2 is the branching ratio
     n0          number density normalization (response is reported per n0)
-    v_th        thermal speed; velocities are expressed in units of it, so
-                this stays 1.0 unless bridging to physical units elsewhere
     """
 
     gamma_sp: float = 1.0
@@ -58,11 +56,10 @@ class ModelParams:
     b: int = 1
     branching_A: float = 0.816
     n0: float = 1.0
-    v_th: float = 1.0
 
     def __post_init__(self):
         _require_finite(self, ("gamma_sp", "gamma_pcc", "gamma_vcc", "gamma_g",
-                               "branching_A", "n0", "v_th"))
+                               "branching_A", "n0"))
         if not self.gamma_sp > 0:
             raise ValueError(f"gamma_sp must be > 0, got {self.gamma_sp}")
         for name in ("gamma_pcc", "gamma_vcc", "gamma_g"):
@@ -76,8 +73,6 @@ class ModelParams:
             )
         if not self.n0 > 0:
             raise ValueError(f"n0 must be > 0, got {self.n0}")
-        if not self.v_th > 0:
-            raise ValueError(f"v_th must be > 0, got {self.v_th}")
 
     @property
     def gamma_tilde(self) -> float:

@@ -67,44 +67,30 @@ def _wing_baseline(y: np.ndarray) -> float:
     return float(np.mean(np.concatenate([y[:k], y[-k:]])))
 
 
-def _bisect_crossing(x: np.ndarray, y: np.ndarray, j: int, level: float,
-                     tol: float = 1e-6) -> float:
-    # bracketing segment [x[j], x[j+1]] contains a sign change of y - level;
-    # bisect the linear interpolant down to the spec'd position tolerance
-    lo, hi = float(x[j]), float(x[j + 1])
-    flo = np.interp(lo, x, y) - level
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        fm = np.interp(mid, x, y) - level
-        if (flo <= 0) == (fm <= 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def _half_crossings(x: np.ndarray, y: np.ndarray, baseline: float):
+    """Half-maximum crossings of the linear interpolant on each side of the peak.
+
+    The left bracket starts at the last sample at or below the level left of
+    the peak, the right one ends at the first such sample right of it; the
+    other end of each bracket lies above the level, so y differs across it.
+    """
     idx = int(np.argmax(y))
     peak = float(y[idx])
     if not peak > baseline:
         raise RuntimeError("no peak above the wing baseline")
     level = baseline + 0.5 * (peak - baseline)
 
-    left = None
-    for j in range(idx - 1, -1, -1):
-        if (y[j] - level) * (y[j + 1] - level) <= 0 and y[j] <= level:
-            left = _bisect_crossing(x, y, j, level)
-            break
-    right = None
-    for j in range(idx, y.size - 1):
-        if (y[j] - level) * (y[j + 1] - level) <= 0 and y[j + 1] <= level:
-            right = _bisect_crossing(x, y, j, level)
-            break
-    if left is None or right is None:
-        side = "left" if left is None else "right"
+    below_left = np.flatnonzero(y[:idx] <= level)
+    below_right = np.flatnonzero(y[idx + 1:] <= level)
+    if below_left.size == 0 or below_right.size == 0:
+        side = "left" if below_left.size == 0 else "right"
         raise RuntimeError(
             f"half-maximum level not crossed on the {side} side; detuning grid too narrow")
-    return left, right, idx, peak
+
+    def crossing(j):
+        return float(x[j] + (level - y[j]) * (x[j + 1] - x[j]) / (y[j + 1] - y[j]))
+
+    return crossing(below_left[-1]), crossing(idx + below_right[0]), idx, peak
 
 
 _FEATURES = ("sharp_peak_component", "total_minus_background", "pedestal_component")
@@ -119,8 +105,8 @@ def extract_fwhm(spectrum: Spectrum, feature: str = "sharp_peak_component") -> L
       total_minus_background - total absorption minus Im(background component)
       pedestal_component     - Im of the pump-pedestal component alone
     All require a spectrum with components.  The baseline is the mean of the
-    outer 5% of the grid on each side; crossings are bisected on the linear
-    interpolant to 1e-6.
+    outer 5% of the grid on each side; each crossing is the closed-form
+    crossing of the linear interpolant on its bracketing grid segment.
     """
     if feature not in _FEATURES:
         raise ValueError(f"feature must be one of {_FEATURES}, got {feature!r}")

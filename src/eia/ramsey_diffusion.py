@@ -26,7 +26,7 @@ import numpy as np
 
 from .core_model import FieldConfig, ModelParams
 from .spectrum_solver import Spectrum
-from .velocity_integrals import pole_average
+from .velocity_integrals import _strong_collision, pole_average
 
 __all__ = [
     "K_BOLTZMANN",
@@ -80,8 +80,9 @@ class RamseyConfig:
     gamma_sp_si: float = 2.0 * np.pi * 6e6
 
     def __post_init__(self):
-        if not self.half_width_a > 0:
-            raise ValueError("half_width_a must be > 0 (meters)")
+        if not 0 < self.half_width_a < np.inf:
+            raise ValueError(f"half_width_a must be finite and > 0 (meters), "
+                             f"got {self.half_width_a}")
         if self.fields.dq_vth != 0:
             raise ValueError("stepwise-sheet solution requires dq_vth = 0")
         if self.fields.delta1 != 0 or self.fields.delta2 != 0:
@@ -90,8 +91,8 @@ class RamseyConfig:
             raise ValueError("diffusion requires gamma_vcc > 0")
         for name, val in (("temperature", self.temperature), ("wavelength", self.wavelength),
                           ("mass", self.mass), ("gamma_sp_si", self.gamma_sp_si)):
-            if not val > 0:
-                raise ValueError(f"{name} must be > 0")
+            if not 0 < val < np.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {val}")
 
     @property
     def v_th_si(self) -> float:
@@ -150,7 +151,6 @@ class RamseyCoefficients:
     t_factor: complex
     diffusion_D: float
     k_1p: complex
-    k_3p: complex
     k_pump: complex
 
 
@@ -174,11 +174,11 @@ def ramsey_coefficients(cfg: RamseyConfig, deltap: Optional[float] = None,
     three strong-collision one-photon kernels K = iG/(1 - i gamma_vcc G) are
     taken in closed form: with dq = delta1 = delta2 = 0 each bare average G
     has one pole linear in velocity, of width gamma_tilde + gamma_vcc, so it
-    is one pole_average.  xi4 has the pole of xi2 mirrored in v, so k_3p
-    equals k_1p; xi5 carries no detuning, so k_pump is the same closure at
-    zero detuning.  The two interior wave numbers come from the quadratic in
-    k^2 produced by inserting exp(kx) into the coupled system; the
-    discriminant is guarded against catastrophic cancellation.
+    is one pole_average.  xi4 has the pole of xi2 mirrored in v, so the
+    three-photon kernel equals k_1p; xi5 carries no detuning, so k_pump is
+    the same closure at zero detuning.  The two interior wave numbers come
+    from the quadratic in k^2 produced by inserting exp(kx) into the coupled
+    system; the discriminant is guarded against catastrophic cancellation.
     """
     p = cfg.params if params is None else params
     f = cfg.fields
@@ -192,18 +192,15 @@ def ramsey_coefficients(cfg: RamseyConfig, deltap: Optional[float] = None,
 
     q = cfg.effective_fields(dp).qp_vth
     width = p.gamma_tilde + gvcc
-    g_1p = pole_average(dp, q, width)
-    g_pump = pole_average(0.0, q, width)
-    k_1p = 1j * g_1p / (1.0 - 1j * gvcc * g_1p)
-    k_3p = k_1p
-    k_pump = 1j * g_pump / (1.0 - 1j * gvcc * g_pump)
+    k_1p = _strong_collision(pole_average(dp, q, width), gvcc)
+    k_pump = _strong_collision(pole_average(0.0, q, width), gvcc)
 
     alpha3_sq = (-1j * dp + gam) / d_hat
     alpha2_sq = alpha3_sq + big_g / d_hat
     alpha1_sq = (-1j * dp + gam
-                 + k_1p * abs(v1) ** 2 + k_3p * abs(v2) ** 2) / d_hat
+                 + k_1p * abs(v1) ** 2 + k_1p * abs(v2) ** 2) / d_hat
     beta1 = np.conj(v1) * vp * k_1p * p.n0
-    beta2 = v1 * np.conj(v2) * (k_1p + k_3p)
+    beta2 = v1 * np.conj(v2) * (2.0 * k_1p)
     beta3 = np.conj(v2) * vp * (k_1p + k_pump) * p.n0
 
     ap2 = alpha1_sq + alpha2_sq
@@ -243,8 +240,7 @@ def ramsey_coefficients(cfg: RamseyConfig, deltap: Optional[float] = None,
         beta3=complex(beta3), k1=complex(k1), k2=complex(k2),
         alpha2=complex(alpha2), alpha3=complex(alpha3),
         g0=complex(g0), e0=complex(e0), modes=modes, t_factor=complex(t_factor),
-        diffusion_D=float(d_hat), k_1p=complex(k_1p), k_3p=complex(k_3p),
-        k_pump=complex(k_pump))
+        diffusion_D=float(d_hat), k_1p=complex(k_1p), k_pump=complex(k_pump))
 
 
 def solve_continuity(cfg: RamseyConfig, co: RamseyCoefficients):

@@ -133,8 +133,8 @@ class TransverseProfile:
             raise ValueError("samples must be a 2-D array")
         if not np.all(np.isfinite(s.real)) or not np.all(np.isfinite(s.imag)):
             raise ValueError("profile power must be finite")
-        if not (self.extent[0] > 0 and self.extent[1] > 0):
-            raise ValueError("extent must be positive per axis")
+        if not (0 < self.extent[0] < np.inf and 0 < self.extent[1] < np.inf):
+            raise ValueError(f"extent must be finite and positive per axis, got {self.extent}")
 
     @property
     def nx(self) -> int:
@@ -213,10 +213,13 @@ def save_profile(profile: TransverseProfile, path, fmt: str = "text") -> None:
         raise ValueError(f"fmt must be 'text' or 'binary', got {fmt!r}")
 
 
-def _check_sizes(path, nx, ny) -> None:
+def _check_header(path, nx, ny, dx, dy) -> None:
     if nx < 1 or ny < 1:
         raise ValueError(f"profile {path}: header gives {nx}x{ny} samples; "
                          "both sizes must be >= 1")
+    if not (0 < dx < np.inf and 0 < dy < np.inf):
+        raise ValueError(f"profile {path}: header gives spacings {dx!r}, {dy!r}; "
+                         "both must be finite and > 0")
 
 
 def load_profile(path, fmt: str = "text") -> TransverseProfile:
@@ -230,7 +233,7 @@ def load_profile(path, fmt: str = "text") -> TransverseProfile:
             except ValueError:
                 raise ValueError(f"profile {path}: header {' '.join(header)!r} is not "
                                  "two integers and two floats") from None
-            _check_sizes(path, nx, ny)
+            _check_header(path, nx, ny, dx, dy)
             flat = np.loadtxt(fh, dtype=float, ndmin=2)
         if flat.shape != (nx * ny, 2):
             raise ValueError(f"profile {path}: body has shape {flat.shape}, expected ({nx * ny}, 2)")
@@ -241,7 +244,7 @@ def load_profile(path, fmt: str = "text") -> TransverseProfile:
         if len(raw) < _BIN_HEADER.size:
             raise ValueError(f"profile {path}: file has {len(raw)} bytes, shorter than its header")
         nx, ny, dx, dy = _BIN_HEADER.unpack_from(raw, 0)
-        _check_sizes(path, nx, ny)
+        _check_header(path, nx, ny, dx, dy)
         if len(raw) != _BIN_HEADER.size + 16 * nx * ny:
             raise ValueError(f"profile {path}: body has {len(raw) - _BIN_HEADER.size} "
                              f"bytes, expected {16 * nx * ny} for {nx}x{ny} samples")

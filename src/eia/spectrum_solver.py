@@ -34,6 +34,7 @@ from .velocity_integrals import (
     _doubling_check,
     _mesh_sum,
     _product_mesh,
+    _strong_collision,
 )
 
 __all__ = [
@@ -197,8 +198,7 @@ def _exact_response_on_mesh(params, fields, detunings, v_par, v_res, w):
 
     # xi5 carries no probe-detuning dependence; close the pump dipole once
     xi0 = xi_set(params, fields, v_par, v_res)
-    gp = np.sum(w / xi0.xi5)
-    r5 = cv2 * params.n0 * gp / (1.0 - 1j * gvcc * gp)
+    r5 = -1j * cv2 * params.n0 * _strong_collision(np.sum(w / xi0.xi5), gvcc)
     src3_row = -vp * (1j * gvcc * r5 + cv2 * params.n0) / xi0.xi5
     w_src = (w * src3_row).ravel()
     w_nodes = w.ravel()

@@ -1,12 +1,17 @@
 """Thermal averaging over the Maxwell-Boltzmann velocity distribution.
 
-The integrands are products of the per-velocity complex frequencies divided by
-the probe-sector determinant, averaged against one or two standard-normal
-velocity components.  Gauss-Hermite quadrature (probabilists' weight) handles
-the Gaussian factor; a node-doubling self-check guards against under-resolved
-poles, which matters once the Doppler scale exceeds the pressure-broadened
-linewidth.  Every Gauss-Hermite average of the package, here and in
-``spectrum_solver``, walks the velocity mesh in one product form.
+Two ways to average.  ``pole_average`` is the closed form of a single-pole
+thermal average, one Faddeeva value w(z) (Fried & Conte, *The Plasma
+Dispersion Function*, 1961), and ``_strong_collision`` closes a bare average
+G into the strong-collision kernel K = iG/(1 - i gamma_vcc G); every program
+path that needs a one-pole kernel takes these two.  Gauss-Hermite
+quadrature (probabilists' weight) handles the general integrands: products
+of the per-velocity complex frequencies over the probe-sector determinant,
+averaged against one or two standard-normal velocity components.  A
+node-doubling self-check guards against under-resolved poles, which matters
+once the Doppler scale exceeds the pressure-broadened linewidth.  Every
+Gauss-Hermite average of the package, here and in ``spectrum_solver``, walks
+the velocity mesh in one product form.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ __all__ = [
     "make_grid",
     "velocity_mesh",
     "g_integral",
-    "faddeeva_oracle",
     "pole_average",
     "one_photon_response",
     "G1_SPEC",
@@ -172,7 +176,14 @@ _FactorKey = Union[int, str]
 
 @dataclass(frozen=True)
 class GKernelSpec:
-    """Which xi factors sit over which: indices 1..5, plus 'd' for the determinant."""
+    """Which xi factors sit over which: indices 1..5, plus 'd' for the determinant.
+
+    The named specs below write out the kernels that ``g_integral`` averages
+    by Gauss-Hermite (GH).  They are the written definition and the GH
+    reference of criteria 2-4 and the oracle tests; the solvers evaluate
+    the same kernels fused on the product mesh, and the Ramsey kernels in
+    closed form.
+    """
 
     numerator: tuple
     denominator: tuple
@@ -219,10 +230,13 @@ def g_integral(spec: GKernelSpec, params: ModelParams, fields: FieldConfig,
                grid: QuadratureGrid, rtol: float | None = 1e-7) -> complex:
     """Velocity average of prod(xi_num)/prod(xi_den) against the thermal Gaussian.
 
-    With ``rtol`` set (default 1e-7) the integral is re-evaluated on a grid
-    with doubled node counts; a relative change above rtol raises
-    NonConvergenceError, otherwise the finer value is returned.  ``rtol=None``
-    skips the check and uses the grid as given.
+    This is the Gauss-Hermite (GH) reference of criteria 2-4 and the oracle
+    tests, which hold the fused solver averages and the closed forms
+    (``pole_average``) against it; of the program paths only the k-space
+    filter still averages through it.  With ``rtol`` set (default 1e-7) the
+    integral is re-evaluated on a grid with doubled node counts; a relative
+    change above rtol raises NonConvergenceError, otherwise the finer value
+    is returned.  ``rtol=None`` skips the check and uses the grid as given.
     """
     coarse = _eval_on_grid(spec, params, fields, grid)
     if rtol is None:
@@ -233,36 +247,34 @@ def g_integral(spec: GKernelSpec, params: ModelParams, fields: FieldConfig,
     return fine
 
 
-def faddeeva_oracle(z: complex) -> complex:
-    """Scaled complex complementary error function w(z) on the upper half plane.
-
-    Backed by the published rational/continued-fraction implementation that
-    scipy wraps; accuracy is comfortably beyond 1e-10 there.  The Gaussian
-    average of a simple pole is expressed through this function (see
-    pole_average), which makes it the independent cross-check for the
-    quadrature path.
-    """
-    z = complex(z)
-    if not z.imag > 0:
-        raise ValueError(f"faddeeva_oracle requires Im(z) > 0, got z = {z}")
-    return complex(wofz(z))
-
-
 def pole_average(x: float, q: float, gamma_pos: float) -> complex:
     """Closed form of int F(v)/(x - q v + i gamma_pos) dv for a unit Gaussian F.
 
-    gamma_pos must be > 0.  The result depends on q only through |q| (F is
-    even); q = 0 degenerates to the motionless pole 1/(x + i gamma_pos).
+    With z = (x + i gamma_pos)/(sqrt(2) |q|) this is -i sqrt(pi/2)/|q| w(z),
+    one value of the Faddeeva function w (``scipy.special.wofz``, accurate
+    well beyond 1e-10 on the upper half plane).  gamma_pos must be > 0,
+    which keeps z there.  The result depends on q only through |q| (F is
+    even).  For |q| below 1e-9 |x + i gamma_pos| it is the motionless pole
+    1/(x + i gamma_pos): the Doppler correction, relative q^2/(x + i
+    gamma_pos)^2, is then below double precision, and z could overflow.
     For a multi-axis velocity combination sum_j c_j v_j over independent unit
     Gaussians, pass q = ||c||_2.
     """
     if not gamma_pos > 0:
-        raise ValueError("gamma_pos must be > 0")
+        raise ValueError(f"gamma_pos must be > 0, got {gamma_pos}")
     q = abs(q)
-    if q == 0.0:
-        return 1.0 / (x + 1j * gamma_pos)
-    z = (x + 1j * gamma_pos) / (np.sqrt(2.0) * q)
-    return -1j * np.sqrt(np.pi / 2.0) / q * faddeeva_oracle(z)
+    pole = x + 1j * gamma_pos
+    if q < 1e-9 * abs(pole):
+        return 1.0 / pole
+    z = pole / (np.sqrt(2.0) * q)
+    # a Python complex: callers' complex division then rounds as it always
+    # has (numpy's rounds differently in the last bit)
+    return -1j * np.sqrt(np.pi / 2.0) / q * complex(wofz(z))
+
+
+def _strong_collision(g, gamma_vcc: float):
+    """Strong-collision closure K = iG/(1 - i gamma_vcc G) of a bare thermal average G."""
+    return 1j * g / (1.0 - 1j * gamma_vcc * g)
 
 
 _ONE_PHOTON_SPECS = {2: G_1P, 4: G_3P, 5: G_PUMP}
@@ -276,12 +288,12 @@ def one_photon_response(params: ModelParams, fields: FieldConfig, grid: Quadratu
     probe kernel (G_1P), 4 the three-photon variant (G_3P), 5 the pump-dipole
     absorption kernel (G_PUMP).  In the motionless limit the gamma_vcc
     contributions cancel algebraically and K -> i/(deltap + i*gamma_tilde)
-    for the probe case.  This quadrature form is the reference the tests
-    hold the closed-form kernels of ramsey_diffusion.ramsey_coefficients
-    (built on pole_average) against, and the kernel the exact solve reduces
-    to with the pumps off.
+    for the probe case.  No program path calls this: it is the Gauss-Hermite
+    (GH) reference of criteria 2-4 and the oracle tests, which hold against
+    it the closed-form kernels of ramsey_diffusion.ramsey_coefficients (one
+    ``pole_average`` each) and the exact solve with the pumps off.
     """
     if denominator not in _ONE_PHOTON_SPECS:
         raise ValueError(f"denominator must be one of {sorted(_ONE_PHOTON_SPECS)}, got {denominator}")
     g = g_integral(_ONE_PHOTON_SPECS[denominator], params, fields, grid, rtol=rtol)
-    return 1j * g / (1.0 - 1j * params.gamma_vcc * g)
+    return _strong_collision(g, params.gamma_vcc)

@@ -306,6 +306,19 @@ class TestMainErrors:
         err = capsys.readouterr().err
         assert str(bad) in err and "header has 3 fields, not 4" in err
 
+    def test_profile_with_infinite_spacing_is_rejected(self, tmp_path, capsys):
+        # used to run, and write a manifest whose power_in was Infinity
+        bad = tmp_path / "inf.profile.txt"
+        bad.write_text("2 2 inf 1e-5\n" + "1.0 0.0\n" * 4)
+        out = tmp_path / "beam"
+        rc = main(["beam_filter", "--set", f"profile_in={bad}", "--set", "gamma_vcc=0.025",
+                   "--set", "n_par=400", "--set", "check_convergence=false",
+                   "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and "must be finite and > 0" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["inf.profile.txt"]
+
     def test_config_file_must_be_object(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("[1, 2]")

@@ -24,7 +24,6 @@ def test_gamma_tilde_composition():
     {"branching_A": 1.0},
     {"branching_A": 1.5},
     {"n0": 0.0},
-    {"v_th": -1.0},
 ])
 def test_model_params_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
@@ -32,7 +31,7 @@ def test_model_params_rejects_bad_values(kwargs):
 
 
 @pytest.mark.parametrize("name", ["gamma_sp", "gamma_pcc", "gamma_vcc", "gamma_g",
-                                  "branching_A", "n0", "v_th"])
+                                  "branching_A", "n0"])
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_model_params_rejects_non_finite_values(name, bad):
     with pytest.raises(ValueError, match=f"{name} must be finite"):

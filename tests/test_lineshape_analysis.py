@@ -9,9 +9,11 @@ from hypothesis import given, settings, strategies as st
 from eia.core_model import ModelParams, FieldConfig
 from eia.velocity_integrals import make_grid
 from eia.spectrum_solver import Components, Spectrum, solve_approximate
+from eia import lineshape_analysis
 from eia.lineshape_analysis import (
     LineMetrics,
     PEDESTAL_CONVENTION,
+    _half_crossings,
     _scan_detuning_grid,
     extract_fwhm,
     dicke_fwhm_model,
@@ -87,6 +89,37 @@ class TestExtractFwhm:
     def test_metrics_validation(self):
         with pytest.raises(ValueError):
             LineMetrics(fwhm=0.0, peak_value=1.0, peak_position=0.0, baseline=0.0)
+
+
+class TestHalfCrossings:
+    """Crossings on piecewise-linear spectra, whose interpolant crossings are known."""
+
+    # tent 1 - |x|/2 over a zero baseline: half level 0.5 at x = -1 and x = 1
+    @pytest.mark.parametrize("x, left, right", [
+        ([-2.0, -1.5, -0.75, 0.0, 0.5, 1.25, 2.0], -1.0, 1.0),
+        # crossing on the last segment before the right grid edge
+        ([-2.0, -1.5, -0.75, 0.0, 0.5, 1.25], -1.0, 1.0),
+        # a sample on the level is its own crossing
+        ([-1.5, -1.0, -0.25, 0.0, 0.375, 1.75], -1.0, 1.0),
+    ])
+    def test_tent_crossings(self, x, left, right):
+        x = np.array(x)
+        y = 1.0 - 0.5 * np.abs(x)
+        got_left, got_right, idx, peak = _half_crossings(x, y, 0.0)
+        assert (got_left, got_right, idx, peak) == (left, right, 3, 1.0)
+
+    def test_irregular_asymmetric_line(self, rng):
+        # slopes 1/4 and -3 from a peak 2 above a baseline 0.5: the
+        # interpolant crosses 1.5 at -4 and at 1/3, whatever the sampling;
+        # samples on a 1/1024 lattice keep every y exact
+        x = np.concatenate([rng.choice(np.arange(-8192, 0), 40, replace=False),
+                            [0], rng.choice(np.arange(1, 615), 30, replace=False)])
+        x = np.sort(x) / 1024.0
+        y = 0.5 + np.where(x < 0, 2.0 + 0.25 * x, 2.0 - 3.0 * x)
+        left, right, idx, peak = _half_crossings(x, y, 0.5)
+        assert x[idx] == 0.0 and peak == 2.5
+        assert left == pytest.approx(-4.0, rel=0, abs=1e-15)
+        assert right == pytest.approx(1.0 / 3.0, rel=0, abs=1e-15)
 
 
 class TestFitLorentzian:
@@ -205,6 +238,55 @@ class TestScan:
             assert row.report.method == "approximate"
             assert row.report.n_detunings == (d.size + 1) // 2
 
+    def test_rows_match_the_bisected_crossings(self, monkeypatch):
+        """On the dicke_scan ladder (600x16 transverse nodes) the closed-form
+        crossings agree with bisection of the same interpolant to 1e-6, the
+        tolerance the bisection ran to; heights do not use the crossings."""
+        closed_form, seen = lineshape_analysis._half_crossings, []
+
+        def both(x, y, baseline):
+            got = closed_form(x, y, baseline)
+            seen.append((got, _bisected_half_crossings(x, y, baseline)))
+            return got
+
+        monkeypatch.setattr(lineshape_analysis, "_half_crossings", both)
+        ladder = [i / 500.0 for i in range(11)]
+        rows = scan_delta_q(self.P, replace(self.F, dq_direction="transverse"),
+                            make_grid(600, 16), ladder)
+        # per rung: the sharp component, then the pedestal
+        assert len(seen) == 2 * len(ladder)
+        for (new_l, new_r, new_idx, new_peak), (old_l, old_r, old_idx, old_peak) in seen:
+            assert (new_idx, new_peak) == (old_idx, old_peak)
+            assert abs((new_r - new_l) - (old_r - old_l)) <= 1e-6
+        widths = [r - l for (l, r, _, _), _ in seen]
+        assert widths == [w for row in rows for w in (row.fwhm, row.pedestal_fwhm)]
+
     def test_convention_constant_is_stable(self):
         # CLI metadata depends on this exact string
         assert PEDESTAL_CONVENTION == "fwhm_of_pedestal_component"
+
+
+def _bisected_half_crossings(x, y, baseline, tol=1e-6):
+    """The crossings by bisection of the linear interpolant down to tol, as
+    extract_fwhm once took them."""
+    idx = int(np.argmax(y))
+    peak = float(y[idx])
+    level = baseline + 0.5 * (peak - baseline)
+
+    def bisect(j):
+        lo, hi = float(x[j]), float(x[j + 1])
+        flo = np.interp(lo, x, y) - level
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            fm = np.interp(mid, x, y) - level
+            if (flo <= 0) == (fm <= 0):
+                lo, flo = mid, fm
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    left = next(bisect(j) for j in range(idx - 1, -1, -1)
+                if (y[j] - level) * (y[j + 1] - level) <= 0 and y[j] <= level)
+    right = next(bisect(j) for j in range(idx, y.size - 1)
+                 if (y[j] - level) * (y[j + 1] - level) <= 0 and y[j + 1] <= level)
+    return left, right, idx, peak

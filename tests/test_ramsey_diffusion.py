@@ -62,6 +62,15 @@ class TestConfig:
         with pytest.raises(ValueError, match="temperature"):
             config(temperature=-10.0)
 
+    @pytest.mark.parametrize("field", ["half_width_a", "temperature", "wavelength",
+                                       "mass", "gamma_sp_si"])
+    def test_rejects_infinite_si_input(self, field):
+        # each used to fail later, or not at all: a misleading qp_vth error, the
+        # motionless kernel, a ZeroDivisionError or a NaN response
+        kw = {"half_width_a": 5e-3, field: float("inf")}
+        with pytest.raises(ValueError, match=f"{field} must be finite and > 0"):
+            RamseyConfig(params=P, fields=F, **kw)
+
     def test_zero_qp_uses_the_bridge(self):
         cfg = RamseyConfig(params=P, fields=replace(F, qp_vth=0.0),
                            half_width_a=5e-3)
@@ -119,7 +128,7 @@ class TestClosedFormKernels:
         for dp in (0.0, 0.003, -2.0, 7.5):
             co = ramsey_coefficients(cfg, dp)
             fields = cfg.effective_fields(dp)
-            for got, denominator in ((co.k_1p, 2), (co.k_3p, 4), (co.k_pump, 5)):
+            for got, denominator in ((co.k_1p, 2), (co.k_1p, 4), (co.k_pump, 5)):
                 ref = one_photon_response(params, fields, grid, denominator=denominator)
                 assert got == pytest.approx(ref, rel=1e-9), (dp, denominator)
 

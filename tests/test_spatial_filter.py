@@ -258,6 +258,30 @@ class TestProfileIO:
             load_profile(path, fmt="binary")
         assert str(path) in str(exc.value)
 
+    @pytest.mark.parametrize("bad", ["inf", "nan"])
+    def test_text_header_non_finite_spacing_names_the_file(self, bad, tmp_path):
+        path = tmp_path / "head.txt"
+        path.write_text(f"2 2 {bad} 1e-5\n" + "1.0 0.0\n" * 4)
+        with pytest.raises(ValueError, match="spacings .* must be finite and > 0") as exc:
+            load_profile(path, fmt="text")
+        assert str(path) in str(exc.value)
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_binary_header_non_finite_spacing_names_the_file(self, bad, tmp_path):
+        path = tmp_path / "head.bin"
+        save_profile(TransverseProfile(samples=np.ones((2, 2), complex), extent=(1.0, 1.0)),
+                     path, fmt="binary")
+        raw = path.read_bytes()
+        path.write_bytes(raw[:24] + struct.pack("<d", bad) + raw[32:])
+        with pytest.raises(ValueError, match="spacings .* must be finite and > 0") as exc:
+            load_profile(path, fmt="binary")
+        assert str(path) in str(exc.value)
+
+    def test_profile_extent_must_be_finite(self):
+        for extent in ((np.inf, 1.0), (1.0, np.nan)):
+            with pytest.raises(ValueError, match="extent must be finite"):
+                TransverseProfile(samples=np.ones((2, 2), complex), extent=extent)
+
     def test_text_header_non_integer_size_names_the_file(self, tmp_path):
         path = tmp_path / "head.txt"
         path.write_text("2 x 0.1 0.1\n" + "1.0 0.0\n" * 4)

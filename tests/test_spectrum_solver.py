@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from eia.core_model import ModelParams, FieldConfig, xi_set, toc_determinant
 from eia.velocity_integrals import (
     G1_SPEC, G2_SPEC, G3_SPEC, G4_SPEC, G5_SPEC,
-    NonConvergenceError, _product_mesh, g_integral, make_grid, one_photon_response,
-    velocity_mesh,
+    NonConvergenceError, _product_mesh, _strong_collision, g_integral, make_grid,
+    one_photon_response, pole_average, velocity_mesh,
 )
 from eia.cli_runner import _ramsey_detuning_grid, parse_config
 from eia.lineshape_analysis import _scan_detuning_grid, dicke_fwhm_model
@@ -307,6 +307,49 @@ class TestExactSolver:
         b, _ = solve_exact(fig2_params, replace(fig2_fields, vp=0.003), grid, dgrid,
                            check_convergence=False)
         assert np.abs(a.response - b.response).max() < 1e-12 * np.abs(a.response).max()
+
+
+@settings(max_examples=40, deadline=None)
+@given(gpcc=st.floats(0.0, 5.0), gvcc=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+       gg=st.floats(1e-3, 0.1), frac=st.floats(0.0, 1.0),
+       pos=st.lists(st.floats(0.0, 5.0), min_size=1, max_size=4))
+def test_pump_off_exact_response_is_the_closed_form_kernel(gpcc, gvcc, gg, frac, pos):
+    """Pumps off, matched wave vectors: the exact route reduces to i K, with
+    K the strong-collision closure of one pole_average.  qp_vth at most the
+    pole's width keeps 200 Gauss-Hermite nodes converged to 1e-9."""
+    p = ModelParams(gamma_pcc=gpcc, gamma_vcc=gvcc, gamma_g=gg)
+    width = p.gamma_tilde + gvcc
+    f = FieldConfig(v1=0.0, v2=0.0, vp=1e-3, qp_vth=frac * width, dq_vth=0.0,
+                    dq_direction="collinear")
+    dgrid = np.unique(np.concatenate([-np.array(pos), pos]))
+    sp, rep = solve_exact(p, f, make_grid(200, 1), dgrid, conv_rtol=1e-9)
+    assert rep.converged
+    want = np.array([1j * _strong_collision(pole_average(dp, f.qp_vth, width), gvcc)
+                     for dp in dgrid])
+    assert np.all(np.abs(sp.response - want) <= 1e-10 * np.abs(want))
+
+
+@settings(max_examples=30, deadline=None)
+@given(gpcc=st.floats(0.05, 5.0), gvcc=st.floats(0.0, 0.5), gg=st.floats(1e-3, 0.1),
+       qp=st.floats(0.0, 40.0), dq=st.floats(0.0, 2.0),
+       geometry=st.sampled_from(["transverse", "collinear"]), b=st.integers(0, 1),
+       v1=st.floats(-0.5, 0.5), v2=st.floats(-0.5, 0.5),
+       scale=st.floats(0.1, 10.0), phase=st.floats(-np.pi, np.pi))
+def test_exact_response_does_not_depend_on_the_probe(gpcc, gvcc, gg, qp, dq, geometry,
+                                                     b, v1, v2, scale, phase):
+    """The response is normalized by n0 Vp and linear in Vp, so rescaling
+    Vp by any complex factor leaves it unchanged."""
+    p = ModelParams(gamma_pcc=gpcc, gamma_vcc=gvcc, gamma_g=gg, b=b)
+    dgrid = np.array([-1.0, -0.1, 0.0, 0.03, 0.7])
+    grid = make_grid(40, 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # weak pumps against vp
+        f = FieldConfig(v1=v1, v2=v2, vp=1e-3, qp_vth=qp, dq_vth=dq,
+                        dq_direction=geometry)
+        a, _ = solve_exact(p, f, grid, dgrid, check_convergence=False)
+        c, _ = solve_exact(p, replace(f, vp=1e-3 * scale * np.exp(1j * phase)), grid,
+                           dgrid, check_convergence=False)
+    assert np.abs(a.response - c.response).max() <= 1e-12 * np.abs(a.response).max()
 
 
 class TestFactoredSolver:

@@ -11,15 +11,14 @@ from eia.velocity_integrals import (
     make_grid,
     velocity_mesh,
     g_integral,
-    faddeeva_oracle,
     pole_average,
     one_photon_response,
     G1_SPEC, G2_SPEC, G3_SPEC, G4_SPEC, G5_SPEC, G_1P, G_3P, G_PUMP,
 )
 
 
-# frozen 50-digit arbitrary-precision values of w(z); the scipy-backed oracle
-# must sit on them to well beyond its 1e-10 contract
+# frozen 50-digit arbitrary-precision values of w(z); the scipy-backed closed
+# form must sit on them to well beyond its 1e-10 contract
 FADDEEVA_GOLDENS = {
     1j: 0.427583576155807 + 0j,
     0.5 + 1.0j: 0.3912340214521361 + 0.127202410884648j,
@@ -28,22 +27,24 @@ FADDEEVA_GOLDENS = {
 }
 
 
-def test_faddeeva_oracle_matches_frozen_values():
+def test_pole_average_matches_frozen_faddeeva_values():
+    # with q = 1/sqrt(2), x = Re z and gamma_pos = Im z the average is
+    # -i sqrt(pi) w(z)
     for z, ref in FADDEEVA_GOLDENS.items():
-        got = faddeeva_oracle(z)
-        assert got == pytest.approx(ref, rel=1e-12, abs=1e-15)
-
-
-def test_faddeeva_oracle_rejects_lower_half_plane():
-    with pytest.raises(ValueError, match="Im"):
-        faddeeva_oracle(1.0 - 0.1j)
-    with pytest.raises(ValueError):
-        faddeeva_oracle(2.0)  # real axis excluded too
+        got = pole_average(z.real, 1.0 / np.sqrt(2.0), z.imag)
+        assert got == pytest.approx(-1j * np.sqrt(np.pi) * ref, rel=1e-12, abs=1e-15)
 
 
 class TestPoleAverage:
     def test_motionless_limit(self):
         assert pole_average(0.3, 0.0, 2.5) == pytest.approx(1.0 / (0.3 + 2.5j))
+        # a subnormal q used to overflow z into a NaN
+        assert pole_average(0.3, 5e-324, 2.5) == 1.0 / (0.3 + 2.5j)
+        # the Doppler correction is relative q^2/(x + i gamma)^2 on either side
+        # of the switch to the motionless pole
+        for q in (2e-9, 1e-6):
+            assert pole_average(0.3, q, 2.5) == pytest.approx(1.0 / (0.3 + 2.5j),
+                                                              rel=2 * q**2 / 2.5**2 + 1e-15)
 
     def test_sign_of_q_is_irrelevant(self):
         assert pole_average(1.0, 3.0, 0.5) == pole_average(1.0, -3.0, 0.5)
@@ -51,6 +52,8 @@ class TestPoleAverage:
     def test_requires_positive_width(self):
         with pytest.raises(ValueError):
             pole_average(0.0, 1.0, 0.0)
+        with pytest.raises(ValueError, match="gamma_pos"):
+            pole_average(1.0, 1.0, -0.1)  # a pole on the lower half plane
 
     def test_imaginary_part_is_negative(self):
         # Im 1/(x - qv + i gamma) < 0 pointwise, so the average inherits it
