@@ -307,7 +307,7 @@ class TestMainErrors:
         assert str(bad) in err and "header has 3 fields, not 4" in err
 
     def test_profile_with_infinite_spacing_is_rejected(self, tmp_path, capsys):
-        # used to run, and write a manifest whose power_in was Infinity
+        # an infinite spacing makes the beam power infinite, which JSON cannot hold
         bad = tmp_path / "inf.profile.txt"
         bad.write_text("2 2 inf 1e-5\n" + "1.0 0.0\n" * 4)
         out = tmp_path / "beam"

@@ -267,8 +267,7 @@ class TestScan:
 
 
 def _bisected_half_crossings(x, y, baseline, tol=1e-6):
-    """The crossings by bisection of the linear interpolant down to tol, as
-    extract_fwhm once took them."""
+    """Reference crossings: bisection of the linear interpolant down to tol."""
     idx = int(np.argmax(y))
     peak = float(y[idx])
     level = baseline + 0.5 * (peak - baseline)

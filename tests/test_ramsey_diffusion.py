@@ -65,8 +65,8 @@ class TestConfig:
     @pytest.mark.parametrize("field", ["half_width_a", "temperature", "wavelength",
                                        "mass", "gamma_sp_si"])
     def test_rejects_infinite_si_input(self, field):
-        # each used to fail later, or not at all: a misleading qp_vth error, the
-        # motionless kernel, a ZeroDivisionError or a NaN response
+        # past this check an infinite input fails with another field's name, a
+        # ZeroDivisionError or a NaN response, or silently gives the motionless kernel
         kw = {"half_width_a": 5e-3, field: float("inf")}
         with pytest.raises(ValueError, match=f"{field} must be finite and > 0"):
             RamseyConfig(params=P, fields=F, **kw)

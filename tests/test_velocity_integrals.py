@@ -38,7 +38,7 @@ def test_pole_average_matches_frozen_faddeeva_values():
 class TestPoleAverage:
     def test_motionless_limit(self):
         assert pole_average(0.3, 0.0, 2.5) == pytest.approx(1.0 / (0.3 + 2.5j))
-        # a subnormal q used to overflow z into a NaN
+        # z = (x + i gamma)/(sqrt(2) q) overflows for a subnormal q
         assert pole_average(0.3, 5e-324, 2.5) == 1.0 / (0.3 + 2.5j)
         # the Doppler correction is relative q^2/(x + i gamma)^2 on either side
         # of the switch to the motionless pole
