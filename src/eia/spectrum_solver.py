@@ -101,8 +101,10 @@ class SolveReport:
 
     n_detunings counts the detunings the solver evaluated: for a spectrum
     filled in by reflection (``_solve_mirrored``) that is the half with
-    detuning >= 0, not the length of the returned grid.  notes holds the
-    doubling-check change when the check ran.
+    detuning >= 0, not the length of the returned grid, and for a
+    ``scan_delta_q`` rung it is the sum over the rung's solver calls, about
+    290 of the 1300 detunings >= 0.  notes holds the doubling-check change
+    when the check ran, and a scan rung's fallback to all detunings >= 0.
     """
 
     method: str
@@ -343,22 +345,31 @@ def solve_approximate(params: ModelParams, fields: FieldConfig, grid: Quadrature
     return Spectrum.from_response(detunings, *runs[-1]), report
 
 
+def _mirror_symmetric(fields: FieldConfig, detunings: np.ndarray) -> bool:
+    """Whether response(-delta) = -conj(response(delta)) fills in the grid.
+
+    With delta1 = delta2 = 0 and a real v1 conj(v2), negating the detuning
+    and the velocity maps each xi to -conj(xi) and xi_d to conj(xi_d); the
+    Gauss-Hermite nodes are symmetric, so the identity holds for the response
+    and for each component.  The grid must be symmetric about 0.
+    """
+    return bool(fields.delta1 == fields.delta2 == 0
+                and (fields.v1 * np.conj(fields.v2)).imag == 0
+                and np.array_equal(detunings, -detunings[::-1]))
+
+
 def _solve_mirrored(solver, params: ModelParams, fields: FieldConfig,
                     grid: QuadratureGrid, detuning_grid, **kwargs):
     """``solver`` (``solve_exact`` or ``solve_approximate``) on a grid
     symmetric about 0, evaluating only the detunings >= 0 when it may.
 
-    With delta1 = delta2 = 0 and a real v1 conj(v2), negating the detuning
-    and the velocity maps each xi to -conj(xi) and xi_d to conj(xi_d); the
-    Gauss-Hermite nodes are symmetric, so response(-delta) =
-    -conj(response(delta)), and likewise each component.  The negative half
-    is filled in from that identity.  If any condition fails this is the
-    plain solver call.  The report's n_detunings counts the detunings solved.
+    The negative half is filled in from response(-delta) =
+    -conj(response(delta)) when ``_mirror_symmetric`` holds; otherwise this
+    is the plain solver call.  The report's n_detunings counts the detunings
+    solved.
     """
     d = np.asarray(detuning_grid, dtype=float)
-    if not (fields.delta1 == fields.delta2 == 0
-            and (fields.v1 * np.conj(fields.v2)).imag == 0
-            and np.array_equal(d, -d[::-1])):
+    if not _mirror_symmetric(fields, d):
         return solver(params, fields, grid, detuning_grid, **kwargs)
     spectrum, report = solver(params, fields, grid, d[d.size // 2:], **kwargs)
     odd = d.size % 2  # an odd grid holds 0 once: do not mirror it

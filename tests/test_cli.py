@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from eia.cli_runner import PRESETS, SCENARIOS, expand_target, main, parse_config
-from eia.lineshape_analysis import _scan_detuning_grid
+from eia import lineshape_analysis
 from eia.spatial_filter import load_profile
 from eia.spectrum_solver import solve_approximate
 
@@ -252,7 +252,14 @@ class TestMainRuns:
             assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
         assert read_manifest(out)["report"]["n_detunings"] == (d.size + 1) // 2
 
-    def test_fwhm_scan_manifest_reports_each_rung(self, tmp_path):
+    def test_fwhm_scan_manifest_reports_each_rung(self, tmp_path, monkeypatch):
+        solved = {}
+
+        def counting(params, fields, grid, detuning_grid, **kwargs):
+            solved[fields.dq_vth] = solved.get(fields.dq_vth, 0) + len(detuning_grid)
+            return solve_approximate(params, fields, grid, detuning_grid, **kwargs)
+
+        monkeypatch.setattr(lineshape_analysis, "solve_approximate", counting)
         out = tmp_path / "scan"
         rc = main(["fwhm_scan", "--set", "gamma_pcc=1", "--set", "gamma_vcc=0.1",
                    "--set", "gamma_g=0.001", "--set", "dq_ladder=[0, 0.01, 0.02]",
@@ -260,9 +267,8 @@ class TestMainRuns:
                    "--set", "check_convergence=false", "--out", str(out)])
         assert rc == 0
         report = read_manifest(out)["report"]
-        params = parse_config("fwhm_scan", {"gamma_vcc": 0.1, "gamma_g": 0.001}).model_params()
         assert [r["n_detunings"] for r in report["reports"]] == \
-            [(_scan_detuning_grid(params, dq).size + 1) // 2 for dq in (0.0, 0.01, 0.02)]
+            [solved[dq] for dq in (0.0, 0.01, 0.02)]
         assert all(r["method"] == "approximate" and r["n_par"] == 300
                    for r in report["reports"])
 

@@ -1,5 +1,7 @@
 """Width extraction, Lorentzian fitting, and the narrowing-law model."""
 
+import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from eia.core_model import ModelParams, FieldConfig
 from eia.velocity_integrals import make_grid
-from eia.spectrum_solver import Components, Spectrum, solve_approximate
+from eia.spectrum_solver import Components, SolveReport, Spectrum, solve_approximate
 from eia import lineshape_analysis
 from eia.lineshape_analysis import (
     LineMetrics,
@@ -196,6 +198,17 @@ class TestDickeModel:
         with pytest.raises(ValueError):
             dicke_fwhm_model(0.1, -0.1)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("gamma_vcc, v_th_dq, name", [
+        (np.inf, 0.01, "gamma_vcc"),
+        (0.1, float("nan"), "v_th_dq"),
+        (0.1, float("inf"), "v_th_dq"),
+        (0.1, np.array([0.0, np.nan, 0.02]), "v_th_dq"),
+    ])
+    def test_rejects_non_finite_input(self, gamma_vcc, v_th_dq, name):
+        with pytest.raises(ValueError, match=name):
+            dicke_fwhm_model(gamma_vcc, v_th_dq)
+
 
 class TestScan:
     P = ModelParams(gamma_pcc=1.0, gamma_vcc=0.1, gamma_g=0.001)
@@ -211,6 +224,19 @@ class TestScan:
         with pytest.raises(ValueError):
             scan_delta_q(self.P, self.F, g, [0.2, 0.1])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_rung_rejected_before_any_solve(self, bad, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve_approximate(*args, **kwargs)
+
+        monkeypatch.setattr(lineshape_analysis, "solve_approximate", counting)
+        with pytest.raises(ValueError, match="dq_ladder entries must be finite"):
+            scan_delta_q(self.P, self.F, make_grid(10, 1), [0.0, bad])
+        assert calls == []
+
     def test_rows_carry_the_ladder_and_positive_metrics(self):
         rows = scan_delta_q(self.P, self.F, make_grid(300, 1), [0.0, 0.01])
         assert [r.dq_vth for r in rows] == [0.0, 0.01]
@@ -220,11 +246,13 @@ class TestScan:
             assert r.pedestal_fwhm > 0
 
     @pytest.mark.parametrize("geometry, n_res", [("collinear", 1), ("transverse", 8)])
-    def test_rows_match_full_grid_solves(self, geometry, n_res):
-        """Each rung solves its detunings >= 0 and reflects them; its row
-        equals the row of the solver's own full-grid spectrum."""
+    def test_rows_match_full_grid_solves(self, geometry, n_res, monkeypatch):
+        """Each rung solves part of its detunings >= 0; its row equals the
+        row of the solver's own full-grid spectrum."""
         f, grid = replace(self.F, dq_direction=geometry), make_grid(300, n_res)
+        solved = _count_solved(monkeypatch)
         rows = scan_delta_q(self.P, f, grid, [0.0, 0.01])
+        monkeypatch.undo()
         for row in rows:
             d = _scan_detuning_grid(self.P, row.dq_vth)
             sp, _ = solve_approximate(self.P, replace(f, dq_vth=row.dq_vth), grid, d,
@@ -236,7 +264,7 @@ class TestScan:
                                                         rel=1e-12)
             assert row.pedestal_fwhm == pytest.approx(ped.fwhm, rel=1e-12)
             assert row.report.method == "approximate"
-            assert row.report.n_detunings == (d.size + 1) // 2
+            assert row.report.n_detunings == sum(solved[row.dq_vth])
 
     def test_rows_match_the_bisected_crossings(self, monkeypatch):
         """On the dicke_scan ladder (600x16 transverse nodes) the closed-form
@@ -264,6 +292,174 @@ class TestScan:
     def test_convention_constant_is_stable(self):
         # CLI metadata depends on this exact string
         assert PEDESTAL_CONVENTION == "fwhm_of_pedestal_component"
+
+
+def _count_solved(monkeypatch):
+    """Record how many detunings each solve_approximate call of a scan gets,
+    keyed by the rung's dq_vth."""
+    solved = {}
+
+    def counting(params, fields, grid, detuning_grid, **kwargs):
+        solved.setdefault(fields.dq_vth, []).append(len(detuning_grid))
+        return solve_approximate(params, fields, grid, detuning_grid, **kwargs)
+
+    monkeypatch.setattr(lineshape_analysis, "solve_approximate", counting)
+    return solved
+
+
+def _full_grid_metrics(params, fields, grid, check_convergence=False):
+    """The rung's sharp and pedestal metrics from one solve of its whole grid."""
+    d = _scan_detuning_grid(params, fields.dq_vth)
+    sp, report = solve_approximate(params, fields, grid, d, check_convergence=check_convergence)
+    return (extract_fwhm(sp, feature="sharp_peak_component"),
+            extract_fwhm(sp, feature="pedestal_component"), report)
+
+
+def _assert_row_matches(row, params, fields, grid, check_convergence=False):
+    sharp, ped, report = _full_grid_metrics(params, replace(fields, dq_vth=row.dq_vth),
+                                            grid, check_convergence)
+    assert row.fwhm == pytest.approx(sharp.fwhm, rel=1e-12, abs=0)
+    assert row.peak_absorption == pytest.approx(sharp.peak_value - sharp.baseline,
+                                                rel=1e-12, abs=0)
+    assert row.pedestal_fwhm == pytest.approx(ped.fwhm, rel=1e-12, abs=0)
+    return sharp, ped, report
+
+
+class TestScanRung:
+    """Each rung solves a coarse subset of its detunings >= 0 plus the two
+    half-level brackets, and its row is the whole grid's row."""
+
+    P = TestScan.P
+    F = replace(TestScan.F, dq_direction="transverse")
+    DICKE_LADDER = [i / 500.0 for i in range(11)]
+
+    def test_two_solves_per_rung_on_the_dicke_ladder(self, monkeypatch):
+        solved = _count_solved(monkeypatch)
+        rows = scan_delta_q(self.P, self.F, make_grid(600, 16), self.DICKE_LADDER)
+        for row in rows:
+            assert len(solved[row.dq_vth]) == 2
+            assert row.report.n_detunings == sum(solved[row.dq_vth]) <= 300
+            assert row.report.notes == ""
+
+    @pytest.mark.slow
+    def test_dicke_ladder_rows_match_the_full_grid(self):
+        grid = make_grid(600, 16)
+        for row in scan_delta_q(self.P, self.F, grid, self.DICKE_LADDER):
+            sharp, _, _ = _assert_row_matches(row, self.P, self.F, grid)
+            assert row.peak_absorption == sharp.peak_value - sharp.baseline
+
+    @pytest.mark.slow
+    def test_criterion_6_ladder_rows_match_the_full_grid(self):
+        a = np.sqrt(2.0 / np.log(2.0))
+        ladder = [x * self.P.gamma_vcc / a for x in (0.5, 1.0, 2.0, 3.5, 5.0)]
+        grid = make_grid(600, 8)
+        for row in scan_delta_q(self.P, self.F, grid, ladder):
+            _assert_row_matches(row, self.P, self.F, grid)
+
+    def test_collinear_rows_match_the_full_grid(self):
+        f, grid = replace(self.F, dq_direction="collinear"), make_grid(300, 1)
+        for row in scan_delta_q(self.P, f, grid, [0.0, 0.01, 0.05]):
+            _assert_row_matches(row, self.P, f, grid)
+
+    def test_doubling_check_rows_match_the_full_grid(self, monkeypatch):
+        # a small Doppler scale, so that 40 nodes pass the check at rtol 1e-6
+        f, grid = replace(self.F, qp_vth=1.0, dq_direction="collinear"), make_grid(40, 1)
+        calls = {}
+
+        def recording(*args, **kwargs):
+            out = solve_approximate(*args, **kwargs)
+            calls.setdefault(args[1].dq_vth, []).append(out[1])
+            return out
+
+        monkeypatch.setattr(lineshape_analysis, "solve_approximate", recording)
+        rows = scan_delta_q(self.P, f, grid, [0.0, 0.01], check_convergence=True)
+        monkeypatch.undo()
+        change = re.compile(r"doubling check rel change ([0-9.e+-]+)")
+        for row in rows:
+            _, _, report = _assert_row_matches(row, self.P, f, grid, check_convergence=True)
+            reports = calls[row.dq_vth]
+            assert len(reports) == 2 and row.report.converged is True
+            assert row.report.n_detunings == sum(r.n_detunings for r in reports)
+            # the largest change of the rung's calls, in the solver's format
+            assert float(change.fullmatch(row.report.notes).group(1)) == \
+                max(float(change.fullmatch(r.notes).group(1)) for r in reports) <= 1e-6
+            assert change.fullmatch(report.notes)
+
+    def test_falls_back_when_the_mirror_conditions_fail(self, monkeypatch):
+        grid = make_grid(60, 2)
+        for f in (replace(self.F, delta1=0.01), replace(self.F, v1=0.0816j)):
+            solved = _count_solved(monkeypatch)
+            row, = scan_delta_q(self.P, f, grid, [0.01])
+            monkeypatch.undo()
+            _assert_row_matches(row, self.P, f, grid)
+            assert solved[0.01] == [_scan_detuning_grid(self.P, 0.01).size]
+            assert row.report.n_detunings == solved[0.01][0]
+            assert row.report.notes == "fallback: mirror conditions fail"
+
+    def test_falls_back_on_an_off_center_maximum(self, monkeypatch):
+        # at these rates a coarse sample reaches the line-center value
+        p = ModelParams(gamma_pcc=0.24, gamma_vcc=0.0016, gamma_g=0.005)
+        grid = make_grid(51, 2)
+        solved = _count_solved(monkeypatch)
+        row, = scan_delta_q(p, self.F, grid, [0.155])
+        monkeypatch.undo()
+        _assert_row_matches(row, p, self.F, grid)
+        # the coarse call, then the whole half grid
+        n_half = (_scan_detuning_grid(p, 0.155).size + 1) // 2
+        assert len(solved[0.155]) == 2 and solved[0.155][1] == n_half
+        assert row.report.n_detunings == sum(solved[0.155])
+        assert row.report.notes == \
+            "fallback: an off-center sample reaches the line-center value"
+
+    def test_line_wider_than_the_grid_is_still_bracketed(self, monkeypatch):
+        """A sharp line far wider than the grid is still crossed between
+        coarse samples: the coarse call solves the outer 5% whole, and they
+        average to the baseline, so one is at or below the level.  Synthetic
+        even components stand in for the solver."""
+        calls = []
+
+        def synthetic(params, fields, grid, detuning_grid, **kwargs):
+            x = np.asarray(detuning_grid, dtype=float)
+            calls.append(x.size)
+            sharp, ped = 1j / (1.0 + (x / 50.0) ** 2), 1j / (1.0 + (x / 0.3) ** 2)
+            parts = Components(np.zeros_like(sharp), ped, sharp)
+            return (Spectrum.from_response(x, sharp + ped, parts),
+                    SolveReport("approximate", grid.n_par, grid.n_res, x.size, 0.0))
+
+        monkeypatch.setattr(lineshape_analysis, "solve_approximate", synthetic)
+        row, = scan_delta_q(self.P, self.F, make_grid(10, 1), [0.01])
+        d = _scan_detuning_grid(self.P, 0.01)
+        want, _ = synthetic(None, None, make_grid(10, 1), d)
+        sharp = extract_fwhm(want, feature="sharp_peak_component")
+        assert row.fwhm == sharp.fwhm > d[-1]
+        assert row.peak_absorption == sharp.peak_value - sharp.baseline
+        assert row.pedestal_fwhm == extract_fwhm(want, feature="pedestal_component").fwhm
+        assert row.report.n_detunings == sum(calls[:-1]) <= 300
+        assert row.report.notes == ""
+
+
+@settings(max_examples=40, deadline=None)
+@given(gamma_pcc=st.floats(0.1, 10.0), gamma_vcc=st.floats(1e-3, 0.3),
+       gamma_g=st.floats(1e-4, 1e-2), dq=st.one_of(st.just(0.0), st.floats(1e-3, 0.3)),
+       geometry=st.sampled_from(["collinear", "transverse"]),
+       n_par=st.integers(20, 80), n_res=st.integers(1, 4))
+def test_rung_row_is_the_full_grid_row(gamma_pcc, gamma_vcc, gamma_g, dq, geometry,
+                                       n_par, n_res):
+    """Over random rates and mismatches: the rung's row is the full-grid row
+    to rel 1e-12, or both raise the same error."""
+    p = ModelParams(gamma_pcc=gamma_pcc, gamma_vcc=gamma_vcc, gamma_g=gamma_g)
+    f = replace(TestScan.F, dq_direction=geometry, dq_vth=dq)
+    grid = make_grid(n_par, n_res)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # gamma_vcc may leave the factored regime
+        try:
+            row, = scan_delta_q(p, f, grid, [dq])
+        except (RuntimeError, ValueError) as exc:
+            with pytest.raises(type(exc)) as full:
+                _full_grid_metrics(p, f, grid)
+            assert str(full.value) == str(exc)
+            return
+        _assert_row_matches(row, p, f, grid)
 
 
 def _bisected_half_crossings(x, y, baseline, tol=1e-6):
