@@ -2,10 +2,10 @@
 
 Three routes to R_{e1g2}/(n0 Vp):
 
-* ``solve_exact`` eliminates the per-velocity 4x4 coherence system down to one
-  scalar pivot per node, xi_d / (xi2 xi3 xi4), and closes the strong-collision
-  velocity-changing terms self-consistently on the four velocity-integrated
-  densities.
+* ``solve_exact`` averages each velocity node's 4x4 coherence inverse as
+  adj(M)/xi_d, 13 thermal averages of xi-products over xi_d, and closes the
+  strong-collision velocity-changing terms self-consistently on the four
+  velocity-integrated densities.
 * ``solve_approximate`` evaluates the factored response built from the five
   named thermal averages G1..G5, including its three-way split into one-photon
   background, pump-broadened pedestal, and the sharp collision-induced peak.
@@ -146,8 +146,7 @@ def _mirrored_grid(span, n_uniform, log_points=None):
     return np.concatenate([-pos[:0:-1], pos])
 
 
-# Mesh elements (detunings x velocity nodes) per chunk: each full-size
-# temporary stays near 0.5 MB, and larger chunks measured slower on both routes.
+# Detunings x velocity nodes per chunk (~0.5 MB a temporary); 15k and 60k measured slower.
 _CHUNK_ELEMENTS = 30_000
 
 
@@ -202,50 +201,49 @@ def _exact_response_on_mesh(params, fields, detunings, v_par, v_res, w):
     xi0 = xi_set(params, fields, v_par, v_res)
     r5 = -1j * cv2 * params.n0 * _strong_collision(np.sum(w / xi0.xi5), gvcc)
     src3_row = -vp * (1j * gvcc * r5 + cv2 * params.n0) / xi0.xi5
-    w_src = (w * src3_row).ravel()
-    w_nodes = w.ravel()
 
-    response = np.empty(detunings.size, dtype=complex)
-    conds = np.empty(detunings.size, dtype=float)
-    eye = np.eye(4, dtype=complex)
+    # Per node the system M x = r reads
+    #   xi1 x0 + conj(v1) x1 - toc x2 - v2 x3 = r0
+    #   v1 x0 + xi2 x1 = r1
+    #   -conj(v2) x1 + xi3 x2 + v1 x3 = r2
+    #   -conj(v2) x0 + xi4 x3 = r3
+    # det M = xi_d, and adj(M) entries sum products m of distinct xi's with constant
+    # coefficients: the node sums of M^-1 = adj(M)/xi_d take 13 averages a_m = <m/xi_d>,
+    # and the probe source (0, -vp n0, src3_row, 0) four more, b_m = <src3_row m/xi_d>.
+    avg = np.empty((17, detunings.size), dtype=complex)
     for chunk, xi in _mesh_chunks(params, fields, detunings, v_par, v_res, w):
-        xd = toc_determinant(xi, params, fields)
-        m = xd.shape[0]
-        # Per node the system M x = r reads
-        #   xi1 x0 + conj(v1) x1 - toc x2 - v2 x3 = r0
-        #   v1 x0 + xi2 x1 = r1
-        #   -conj(v2) x1 + xi3 x2 + v1 x3 = r2
-        #   -conj(v2) x0 + xi4 x3 = r3
-        # Rows 1-3 give x1, x3 and x2 from x0; row 0 then leaves
-        #   s x0 = r0 + p1 r1 + p2 r2 + p3 r3,  s = xi_d / (xi2 xi3 xi4).
-        # xi2..xi4 have imaginary parts >= gamma_sp/2, so only xi_d can vanish.
-        i2, i3, i4 = 1.0 / xi.xi2, 1.0 / xi.xi3, 1.0 / xi.xi4
-        # one-axis inverses made full-size: broadcast complex products run ~1.5x slower
-        i2, i3 = (np.ascontiguousarray(np.broadcast_to(i, xd.shape)) for i in (i2, i3))
-        inv_s = 1.0 / (xd * i2 * i3 * i4)
-        p = (1.0, (toc * cv2 * i3 - cv1) * i2, toc * i3, (v2 - toc * v1 * i3) * i4)
+        # Products with xi2 and xi4, which span the whole mesh, are built in place and reduced
+        # at once along the axes where xi1 and xi3 are constant; _mesh_sum applies those two.
+        along = tuple(ax for ax in (1, 2) if xi.xi1.shape[ax] == 1)
 
-        # column j of M^-1 is the solution for r = e_j
-        Aw = np.empty((m, 4, 4), dtype=complex)
-        for j, r in enumerate(eye):
-            x0 = p[j] * inv_s
-            x1 = (r[1] - v1 * x0) * i2
-            x3 = (r[3] + cv2 * x0) * i4
-            x2 = (r[2] + cv2 * x1 - v1 * x3) * i3
-            X = [x.reshape(m, -1) for x in (x0, x1, x2, x3)]
-            for i, x in enumerate(X):
-                Aw[:, i, j] = x @ w_nodes
-            if j == 2:
-                # the probe source (0, -vp n0, src3_row, 0) combines columns 1 and 2
-                bw = np.stack([x @ w_src for x in X], axis=1)
-        bw -= vp * params.n0 * Aw[:, :, 1]
-        dens = eye[None, :, :] - 1j * gvcc * Aw
-        _name_bad_detuning("exact solve: non-finite density system", detunings[chunk],
-                           np.isfinite(dens).all(axis=(1, 2)) & np.isfinite(bw).all(axis=1))
-        R = np.linalg.solve(dens, bw[..., None])[..., 0]
-        conds[chunk] = np.linalg.cond(dens)
-        response[chunk] = R[:, 1] / (params.n0 * vp)
-    return response, conds
+        def part(x):
+            return x.sum(axis=along, keepdims=True)
+        inv = w / toc_determinant(xi, params, fields)
+        p0, t = part(inv), inv * xi.xi4
+        p4, q4 = part(t), part(src3_row * t)
+        inv *= xi.xi2  # now w xi2 / xi_d
+        p2, q2 = part(inv), part(src3_row * inv)
+        t *= xi.xi2  # now w xi2 xi4 / xi_d
+        p24, q24 = part(t), part(src3_row * t)
+        avg[:, chunk] = [*(p.sum(axis=(1, 2)) for p in (p0, p2, p4, p24, q2, q4, q24)),
+                         *(_mesh_sum(xi.xi3, p) for p in (p0, p2, p4, p24)),
+                         *(_mesh_sum(xi.xi1, p) for p in (p2, p4, p24, q24)),
+                         *(_mesh_sum(xi.xi1 * xi.xi3, p) for p in (p2, p4))]
+    a0, a2, a4, a24, b2, b4, b24, a3, a23, a34, a234, a12, a14, a124, b124, a123, a134 = avg
+    e1 = toc * v1 * a0 - v2 * a3
+    e2, e3 = (cv1 * v1 - cv2 * v2) * a0, cv2 * toc * a0 - cv1 * a3
+    Aw = np.stack([a234, cv2 * toc * a4 - cv1 * a34, toc * a24, v2 * a23 - toc * v1 * a2,
+                   -v1 * a34, cv2 * e1 + a134, -toc * v1 * a4, v1 * e1,
+                   -cv2 * v1 * (a2 + a4), cv2 * (e2 + a14),
+                   a124 - cv1 * v1 * a4 - cv2 * v2 * a2, v1 * (e2 - a12),
+                   cv2 * a23, cv2 * e3, cv2 * toc * a2, a123 + v1 * e3], axis=1).reshape(-1, 4, 4)
+    bw = np.stack([toc * b24, -toc * v1 * b4, b124 - cv1 * v1 * b4 - cv2 * v2 * b2,
+                   cv2 * toc * b2], axis=1) - vp * params.n0 * Aw[:, :, 1]
+    dens = np.eye(4) - 1j * gvcc * Aw
+    _name_bad_detuning("exact solve: non-finite density system", detunings,
+                       np.isfinite(dens).all(axis=(1, 2)) & np.isfinite(bw).all(axis=1))
+    R = np.linalg.solve(dens, bw[..., None])[..., 0]
+    return R[:, 1] / (params.n0 * vp), np.linalg.cond(dens)
 
 
 def solve_exact(params: ModelParams, fields: FieldConfig, grid: QuadratureGrid,
@@ -255,17 +253,15 @@ def solve_exact(params: ModelParams, fields: FieldConfig, grid: QuadratureGrid,
     """Velocity-resolved solve of the four probe-sector coherence equations.
 
     Per detuning: the pump dipole is closed first (it decouples).  Each
-    velocity node's 4x4 system is eliminated by hand: its last three rows
-    express three coherences through the first, whose coefficient is the
-    scalar pivot xi_d / (xi2 xi3 xi4), with xi_d the ``toc_determinant``.
-    This gives the node's inverse and its probe-source solution in closed
-    form.  Each inverse entry spans the whole (m, r, n_par) product mesh, and
-    one matrix-vector product with the flattened weights gives its node sum.
-    These sums yield a final 4x4 system for the velocity-integrated
-    densities.  Returns (Spectrum, SolveReport).  With check_convergence the
-    whole spectrum is recomputed on a node-doubled grid and the finer result
-    is kept; disagreement beyond conv_rtol raises NonConvergenceError.  A
-    density system that is not finite, as a vanishing pivot makes it, raises
+    velocity node's 4x4 system M has det M = xi_d (``toc_determinant``), and
+    the entries of adj(M) = xi_d M^-1 sum products of distinct xi's with
+    constant coefficients: the node sums of M^-1 and of the probe-source
+    solution are 17 thermal averages over xi_d, one complex division per
+    node.  They close on the four velocity-integrated densities.  Returns
+    (Spectrum, SolveReport).  With check_convergence the whole spectrum is
+    recomputed on a node-doubled grid and the finer result is kept;
+    disagreement beyond conv_rtol raises NonConvergenceError.  A density
+    system that is not finite, as a vanishing xi_d makes it, raises
     IllConditionedError naming the first such detuning.
     """
     detunings, runs, report = _solve(

@@ -147,17 +147,21 @@ def velocity_mesh(fields: FieldConfig, grid: QuadratureGrid):
 def _product_mesh(fields, grid):
     """``velocity_mesh`` in broadcastable product form, v_par on the last axis.
 
-    Every Gauss-Hermite average of the package walks this form.  On a
-    transverse mesh (r = n_res nodes per v_par) v_par becomes (n_par,),
-    v_res (n_res, 1) and w (n_res, n_par); otherwise (r = 1) v_par and v_res
-    are (n_par,) and w is (1, n_par).  The long v_par axis goes last to keep
-    numpy's inner loops long.  Detunings lead as (m, 1, 1), giving
+    Every Gauss-Hermite average of the package walks this form: v_par becomes
+    (n_par,) and w (r, n_par).  On a transverse mesh r = n_res and v_res is
+    (n_res, 1); otherwise r = 1, v_res is v_par on a collinear mesh, and at
+    dq_vth = 0 it is the one zero node (1,), so that factors which follow
+    v_res only are one value per detuning.  The long v_par axis goes last to
+    keep numpy's inner loops long.  Detunings lead as (m, 1, 1), giving
     (m, r, n_par) factors whose flattened mesh axes match w.ravel().
     """
     v_par, v_res, w = velocity_mesh(fields, grid)
     r = v_par.size // grid.n_par
-    return (v_par[::r], v_res[:r, None] if r > 1 else v_res,
-            np.ascontiguousarray(w.reshape(grid.n_par, r).T))
+    if fields.dq_vth == 0.0:
+        v_res = v_res[:1]
+    elif r > 1:
+        v_res = v_res[:r, None]
+    return v_par[::r], v_res, np.ascontiguousarray(w.reshape(grid.n_par, r).T)
 
 
 def _mesh_sum(f, x):

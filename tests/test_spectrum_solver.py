@@ -214,6 +214,7 @@ class TestExactElimination:
         (30, 8, "transverse", 0.7),
         (200, 4, "collinear", 0.7),
         (200, 4, "transverse", 0.0),
+        (200, 4, "collinear", 0.0),
     ])
     def test_product_mesh_matches_lapack_on_the_flat_mesh(self, n_par, n_res,
                                                           geometry, dq):
@@ -244,6 +245,34 @@ class TestExactElimination:
                 np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             solve_exact(p, f, make_grid(20, 1), np.array([-0.5, 0.0, 0.5]),
                         check_convergence=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(amp=st.tuples(st.floats(1e-2, 10.0), st.floats(1e-2, 10.0)),
+       phase=st.tuples(st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi)),
+       b=st.integers(0, 1), geometry=st.sampled_from(["transverse", "collinear"]),
+       dq=st.one_of(st.just(0.0), st.floats(0.01, 3.0)), gpcc=st.floats(0.0, 5.0),
+       gvcc=st.floats(0.0, 1.0), gg=st.floats(1e-3, 0.1), delta1=st.floats(-1.0, 1.0),
+       delta2=st.floats(-1.0, 1.0), qp=st.floats(0.0, 20.0), n_par=st.integers(8, 40),
+       n_res=st.integers(1, 5),
+       where=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=9, unique=True))
+def test_exact_route_matches_lapack_at_strong_pumps(amp, phase, b, geometry, dq, gpcc,
+                                                    gvcc, gg, delta1, delta2, qp,
+                                                    n_par, n_res, where):
+    """The exact route sums the adjugate of each node's system over xi_d term
+    by term; a cancellation between those terms would show first against
+    per-node LAPACK solves when the pumps dwarf the linewidths.  Detunings
+    span the Autler-Townes splitting, about the larger |v|."""
+    p = ModelParams(gamma_pcc=gpcc, gamma_vcc=gvcc, gamma_g=gg, b=b)
+    v1, v2 = (a * np.exp(1j * ph) for a, ph in zip(amp, phase))
+    f = FieldConfig(v1=v1, v2=v2, vp=1e-4, delta1=delta1, delta2=delta2, qp_vth=qp,
+                    dq_vth=dq, dq_direction=geometry)
+    grid = make_grid(n_par, n_res)
+    dgrid = np.sort(where) * max(1.0, *amp)
+    got, got_cond = _exact_response_on_mesh(p, f, dgrid, *_product_mesh(f, grid))
+    want, want_cond = lapack_response_on_mesh(p, f, dgrid, *velocity_mesh(f, grid))
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert np.abs(got_cond - want_cond).max() <= 1e-12 * want_cond.max()
 
 
 class TestExactSolver:

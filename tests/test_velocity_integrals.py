@@ -8,6 +8,7 @@ from eia.velocity_integrals import (
     MAX_NODES,
     NonConvergenceError,
     GKernelSpec,
+    _product_mesh,
     make_grid,
     velocity_mesh,
     g_integral,
@@ -99,6 +100,15 @@ class TestVelocityMesh:
         v_par, v_res, w = velocity_mesh(f, g)
         assert v_par.shape == (50,)
         assert np.all(v_res == 0.0)
+
+    @pytest.mark.parametrize("geometry", ["transverse", "collinear"])
+    @pytest.mark.parametrize("n_res", [1, 4])
+    def test_product_mesh_keeps_one_residual_node_when_dq_vanishes(self, geometry, n_res):
+        # xi1 and xi3 then stay (m, 1, 1) against the detunings
+        f = FieldConfig(qp_vth=36.5, dq_vth=0.0, dq_direction=geometry)
+        v_par, v_res, w = _product_mesh(f, make_grid(50, n_res))
+        assert v_par.shape == (50,) and w.shape == (1, 50)
+        assert v_res.shape == (1,) and v_res[0] == 0.0
 
     def test_collinear_reuses_parallel_axis(self):
         f = FieldConfig(qp_vth=36.5, dq_vth=0.1, dq_direction="collinear")
