@@ -34,7 +34,6 @@ from .spatial_filter import (
 )
 from .spectrum_solver import (
     _mirrored_grid,
-    _solve_mirrored,
     at_rest_spectrum,
     default_detuning_grid,
     solve_approximate,
@@ -263,9 +262,9 @@ def _report_dict(report) -> dict:
 
 def _run_spectrum(cfg: ScenarioConfig, exact: bool):
     solver = solve_exact if exact else solve_approximate
-    spectrum, report = _solve_mirrored(solver, cfg.model_params(), cfg.field_config(),
-                                       cfg.quad_grid(), cfg.detuning_grid(),
-                                       check_convergence=cfg.values["check_convergence"])
+    spectrum, report = solver(cfg.model_params(), cfg.field_config(), cfg.quad_grid(),
+                              cfg.detuning_grid(),
+                              check_convergence=cfg.values["check_convergence"])
     path = _emit_spectrum(cfg, spectrum, cfg.out)
     return [path], _report_dict(report)
 

@@ -19,7 +19,6 @@ from .spectrum_solver import (
     Spectrum,
     _mirror_symmetric,
     _mirrored_grid,
-    _solve_mirrored,
     solve_approximate,
 )
 from .velocity_integrals import QuadratureGrid
@@ -223,14 +222,15 @@ def _scan_rung(params: ModelParams, fields: FieldConfig, grid: QuadratureGrid,
     coarse bracket of each half-level crossing.  ``_half_crossings`` then
     reads the solved samples, mirrored: it finds the full grid's crossing
     segment as long as no unsolved point before it is below the level.
-    Falls back to ``_solve_mirrored`` on the whole grid, and says why in the
-    notes, when the mirror conditions fail or a solved off-center sample
-    reaches the line-center value.
+    Falls back to one ``solve_approximate`` call on the whole grid, and says
+    why in the notes, when the mirror conditions fail or a solved off-center
+    sample reaches the line-center value; that call solves only the
+    detunings >= 0 when the mirror conditions hold.
     """
 
     def fallback(why, spent=0):
-        spectrum, report = _solve_mirrored(solve_approximate, params, fields, grid, detunings,
-                                           check_convergence=check_convergence)
+        spectrum, report = solve_approximate(params, fields, grid, detunings,
+                                             check_convergence=check_convergence)
         notes = "; ".join(filter(None, (report.notes, f"fallback: {why}")))
         return (extract_fwhm(spectrum, feature="sharp_peak_component"),
                 extract_fwhm(spectrum, feature="pedestal_component"),
@@ -307,12 +307,12 @@ def scan_delta_q(params: ModelParams, fields: FieldConfig, grid: QuadratureGrid,
     v1 conj(v2) the components are even in the detuning.  A rung then solves
     every 8th detuning >= 0 and the outer 5% in one call, and the grid
     points inside the two half-level brackets in a second: about 290 of
-    its 1300 detunings >= 0.  It falls back to all detunings >= 0
-    (``_solve_mirrored``), or to the whole grid when the mirror conditions
-    fail, and says why in the report's notes.  The report's n_detunings
-    counts every detuning the rung's calls solved.  With check_convergence
-    each call runs the doubling check on its own detunings, and the note
-    gives the largest change of those calls.
+    its 1300 detunings >= 0.  It falls back to one solve of the whole grid,
+    which solves all detunings >= 0, or every detuning when the mirror
+    conditions fail, and says why in the report's notes.  The report's
+    n_detunings counts every detuning the rung's calls solved.  With
+    check_convergence each call runs the doubling check on its own
+    detunings, and the note gives the largest change of those calls.
     """
     ladder = [float(d) for d in dq_ladder]
     if len(ladder) == 0:

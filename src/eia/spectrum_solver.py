@@ -14,7 +14,9 @@ Three routes to R_{e1g2}/(n0 Vp):
 
 The first two share one solve routine, which walks chunks of detunings on the
 product velocity mesh of ``velocity_integrals``.  A vanishing xi_d shows as a
-non-finite result; IllConditionedError names the first such detuning.
+non-finite result; IllConditionedError names the first such detuning.  On a
+grid symmetric about 0, with zero pump detunings and a real v1 conj(v2), the
+routine solves only the detunings >= 0 and reflects them.
 
 All detunings are in units of the spontaneous rate; response values are
 R_{e1g2}/(n0 Vp) and absorption is its imaginary part.
@@ -99,9 +101,9 @@ class Spectrum:
 class SolveReport:
     """What one solve did.
 
-    n_detunings counts the detunings the solver evaluated: for a spectrum
-    filled in by reflection (``_solve_mirrored``) that is the half with
-    detuning >= 0, not the length of the returned grid, and for a
+    n_detunings counts the detunings the solver evaluated: on a grid that
+    ``solve_exact`` and ``solve_approximate`` fill in by reflection it is the
+    half with detuning >= 0, not the length of the returned grid, and for a
     ``scan_delta_q`` rung it is the sum over the rung's solver calls, about
     290 of the 1300 detunings >= 0.  notes holds the doubling-check change
     when the check ran, and a scan rung's fallback to all detunings >= 0.
@@ -168,17 +170,41 @@ def _name_bad_detuning(what, detunings, ok):
         raise IllConditionedError(f"{what} at detuning {float(detunings[np.argmin(ok)])!r}")
 
 
+def _mirror_symmetric(fields: FieldConfig, detunings: np.ndarray) -> bool:
+    """Whether response(-delta) = -conj(response(delta)) fills in the grid.
+
+    With delta1 = delta2 = 0 and a real v1 conj(v2), negating the detuning
+    and the velocity maps each xi to -conj(xi) and xi_d to conj(xi_d); the
+    Gauss-Hermite nodes are symmetric, so the identity holds for the response
+    and for each component.  The grid must be symmetric about 0.
+    """
+    return bool(fields.delta1 == fields.delta2 == 0
+                and (fields.v1 * np.conj(fields.v2)).imag == 0
+                and np.array_equal(detunings, -detunings[::-1]))
+
+
 def _solve(route, method, what, params, fields, grid, detuning_grid,
            check_convergence, conv_rtol):
     """Run ``route`` on the grid's product mesh, and on the node-doubled one
     with check_convergence; each run gives (response, extra).  Returns
-    (detunings, the runs in order, report with max_condition 0)."""
+    (detunings, the runs in order, report with max_condition 0).  When
+    ``_mirror_symmetric`` holds the route sees only the detunings >= 0, and
+    the response and Components in extra are reflected for the rest."""
     detunings = np.asarray(detuning_grid, dtype=float)
+    mirror = _mirror_symmetric(fields, detunings)
+    solved = detunings[detunings.size // 2:] if mirror else detunings
+    odd = detunings.size % 2  # an odd symmetric grid holds 0 once: do not mirror it
+
+    def mirrored(x):
+        return np.concatenate([-np.conj(x[odd:][::-1]), x]) if mirror else x
 
     def solve_on(g):
         # a vanishing xi_d shows in the per-detuning results the routes check
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            return route(params, fields, detunings, *_product_mesh(fields, g))
+            response, extra = route(params, fields, solved, *_product_mesh(fields, g))
+        if isinstance(extra, Components):
+            extra = Components(*map(mirrored, extra))
+        return mirrored(response), extra
 
     runs, notes, converged = [solve_on(grid)], "", None
     if check_convergence:
@@ -186,7 +212,7 @@ def _solve(route, method, what, params, fields, grid, detuning_grid,
         runs.append(fine)
         converged = True
     report = SolveReport(method=method, n_par=grid.n_par, n_res=grid.n_res,
-                         n_detunings=detunings.size, max_condition=0.0,
+                         n_detunings=solved.size, max_condition=0.0,
                          converged=converged, notes=notes)
     return detunings, runs, report
 
@@ -262,7 +288,11 @@ def solve_exact(params: ModelParams, fields: FieldConfig, grid: QuadratureGrid,
     recomputed on a node-doubled grid and the finer result is kept;
     disagreement beyond conv_rtol raises NonConvergenceError.  A density
     system that is not finite, as a vanishing xi_d makes it, raises
-    IllConditionedError naming the first such detuning.
+    IllConditionedError naming the first such detuning.  With delta1 =
+    delta2 = 0, a real v1 conj(v2) and a grid symmetric about 0, only the
+    detunings >= 0 are solved, on each mesh, and the rest follow from
+    response(-delta) = -conj(response(delta)): n_detunings counts the solved
+    half, and IllConditionedError names a detuning >= 0.
     """
     detunings, runs, report = _solve(
         _exact_response_on_mesh, "exact", "exact solve", params, fields, grid,
@@ -328,7 +358,8 @@ def solve_approximate(params: ModelParams, fields: FieldConfig, grid: Quadrature
     spectrum is recomputed on a node-doubled grid and the finer result is
     kept; disagreement beyond conv_rtol raises NonConvergenceError.  An
     average that is not finite, because xi_d vanishes at a node, raises
-    IllConditionedError naming the first such detuning.
+    IllConditionedError naming the first such detuning.  A mirror-symmetric
+    grid is halved as in ``solve_exact``, and each component reflected too.
     """
     if params.gamma_vcc >= params.gamma_pcc + 0.5 * params.gamma_sp:
         warnings.warn(
@@ -339,44 +370,6 @@ def solve_approximate(params: ModelParams, fields: FieldConfig, grid: Quadrature
         _approx_terms_on_mesh, "approximate", "factored solve", params, fields, grid,
         detuning_grid, check_convergence, conv_rtol)
     return Spectrum.from_response(detunings, *runs[-1]), report
-
-
-def _mirror_symmetric(fields: FieldConfig, detunings: np.ndarray) -> bool:
-    """Whether response(-delta) = -conj(response(delta)) fills in the grid.
-
-    With delta1 = delta2 = 0 and a real v1 conj(v2), negating the detuning
-    and the velocity maps each xi to -conj(xi) and xi_d to conj(xi_d); the
-    Gauss-Hermite nodes are symmetric, so the identity holds for the response
-    and for each component.  The grid must be symmetric about 0.
-    """
-    return bool(fields.delta1 == fields.delta2 == 0
-                and (fields.v1 * np.conj(fields.v2)).imag == 0
-                and np.array_equal(detunings, -detunings[::-1]))
-
-
-def _solve_mirrored(solver, params: ModelParams, fields: FieldConfig,
-                    grid: QuadratureGrid, detuning_grid, **kwargs):
-    """``solver`` (``solve_exact`` or ``solve_approximate``) on a grid
-    symmetric about 0, evaluating only the detunings >= 0 when it may.
-
-    The negative half is filled in from response(-delta) =
-    -conj(response(delta)) when ``_mirror_symmetric`` holds; otherwise this
-    is the plain solver call.  The report's n_detunings counts the detunings
-    solved.
-    """
-    d = np.asarray(detuning_grid, dtype=float)
-    if not _mirror_symmetric(fields, d):
-        return solver(params, fields, grid, detuning_grid, **kwargs)
-    spectrum, report = solver(params, fields, grid, d[d.size // 2:], **kwargs)
-    odd = d.size % 2  # an odd grid holds 0 once: do not mirror it
-
-    def mirrored(x):
-        return np.concatenate([-np.conj(x[odd:][::-1]), x])
-
-    components = spectrum.components
-    if components is not None:
-        components = Components(*map(mirrored, components))
-    return Spectrum.from_response(d, mirrored(spectrum.response), components), report
 
 
 def at_rest_spectrum(params: ModelParams, fields: FieldConfig, detuning_grid) -> Spectrum:

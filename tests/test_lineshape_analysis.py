@@ -404,10 +404,10 @@ class TestScanRung:
         row, = scan_delta_q(p, self.F, grid, [0.155])
         monkeypatch.undo()
         _assert_row_matches(row, p, self.F, grid)
-        # the coarse call, then the whole half grid
-        n_half = (_scan_detuning_grid(p, 0.155).size + 1) // 2
-        assert len(solved[0.155]) == 2 and solved[0.155][1] == n_half
-        assert row.report.n_detunings == sum(solved[0.155])
+        # the coarse call, then the whole grid, whose half >= 0 the solver solves
+        d = _scan_detuning_grid(p, 0.155)
+        assert len(solved[0.155]) == 2 and solved[0.155][1] == d.size
+        assert row.report.n_detunings == solved[0.155][0] + (d.size + 1) // 2
         assert row.report.notes == \
             "fallback: an off-center sample reaches the line-center value"
 

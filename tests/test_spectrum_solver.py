@@ -10,15 +10,16 @@ from hypothesis import given, settings, strategies as st
 from eia.core_model import ModelParams, FieldConfig, xi_set, toc_determinant
 from eia.velocity_integrals import (
     G1_SPEC, G2_SPEC, G3_SPEC, G4_SPEC, G5_SPEC,
-    NonConvergenceError, _product_mesh, _strong_collision, g_integral, make_grid,
+    NonConvergenceError, _doubled, _product_mesh, _strong_collision, g_integral, make_grid,
     one_photon_response, pole_average, velocity_mesh,
 )
+from eia import spectrum_solver
 from eia.cli_runner import _ramsey_detuning_grid, parse_config
 from eia.lineshape_analysis import _scan_detuning_grid, dicke_fwhm_model
 from eia.spectrum_solver import (
     _CHUNK_ELEMENTS,
+    _approx_terms_on_mesh,
     _exact_response_on_mesh,
-    _solve_mirrored,
     Components,
     Spectrum,
     SolveReport,
@@ -521,6 +522,7 @@ def assert_same_spectrum(got, want, rtol=1e-12):
 
 
 ROUTES = {"exact": solve_exact, "approx": solve_approximate}
+MESH_ROUTES = {"exact": _exact_response_on_mesh, "approx": _approx_terms_on_mesh}
 
 
 def symmetric_grid(n, span=2.0):
@@ -530,9 +532,18 @@ def symmetric_grid(n, span=2.0):
     return np.concatenate([-pos[n % 2:][::-1], pos])
 
 
+def unmirrored(route, params, fields, grid, d):
+    """The route's own evaluation of every detuning of d on the grid's product
+    mesh, with no reflection: the reference for the solvers' mirrored path."""
+    d = np.asarray(d, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        response, extra = MESH_ROUTES[route](params, fields, d, *_product_mesh(fields, grid))
+    return Spectrum.from_response(d, response, extra if route == "approx" else None)
+
+
 class TestMirroredSolve:
-    """_solve_mirrored solves detunings >= 0 and reflects them; it must
-    match the solver's own evaluation of the whole grid."""
+    """On a grid symmetric about 0 the solvers solve detunings >= 0 and
+    reflect them; they must match the route's evaluation of the whole grid."""
 
     P = ModelParams(gamma_pcc=0.4, gamma_vcc=0.1, gamma_g=0.003)
 
@@ -550,21 +561,22 @@ class TestMirroredSolve:
                                    v1, v2, vp):
         f = FieldConfig(v1=v1, v2=v2, vp=vp, qp_vth=3.0, dq_vth=dq, dq_direction=geometry)
         grid, d = make_grid(n_par, n_res), symmetric_grid(n_det)
-        got, rep = _solve_mirrored(ROUTES[route], self.P, f, grid, d,
-                                   check_convergence=False)
-        want, _ = ROUTES[route](self.P, f, grid, d, check_convergence=False)
+        got, rep = ROUTES[route](self.P, f, grid, d, check_convergence=False)
+        want = unmirrored(route, self.P, f, grid, d)
         assert_same_spectrum(got, want)
         assert rep.n_detunings == (n_det + 1) // 2
 
     def test_doubling_check_solves_the_same_half(self, fig2_params, fig2_fields):
         d = symmetric_grid(21, 1.0)
-        got, rep = _solve_mirrored(solve_approximate, fig2_params, fig2_fields,
-                                   make_grid(300, 1), d, conv_rtol=1.0)
-        want, full = solve_approximate(fig2_params, fig2_fields, make_grid(300, 1), d,
-                                       conv_rtol=1.0)
+        got, rep = solve_approximate(fig2_params, fig2_fields, make_grid(300, 1), d,
+                                     conv_rtol=1.0)
+        coarse = unmirrored("approx", fig2_params, fig2_fields, make_grid(300, 1), d)
+        want = unmirrored("approx", fig2_params, fig2_fields,
+                          _doubled(make_grid(300, 1), False), d)
         assert_same_spectrum(got, want)
         assert rep.converged is True and rep.n_detunings == 11
-        assert rep.notes == full.notes
+        change = np.abs(want.response - coarse.response).max() / np.abs(want.response).max()
+        assert rep.notes == f"doubling check rel change {change:.2e}"
 
     @pytest.mark.parametrize("route", sorted(ROUTES))
     @pytest.mark.parametrize("change, d", [
@@ -576,15 +588,57 @@ class TestMirroredSolve:
     def test_falls_back_to_the_plain_call(self, route, change, d, fig2_params):
         f = FieldConfig(**{**dict(v1=0.0816, v2=0.1, vp=0.001, qp_vth=3.0), **change})
         grid = make_grid(60, 1)
-        got, got_rep = _solve_mirrored(ROUTES[route], fig2_params, f, grid, d,
-                                       check_convergence=False)
-        want, want_rep = ROUTES[route](fig2_params, f, grid, d, check_convergence=False)
+        got, got_rep = ROUTES[route](fig2_params, f, grid, d, check_convergence=False)
+        want = unmirrored(route, fig2_params, f, grid, d)
         assert got.detunings.tobytes() == want.detunings.tobytes()
         assert got.response.tobytes() == want.response.tobytes()
         if want.components is not None:
             for g, w in zip(got.components, want.components):
                 assert g.tobytes() == w.tobytes()
-        assert got_rep == want_rep and got_rep.n_detunings == d.size
+        assert got_rep.n_detunings == d.size
+        assert got_rep.converged is None and got_rep.notes == ""
+
+
+class TestSolversMirrorThemselves:
+    """A direct solver call on a mirror-symmetric grid hands the route only
+    the detunings >= 0, on the grid and on the doubled grid of the check."""
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        seen = []
+
+        def wrap(mesh_route):
+            def spying(params, fields, detunings, v_par, v_res, w):
+                seen.append((np.array(detunings), w.size))
+                return mesh_route(params, fields, detunings, v_par, v_res, w)
+            return spying
+
+        for name in ("_exact_response_on_mesh", "_approx_terms_on_mesh"):
+            monkeypatch.setattr(spectrum_solver, name, wrap(getattr(spectrum_solver, name)))
+        return seen
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    @pytest.mark.parametrize("n_det", [21, 22])
+    @pytest.mark.parametrize("check", [False, True])
+    def test_route_sees_only_detunings_at_or_above_zero(self, route, n_det, check, spy,
+                                                         fig2_params, fig2_fields):
+        d, grid = symmetric_grid(n_det, 1.0), make_grid(300, 1)
+        sp, rep = ROUTES[route](fig2_params, fig2_fields, grid, d,
+                                check_convergence=check, conv_rtol=1.0)
+        assert sp.detunings.tobytes() == d.tobytes()
+        assert rep.n_detunings == (d.size + 1) // 2
+        assert [n for _, n in spy] == [300, 600][:1 + check]
+        for seen, _ in spy:
+            assert seen.tobytes() == d[d.size // 2:].tobytes() and np.all(seen >= 0)
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_a_grid_failing_the_mirror_conditions_is_solved_whole(self, route, spy,
+                                                                  fig2_params, fig2_fields):
+        d = symmetric_grid(21, 1.0)
+        f = replace(fig2_fields, delta1=0.05)
+        _, rep = ROUTES[route](fig2_params, f, make_grid(300, 1), d, check_convergence=False)
+        assert rep.n_detunings == d.size
+        assert [seen.tobytes() for seen, _ in spy] == [d.tobytes()]
 
 
 @settings(max_examples=30, deadline=None)
@@ -595,7 +649,7 @@ class TestMirroredSolve:
        pos=positive_detunings, center=st.booleans())
 def test_mirrored_solve_matches_the_full_grid(route, gpcc, gvcc, gg, qp, dq, geometry,
                                               b, v1, v2, pos, center):
-    """The reflected half equals the solver's own full-grid evaluation, on
+    """The reflected half equals the route's own full-grid evaluation, on
     grids with and without the line center."""
     p = ModelParams(gamma_pcc=gpcc, gamma_vcc=gvcc, gamma_g=gg, b=b)
     pos = np.sort(pos)
@@ -605,8 +659,8 @@ def test_mirrored_solve_matches_the_full_grid(route, gpcc, gvcc, gg, qp, dq, geo
         # weak pumps against vp, and the factored route's regime note
         warnings.simplefilter("ignore", UserWarning)
         f = FieldConfig(v1=v1, v2=v2, vp=1e-3, qp_vth=qp, dq_vth=dq, dq_direction=geometry)
-        got, rep = _solve_mirrored(ROUTES[route], p, f, grid, dgrid, check_convergence=False)
-        want, _ = ROUTES[route](p, f, grid, dgrid, check_convergence=False)
+        got, rep = ROUTES[route](p, f, grid, dgrid, check_convergence=False)
+        want = unmirrored(route, p, f, grid, dgrid)
     assert_same_spectrum(got, want)
     assert rep.n_detunings == pos.size + center
 
