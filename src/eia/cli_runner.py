@@ -14,7 +14,7 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -105,7 +105,6 @@ KEYS: Dict[str, _Key] = {
     "gamma_g": _Key(float, 0.0, _nonneg, ">= 0"),
     "b": _Key(int, 1, lambda v: v in (0, 1), "0 or 1"),
     "branching_a": _Key(float, 0.816, lambda v: 0 < v < 1, "in (0, 1)"),
-    "n0": _Key(float, 1.0, _pos, "> 0"),
     # fields and geometry
     "v1": _Key(float, 0.0816, None),
     "v2": _Key(float, 0.1, None),
@@ -178,7 +177,7 @@ class ScenarioConfig:
         v = self.values
         return ModelParams(gamma_sp=v["gamma_sp"], gamma_pcc=v["gamma_pcc"],
                            gamma_vcc=v["gamma_vcc"], gamma_g=v["gamma_g"],
-                           b=v["b"], branching_A=v["branching_a"], n0=v["n0"])
+                           b=v["b"], branching_A=v["branching_a"])
 
     def field_config(self) -> FieldConfig:
         v = self.values
@@ -254,19 +253,13 @@ def _emit_spectrum(cfg: ScenarioConfig, spectrum, base: str) -> str:
     return path
 
 
-def _report_dict(report) -> dict:
-    return {"method": report.method, "n_par": report.n_par, "n_res": report.n_res,
-            "n_detunings": report.n_detunings, "max_condition": report.max_condition,
-            "converged": report.converged, "notes": report.notes}
-
-
 def _run_spectrum(cfg: ScenarioConfig, exact: bool):
     solver = solve_exact if exact else solve_approximate
     spectrum, report = solver(cfg.model_params(), cfg.field_config(), cfg.quad_grid(),
                               cfg.detuning_grid(),
                               check_convergence=cfg.values["check_convergence"])
     path = _emit_spectrum(cfg, spectrum, cfg.out)
-    return [path], _report_dict(report)
+    return [path], asdict(report)
 
 
 def _run_at_rest(cfg: ScenarioConfig):
@@ -289,29 +282,27 @@ def _run_fwhm_scan(cfg: ScenarioConfig):
                                      "pedestal_fwhm": r.pedestal_fwhm} for r in rows]})
     meta = {"method": "fwhm_scan", "pedestal_convention": PEDESTAL_CONVENTION,
             "pedestal_fwhm": [r.pedestal_fwhm for r in rows],
-            "reports": [_report_dict(r.report) for r in rows]}
+            "reports": [asdict(r.report) for r in rows]}
     return [path], meta
 
 
-def _resolve_filter_deltap(cfg: ScenarioConfig, fp) -> float:
+def _filter_setup(cfg: ScenarioConfig):
+    """(params, fp, deltap) of a filter scenario: the filter is built at
+    deltap = 0, and applied at deltap as given or, with deltap_hom_factor
+    set, at that factor times gamma_hom = gamma_g + Re(power_broadening)."""
+    params = cfg.model_params()
+    fp = filter_params_from_model(params, cfg.field_config(), cfg.quad_grid(), deltap=0.0,
+                                  rtol=1e-7 if cfg.values["check_convergence"] else None)
     factor = cfg.values["deltap_hom_factor"]
-    if factor is not None:
-        gamma_hom = cfg.values["gamma_g"] + float(np.real(fp.power_broadening))
-        return factor * gamma_hom
-    return cfg.values["deltap"]
-
-
-def _filter_rtol(cfg: ScenarioConfig):
-    return 1e-7 if cfg.values["check_convergence"] else None
+    if factor is None:
+        return params, fp, cfg.values["deltap"]
+    return params, fp, factor * (cfg.values["gamma_g"] + float(np.real(fp.power_broadening)))
 
 
 def _run_filter_curve(cfg: ScenarioConfig):
-    params, fields = cfg.model_params(), cfg.field_config()
-    fp = filter_params_from_model(params, fields, cfg.quad_grid(), deltap=0.0,
-                                  rtol=_filter_rtol(cfg))
-    deltap = _resolve_filter_deltap(cfg, fp)
+    params, fp, deltap = _filter_setup(cfg)
     k = np.linspace(0.0, cfg.values["k_max"], cfg.values["n_k"])
-    ell = filter_response(fp, params, fields, deltap, k)
+    ell = filter_response(fp, params, deltap, k)
     path = cfg.out + (".csv" if cfg.fmt == "csv" else ".json")
     if cfg.fmt == "csv":
         _write_csv(path, ["k_over_qp", "re_l", "im_l", "abs_l"],
@@ -325,7 +316,7 @@ def _run_filter_curve(cfg: ScenarioConfig):
     return [path], meta
 
 
-def _default_beam(cfg: ScenarioConfig) -> TransverseProfile:
+def _default_beam() -> TransverseProfile:
     # synthetic Gaussian spot: well inside the paraxial band at optical q_p
     n, width, waist = 128, 2e-2, 2e-3
     x = (np.arange(n) - n / 2) * (width / n)
@@ -335,15 +326,12 @@ def _default_beam(cfg: ScenarioConfig) -> TransverseProfile:
 
 
 def _run_beam_filter(cfg: ScenarioConfig):
-    params, fields = cfg.model_params(), cfg.field_config()
-    fp = filter_params_from_model(params, fields, cfg.quad_grid(), deltap=0.0,
-                                  rtol=_filter_rtol(cfg))
-    deltap = _resolve_filter_deltap(cfg, fp)
+    params, fp, deltap = _filter_setup(cfg)
     if cfg.values["profile_in"]:
         profile = load_profile(cfg.values["profile_in"], fmt=cfg.values["profile_format"])
     else:
-        profile = _default_beam(cfg)
-    out = apply_filter(profile, fp, params, fields, deltap,
+        profile = _default_beam()
+    out = apply_filter(profile, fp, params, deltap,
                        slice_length=cfg.values["slice_length"],
                        optical_depth_scale=cfg.values["optical_depth_scale"],
                        qp_physical=cfg.values["qp_physical"],

@@ -9,7 +9,10 @@ Conventions used across the package:
   ``qp_vth`` (probe wavevector times v_th) and ``dq_vth`` (pump-probe
   wavevector mismatch times v_th);
 * Rabi frequencies may be complex; relative pump phase enters the dynamics
-  only through v1*conj(v2).
+  only through v1*conj(v2);
+* every probe response is linear, per unit atom density and per unit probe
+  amplitude, R_{e1g2}/(n0 Vp): the density n0 cancels from it, so no
+  parameter carries it.
 """
 
 from __future__ import annotations
@@ -46,7 +49,8 @@ class ModelParams:
     gamma_g     decoherence of the ground (and bare excited) coherence
     b           transfer-of-coherence switch, exactly 0 or 1
     branching_A branching amplitude A in (0, 1); A**2 is the branching ratio
-    n0          number density normalization (response is reported per n0)
+
+    Responses are per unit atom density (module docstring), so no field holds it.
     """
 
     gamma_sp: float = 1.0
@@ -55,11 +59,10 @@ class ModelParams:
     gamma_g: float = 0.0
     b: int = 1
     branching_A: float = 0.816
-    n0: float = 1.0
 
     def __post_init__(self):
         _require_finite(self, ("gamma_sp", "gamma_pcc", "gamma_vcc", "gamma_g",
-                               "branching_A", "n0"))
+                               "branching_A"))
         if not self.gamma_sp > 0:
             raise ValueError(f"gamma_sp must be > 0, got {self.gamma_sp}")
         for name in ("gamma_pcc", "gamma_vcc", "gamma_g"):
@@ -71,8 +74,6 @@ class ModelParams:
             raise ValueError(
                 f"branching_A must lie in (0, 1), got {self.branching_A}"
             )
-        if not self.n0 > 0:
-            raise ValueError(f"n0 must be > 0, got {self.n0}")
 
     @property
     def gamma_tilde(self) -> float:

@@ -199,9 +199,9 @@ def ramsey_coefficients(cfg: RamseyConfig, deltap: Optional[float] = None,
     alpha2_sq = alpha3_sq + big_g / d_hat
     alpha1_sq = (-1j * dp + gam
                  + k_1p * abs(v1) ** 2 + k_1p * abs(v2) ** 2) / d_hat
-    beta1 = np.conj(v1) * vp * k_1p * p.n0
+    beta1 = np.conj(v1) * vp * k_1p
     beta2 = v1 * np.conj(v2) * (2.0 * k_1p)
-    beta3 = np.conj(v2) * vp * (k_1p + k_pump) * p.n0
+    beta3 = np.conj(v2) * vp * (k_1p + k_pump)
 
     ap2 = alpha1_sq + alpha2_sq
     am2 = alpha2_sq - alpha1_sq
@@ -282,8 +282,9 @@ class RamseySolution:
 
     Interior (|x| <= a): R = const + C1*mode1*phi1(x) + C2*mode2*phi2(x) with
     phi_i(x) = cosh(k_i x)/cosh(k_i a).  Exterior: decaying exponentials in
-    |x| - a.  response is the beam-averaged probe coherence over n0*Vp;
-    p_delta its imaginary part.
+    |x| - a.  The coherences are per unit atom density.  response is the
+    beam-averaged probe coherence over Vp, per unit density and probe
+    amplitude as in ``spectrum_solver``; p_delta its imaginary part.
     """
 
     coefficients: RamseyCoefficients
@@ -296,7 +297,6 @@ class RamseySolution:
     response: complex
     p_delta: float
     probe_vp: float
-    n0: float
     v1: complex
 
     def __post_init__(self):
@@ -362,7 +362,7 @@ class RamseySolution:
         co = self.coefficients
 
         def inner(xi):
-            return 1j * co.k_1p * (self.v1 * self.rg(xi) + self.probe_vp * self.n0)
+            return 1j * co.k_1p * (self.v1 * self.rg(xi) + self.probe_vp)
 
         def outer(s):
             return np.zeros(s.shape, dtype=complex)
@@ -397,22 +397,20 @@ def build_solution(cfg: RamseyConfig, deltap: Optional[float] = None) -> RamseyS
     mp1 = np.tanh(co.k1 * a) / (co.k1 * a) if co.k1 != 0 else 1.0
     mp2 = np.tanh(co.k2 * a) / (co.k2 * a) if co.k2 != 0 else 1.0
     rbar_g = co.g0 + c[0] * gv1 * mp1 + c[1] * gv2 * mp2
-    response = 1j * co.k_1p * (fields.v1 * rbar_g + fields.vp * cfg.params.n0) \
-        / (cfg.params.n0 * fields.vp)
+    response = 1j * co.k_1p * (fields.v1 * rbar_g + fields.vp) / fields.vp
 
     return RamseySolution(
         coefficients=co, half_width_a=a, c1=complex(c[0]), c2=complex(c[1]),
         c3=complex(c[2]), c4=complex(c[3]), continuity_residuals=resid,
         response=complex(response), p_delta=float(np.imag(response)),
-        probe_vp=fields.vp, n0=cfg.params.n0, v1=fields.v1)
+        probe_vp=fields.vp, v1=fields.v1)
 
 
 def uniform_response(cfg: RamseyConfig, deltap: float) -> complex:
     """Plane-illumination limit: gradient-free solution of the coupled system."""
     fields = cfg.fields
     co = ramsey_coefficients(cfg, deltap=deltap)
-    return complex(1j * co.k_1p * (fields.v1 * co.g0 + fields.vp * cfg.params.n0)
-                   / (cfg.params.n0 * fields.vp))
+    return complex(1j * co.k_1p * (fields.v1 * co.g0 + fields.vp) / fields.vp)
 
 
 def ramsey_spectrum(cfg: RamseyConfig, detuning_grid) -> Spectrum:
@@ -428,27 +426,28 @@ class DiffusionResidualReport:
     residual_ground: float
     residual_excited: float
     h: float
-    n_points: int
 
 
 def diffusion_operator_check(cfg: RamseyConfig, solution: Optional[RamseySolution] = None,
-                             rg_fn=None, re_fn=None, deltap: Optional[float] = None,
-                             n_points: int = 33, h: Optional[float] = None
-                             ) -> DiffusionResidualReport:
+                             rg_fn=None) -> DiffusionResidualReport:
     """Finite-difference residual of the coupled diffusion equations.
 
-    Second derivatives are taken with a three-point stencil at spacings h and
-    h/2 and Richardson-extrapolated, so the stencil's own O(h^2) error cancels
-    and the reported residual reflects the solution, not the stencil.  Points
-    adjacent to |x| = a are excluded (one-sided kinks are matched, not
+    solution defaults to ``build_solution(cfg)`` at the configured deltap;
+    rg_fn, if given, replaces its ground coherence (a test can pass a wrong
+    profile).  Second derivatives are taken with a three-point stencil at
+    spacings h and h/2 and Richardson-extrapolated, so the stencil's own
+    O(h^2) error cancels and the reported residual reflects the solution, not
+    the stencil.  h = min(0.01/k_max, 0.05 a), with k_max the largest decay
+    constant.  33 points inside the sheet and up to 66 outside are checked;
+    points adjacent to |x| = a are excluded (one-sided kinks are matched, not
     smooth).  Residuals are relative to the largest single term of each
     equation; an all-zero configuration reports zero.
     """
     if solution is None:
-        solution = build_solution(cfg, deltap=deltap)
+        solution = build_solution(cfg)
     co = solution.coefficients
     rg = rg_fn if rg_fn is not None else solution.rg
-    re = re_fn if re_fn is not None else solution.re_excited
+    re = solution.re_excited
 
     p = cfg.params
     a = cfg.half_width_a
@@ -457,15 +456,14 @@ def diffusion_operator_check(cfg: RamseyConfig, solution: Optional[RamseySolutio
     gvcc = p.gamma_vcc
 
     kmax = max(abs(co.k1), abs(co.k2), abs(co.alpha2), abs(co.alpha3), 1e-10)
-    if h is None:
-        # small enough for the stencil, large enough that float rounding in
-        # the second difference stays below the 1e-6 target; very thin sheets
-        # (a << the rounding-limited spacing) should pass h explicitly
-        h = min(0.01 / kmax, 0.05 * a)
+    # small enough for the stencil, large enough that float rounding in the
+    # second difference stays below the 1e-6 target; on very thin sheets
+    # (a << the rounding-limited spacing) the 0.05 a cap lets rounding dominate
+    h = min(0.01 / kmax, 0.05 * a)
 
-    x_in = np.linspace(-0.85 * a, 0.85 * a, n_points)
-    s2 = np.linspace(0.1, 2.0, n_points) / co.alpha2.real
-    s3 = np.linspace(0.1, 2.0, n_points) / co.alpha3.real
+    x_in = np.linspace(-0.85 * a, 0.85 * a, 33)
+    s2 = np.linspace(0.1, 2.0, 33) / co.alpha2.real
+    s3 = np.linspace(0.1, 2.0, 33) / co.alpha3.real
     x_out = a + np.unique(np.concatenate([s2, s3]))
     x_out = x_out[x_out - h > a]
 
@@ -510,4 +508,4 @@ def diffusion_operator_check(cfg: RamseyConfig, solution: Optional[RamseySolutio
     rel_e = max_e / scale_e if scale_e > 0 else 0.0
     return DiffusionResidualReport(
         max_residual=float(max(rel_g, rel_e)), residual_ground=float(rel_g),
-        residual_excited=float(rel_e), h=float(h), n_points=int(n_points))
+        residual_excited=float(rel_e), h=float(h))

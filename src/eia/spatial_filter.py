@@ -91,14 +91,16 @@ def filter_params_from_model(params: ModelParams, fields: FieldConfig,
                         diffusion_D=d_hat, probe_kernel=complex(kern))
 
 
-def filter_response(fp: FilterParams, params: ModelParams, fields: FieldConfig,
-                    deltap: float, k):
+def filter_response(fp: FilterParams, params: ModelParams, deltap: float, k):
     """L(k; deltap) = eta(2bA-eta)Gamma_p / (-i deltap + gamma + (eta^2+1-2bA eta)Gamma_p + D k^2).
 
-    k is in units of q_p (matching the dimensionless diffusion_D).  Scalar k
-    in, scalar out; array in, array out.  A warning fires when |deltap|
-    exceeds the homogeneous width gamma + Re(Gamma_p), outside the response's
-    validity.
+    The fields enter only through fp (eta and Gamma_p); params gives gamma =
+    gamma_g and the product bA.  L is the relative enhancement in
+    chi = i K (1 + L), a susceptibility per unit density and probe amplitude
+    like every response of the package.  k is in units of q_p (matching the
+    dimensionless diffusion_D).  Scalar k in, scalar out; array in, array
+    out.  A warning fires when |deltap| exceeds the homogeneous width
+    gamma + Re(Gamma_p), outside the response's validity.
     """
     gamma_hom = params.gamma_g + np.real(fp.power_broadening)
     if abs(deltap) > gamma_hom > 0:
@@ -157,7 +159,7 @@ class TransverseProfile:
 
 
 def apply_filter(profile: TransverseProfile, fp: FilterParams, params: ModelParams,
-                 fields: FieldConfig, deltap: float, slice_length: float,
+                 deltap: float, slice_length: float,
                  optical_depth_scale: float = 1.0,
                  qp_physical: float = DEFAULT_QP_PHYSICAL,
                  force_unitary: bool = False) -> TransverseProfile:
@@ -167,7 +169,8 @@ def apply_filter(profile: TransverseProfile, fp: FilterParams, params: ModelPara
     exp[i (chi(k) - k^2/(2 q_p)) slice_length] with
     chi(k) = optical_depth_scale * i * K * (1 + L(k)); optical_depth_scale
     carries the susceptibility magnitude in 1/length (the medium model fixes
-    only the k shape).  force_unitary drops Im(chi) (pure phase medium), which
+    only the k shape, per unit density), and L(k) is ``filter_response`` at
+    deltap.  force_unitary drops Im(chi) (pure phase medium), which
     conserves power exactly.  Populated spectral samples beyond 0.1*q_p raise
     ParaxialError.
     """
@@ -183,7 +186,7 @@ def apply_filter(profile: TransverseProfile, fp: FilterParams, params: ModelPara
             f"populated spatial frequency {worst:.3e} 1/m exceeds 0.1*q_p = "
             f"{0.1 * qp_physical:.3e} 1/m")
 
-    ell = filter_response(fp, params, fields, deltap, kmag / qp_physical)
+    ell = filter_response(fp, params, deltap, kmag / qp_physical)
     chi = optical_depth_scale * 1j * fp.probe_kernel * (1.0 + ell)
     if force_unitary:
         chi = chi.real

@@ -211,7 +211,7 @@ def test_criterion_8():
     fp = filter_params_from_model(params, fields, grid)
 
     k = np.linspace(0.0, 8e-4, 241)
-    ell = filter_response(fp, params, fields, 0.0, k)
+    ell = filter_response(fp, params, 0.0, k)
     re_l = np.real(ell)
     # a Lorentzian in k^2 is exactly linear in 1/Re L vs k^2
     slope, intercept = np.polyfit(k**2, 1.0 / re_l, 1)
@@ -228,9 +228,9 @@ def test_criterion_8():
     assert k2_half == pytest.approx(2.0500342497723467e-08, rel=1e-6)
 
     gamma_hom = params.gamma_g + float(np.real(fp.power_broadening))
-    l_center = abs(filter_response(fp, params, fields, 0.0, 0.0))
+    l_center = abs(filter_response(fp, params, 0.0, 0.0))
     with pytest.warns(UserWarning, match="validity"):
-        l_off = [abs(filter_response(fp, params, fields, sign * m * gamma_hom, 0.0))
+        l_off = [abs(filter_response(fp, params, sign * m * gamma_hom, 0.0))
                  for m in (1.0, 2.0) for sign in (1.0, -1.0)]
     assert all(v < l_center for v in l_off), (l_center, l_off)
     assert max(l_off[2:]) < min(l_off[:2])

@@ -36,9 +36,10 @@ class TestParseConfig:
         cfg = parse_config("at_rest", {"gamma_pcc": 1.0}, {"gamma_pcc": 2.5})
         assert cfg.values["gamma_pcc"] == 2.5
 
-    def test_unknown_key(self):
+    @pytest.mark.parametrize("key", ["gamma_zz", "n0"])
+    def test_unknown_key(self, key):
         with pytest.raises(ValueError, match="unknown config key"):
-            parse_config("at_rest", {"gamma_zz": 1.0})
+            parse_config("at_rest", {key: 1.0})
 
     def test_range_check(self):
         with pytest.raises(ValueError, match="outside allowed range"):

@@ -23,7 +23,6 @@ def test_gamma_tilde_composition():
     {"branching_A": 0.0},
     {"branching_A": 1.0},
     {"branching_A": 1.5},
-    {"n0": 0.0},
 ])
 def test_model_params_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
@@ -31,7 +30,7 @@ def test_model_params_rejects_bad_values(kwargs):
 
 
 @pytest.mark.parametrize("name", ["gamma_sp", "gamma_pcc", "gamma_vcc", "gamma_g",
-                                  "branching_A", "n0"])
+                                  "branching_A"])
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_model_params_rejects_non_finite_values(name, bad):
     with pytest.raises(ValueError, match=f"{name} must be finite"):

@@ -1,7 +1,10 @@
-"""Package surface: every exported name resolves, and the benchmark's calls bind."""
+"""Package surface: every exported name resolves, the benchmark's calls bind, and
+no function takes a parameter it never reads."""
 
+import ast
 import importlib
 import inspect
+import pathlib
 import pkgutil
 
 import pytest
@@ -60,3 +63,30 @@ def test_benchmark_cli_surface():
     for preset in ("fig6", "fig7"):
         runs = expand_target(preset, {}, {"n_par": 8000}, "", "csv")
         assert [r.values["n_par"] for r in runs] == [8000] * len(PRESETS[preset])
+
+
+def _unread_parameters(source: str):
+    """(function, parameter) for each parameter that its function body never loads."""
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+        loaded = {n.id for stmt in node.body for n in ast.walk(stmt)
+                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [(node.name, p.arg) for p in params
+                   if p is not None and p.arg not in loaded]
+    return unread
+
+
+def test_unread_parameter_guard_flags_a_dead_argument():
+    src = "def f(a, b, *, c=1):\n    return a\n\ndef g(x):\n    def h():\n        return x\n"
+    assert _unread_parameters(src) == [("f", "b"), ("f", "c")]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_parameter_is_read(module):
+    # an argument no body reads is an option that changes nothing
+    path = pathlib.Path(eia.__file__).parent / f"{module}.py"
+    assert _unread_parameters(path.read_text()) == []

@@ -36,17 +36,17 @@ class TestFilterResponse:
         fp = hand_params()
         a = P0.branching_A
         want = a**2 * 0.5 / (P0.gamma_g + (1 - a**2) * 0.5)
-        got = filter_response(fp, P0, F0, 0.0, 0.0)
+        got = filter_response(fp, P0, 0.0, 0.0)
         assert isinstance(got, complex)
         assert got.imag == 0.0
         assert got.real == pytest.approx(want, rel=1e-14)
 
     def test_lorentzian_in_k_squared(self):
         fp = hand_params()
-        l0 = filter_response(fp, P0, F0, 0.0, 0.0)
+        l0 = filter_response(fp, P0, 0.0, 0.0)
         gamma_eff = P0.gamma_g + (fp.eta**2 + 1 - 2 * P0.branching_A * fp.eta) * 0.5
         k = np.linspace(0.0, 0.1, 40)
-        got = filter_response(fp, P0, F0, 0.0, k)
+        got = filter_response(fp, P0, 0.0, k)
         want = l0 / (1.0 + fp.diffusion_D * k**2 / gamma_eff)
         assert np.allclose(got, want, rtol=1e-13)
 
@@ -54,20 +54,20 @@ class TestFilterResponse:
         fp = hand_params()
         gamma_eff = P0.gamma_g + (fp.eta**2 + 1 - 2 * P0.branching_A * fp.eta) * 0.5
         k_half = np.sqrt(gamma_eff / fp.diffusion_D)
-        l0 = filter_response(fp, P0, F0, 0.0, 0.0)
-        assert filter_response(fp, P0, F0, 0.0, k_half) == pytest.approx(l0 / 2, rel=1e-12)
+        l0 = filter_response(fp, P0, 0.0, 0.0)
+        assert filter_response(fp, P0, 0.0, k_half) == pytest.approx(l0 / 2, rel=1e-12)
 
     def test_large_k_rolls_off_to_zero(self):
         fp = hand_params()
-        assert abs(filter_response(fp, P0, F0, 0.0, 1e6)) < 1e-9
+        assert abs(filter_response(fp, P0, 0.0, 1e6)) < 1e-9
 
     def test_switch_off_flips_sign(self):
         # b = 0 removes the cross channel: numerator -eta^2 Gp < 0
         pb = ModelParams(gamma_pcc=5.0, gamma_vcc=0.025, gamma_g=0.001, b=0)
-        assert filter_response(hand_params(), pb, F0, 0.0, 0.0).real < 0
+        assert filter_response(hand_params(), pb, 0.0, 0.0).real < 0
 
     def test_array_in_array_out(self):
-        got = filter_response(hand_params(), P0, F0, 0.0, np.array([0.0, 0.01]))
+        got = filter_response(hand_params(), P0, 0.0, np.array([0.0, 0.01]))
         assert isinstance(got, np.ndarray) and got.shape == (2,)
 
     def test_detuned_response_is_smaller_and_warns(self):
@@ -75,11 +75,11 @@ class TestFilterResponse:
         gamma_hom = P0.gamma_g + fp.power_broadening.real
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            mags = [abs(filter_response(fp, P0, F0, d, 0.0))
+            mags = [abs(filter_response(fp, P0, d, 0.0))
                     for d in (0.0, gamma_hom, -gamma_hom, 2 * gamma_hom, -2 * gamma_hom)]
         assert all(mags[0] > m for m in mags[1:])
         with pytest.warns(UserWarning, match="homogeneous width"):
-            filter_response(fp, P0, F0, 3 * gamma_hom, 0.0)
+            filter_response(fp, P0, 3 * gamma_hom, 0.0)
 
     def test_params_validation(self):
         with pytest.raises(ValueError, match="eta"):
@@ -115,7 +115,7 @@ class TestFromModel:
         fp = filter_params_from_model(P0, f, self.GRID, rtol=None)
         assert fp.eta == 1.0
         assert fp.power_broadening == 0.0
-        assert filter_response(fp, P0, f, 0.0, 0.0) == 0.0
+        assert filter_response(fp, P0, 0.0, 0.0) == 0.0
 
 
 class TestKernels:
@@ -153,8 +153,8 @@ class TestApplyFilter:
         prof = TransverseProfile(samples=np.full((8, 8), 2.0 + 0.0j),
                                  extent=(0.01, 0.01))
         ods, dz = 2.0, 0.05
-        out = apply_filter(prof, self.FP, P0, F0, 0.0, dz, optical_depth_scale=ods)
-        l0 = filter_response(self.FP, P0, F0, 0.0, 0.0)
+        out = apply_filter(prof, self.FP, P0, 0.0, dz, optical_depth_scale=ods)
+        l0 = filter_response(self.FP, P0, 0.0, 0.0)
         chi0 = ods * 1j * self.FP.probe_kernel * (1.0 + l0)
         want = prof.power() * np.exp(-2.0 * chi0.imag * dz)
         assert out.power() == pytest.approx(want, rel=1e-12)
@@ -163,19 +163,19 @@ class TestApplyFilter:
 
     def test_force_unitary_conserves_power(self):
         prof = gaussian_profile()
-        out = apply_filter(prof, self.FP, P0, F0, 0.0, 0.1, force_unitary=True)
+        out = apply_filter(prof, self.FP, P0, 0.0, 0.1, force_unitary=True)
         assert out.power() == pytest.approx(prof.power(), rel=1e-12)
 
     def test_absorbing_slice_loses_power(self):
         prof = gaussian_profile()
-        out = apply_filter(prof, self.FP, P0, F0, 0.0, 0.1)
+        out = apply_filter(prof, self.FP, P0, 0.0, 0.1)
         assert out.power() < prof.power()
 
     def test_linear_in_the_field(self):
         prof = gaussian_profile(n=32)
         doubled = TransverseProfile(samples=2.0 * prof.samples, extent=prof.extent)
-        a = apply_filter(prof, self.FP, P0, F0, 0.0, 0.1)
-        b = apply_filter(doubled, self.FP, P0, F0, 0.0, 0.1)
+        a = apply_filter(prof, self.FP, P0, 0.0, 0.1)
+        b = apply_filter(doubled, self.FP, P0, 0.0, 0.1)
         assert np.allclose(b.samples, 2.0 * a.samples, rtol=1e-12)
 
     def test_paraxial_bound_enforced(self):
@@ -183,7 +183,7 @@ class TestApplyFilter:
         prof = TransverseProfile(samples=np.tile(tile, (4, 4)).astype(complex),
                                  extent=(8e-6, 8e-6))  # Nyquist ~ 3e6 1/m
         with pytest.raises(ParaxialError, match="exceeds"):
-            apply_filter(prof, self.FP, P0, F0, 0.0, 0.1)
+            apply_filter(prof, self.FP, P0, 0.0, 0.1)
 
 
 class TestProfileIO:
