@@ -39,7 +39,7 @@ from .spectrum_solver import (
     solve_approximate,
     solve_exact,
 )
-from .velocity_integrals import make_grid
+from .velocity_integrals import MAX_NODES, make_grid
 
 __all__ = ["ScenarioConfig", "parse_config", "serialize_config", "run_scenario",
            "expand_target", "PRESETS", "SCENARIOS", "main"]
@@ -117,8 +117,8 @@ KEYS: Dict[str, _Key] = {
     "dq_direction": _Key(str, "collinear", lambda v: v in ("collinear", "transverse"),
                          "collinear or transverse"),
     # quadrature / detuning grids
-    "n_par": _Key(int, 1500, lambda v: 1 <= v <= 10_000, "1..10000"),
-    "n_res": _Key(int, 48, lambda v: 1 <= v <= 10_000, "1..10000"),
+    "n_par": _Key(int, 1500, lambda v: 1 <= v <= MAX_NODES, f"1..{MAX_NODES}"),
+    "n_res": _Key(int, 48, lambda v: 1 <= v <= MAX_NODES, f"1..{MAX_NODES}"),
     "detuning_span": _Key(float, 2.0, _pos, "> 0"),
     "detuning_n": _Key(int, 2001, lambda v: v >= 2, ">= 2"),
     "refine": _Key(bool, True, None),
@@ -147,10 +147,6 @@ KEYS: Dict[str, _Key] = {
     "ramsey_span": _Key(float, 0.02, _pos, "> 0"),
     "ramsey_n": _Key(int, 301, lambda v: v >= 2, ">= 2"),
 }
-
-SCENARIOS = ("spectrum_exact", "spectrum_approx", "at_rest", "fwhm_scan",
-             "filter_curve", "beam_filter", "ramsey")
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -371,6 +367,7 @@ _RUNNERS = {
     "beam_filter": _run_beam_filter,
     "ramsey": _run_ramsey,
 }
+SCENARIOS = tuple(_RUNNERS)
 
 
 # scenarios whose filter or sheet needs the diffusion coefficient, which

@@ -134,7 +134,6 @@ def _decay_root(z: complex) -> complex:
 
 @dataclass(frozen=True)
 class RamseyCoefficients:
-    deltap: float
     alpha1_sq: complex
     alpha2_sq: complex
     alpha3_sq: complex
@@ -149,7 +148,6 @@ class RamseyCoefficients:
     e0: complex
     modes: Tuple[Tuple[complex, complex], Tuple[complex, complex]]
     t_factor: complex
-    diffusion_D: float
     k_1p: complex
     k_pump: complex
 
@@ -166,24 +164,23 @@ def _mode_vector(d_hat, alpha2_sq, beta2, k_sq):
     return (gv / nm, ev / nm)
 
 
-def ramsey_coefficients(cfg: RamseyConfig, deltap: Optional[float] = None,
-                        params: Optional[ModelParams] = None) -> RamseyCoefficients:
+def ramsey_coefficients(cfg: RamseyConfig, deltap: Optional[float] = None) -> RamseyCoefficients:
     """Kernels, decay constants, sources, and coupled-mode wave numbers at one detuning.
 
-    params (default cfg.params) sets every rate, the kernels' included.  The
-    three strong-collision one-photon kernels K = iG/(1 - i gamma_vcc G) are
-    taken in closed form: with dq = delta1 = delta2 = 0 each bare average G
-    has one pole linear in velocity, of width gamma_tilde + gamma_vcc, so it
-    is one pole_average.  xi4 has the pole of xi2 mirrored in v, so the
-    three-photon kernel equals k_1p; xi5 carries no detuning, so k_pump is
-    the same closure at zero detuning.  The two interior wave numbers come
-    from the quadratic in k^2 produced by inserting exp(kx) into the coupled
-    system; the discriminant is guarded against catastrophic cancellation.
+    cfg sets every rate, the kernels' included.  The three strong-collision
+    one-photon kernels K = iG/(1 - i gamma_vcc G) are taken in closed form:
+    with dq = delta1 = delta2 = 0 each bare average G has one pole linear in
+    velocity, of width gamma_tilde + gamma_vcc, so it is one pole_average.
+    xi4 has the pole of xi2 mirrored in v, so the three-photon kernel equals
+    k_1p; xi5 carries no detuning, so k_pump is the same closure at zero
+    detuning.  The two interior wave numbers come from the quadratic in k^2
+    produced by inserting exp(kx) into the coupled system; the discriminant
+    is guarded against catastrophic cancellation.
     """
-    p = cfg.params if params is None else params
+    p = cfg.params
     f = cfg.fields
     dp = cfg.fields.deltap if deltap is None else float(deltap)
-    d_hat = (cfg.v_th_si / cfg.gamma_sp_si) ** 2 / p.gamma_vcc
+    d_hat = cfg.diffusion_d
     gvcc = p.gamma_vcc
     gam = p.gamma_g
     big_g = p.gamma_sp
@@ -235,12 +232,12 @@ def ramsey_coefficients(cfg: RamseyConfig, deltap: Optional[float] = None,
     t_factor = ba * (gvcc + d_hat * alpha2_sq) / (d_hat * gvcc * (alpha3_sq - alpha2_sq))
 
     return RamseyCoefficients(
-        deltap=dp, alpha1_sq=complex(alpha1_sq), alpha2_sq=complex(alpha2_sq),
+        alpha1_sq=complex(alpha1_sq), alpha2_sq=complex(alpha2_sq),
         alpha3_sq=complex(alpha3_sq), beta1=complex(beta1), beta2=complex(beta2),
         beta3=complex(beta3), k1=complex(k1), k2=complex(k2),
         alpha2=complex(alpha2), alpha3=complex(alpha3),
         g0=complex(g0), e0=complex(e0), modes=modes, t_factor=complex(t_factor),
-        diffusion_D=float(d_hat), k_1p=complex(k_1p), k_pump=complex(k_pump))
+        k_1p=complex(k_1p), k_pump=complex(k_pump))
 
 
 def solve_continuity(cfg: RamseyConfig, co: RamseyCoefficients):
@@ -284,20 +281,18 @@ class RamseySolution:
     phi_i(x) = cosh(k_i x)/cosh(k_i a).  Exterior: decaying exponentials in
     |x| - a.  The coherences are per unit atom density.  response is the
     beam-averaged probe coherence over Vp, per unit density and probe
-    amplitude as in ``spectrum_solver``; p_delta its imaginary part.
+    amplitude as in ``spectrum_solver``; p_delta its imaginary part.  cfg
+    is the configuration solved, after a rebuild the perturbed one.
     """
 
+    cfg: RamseyConfig
     coefficients: RamseyCoefficients
-    half_width_a: float
     c1: complex
     c2: complex
     c3: complex
     c4: complex
     continuity_residuals: np.ndarray
     response: complex
-    p_delta: float
-    probe_vp: float
-    v1: complex
 
     def __post_init__(self):
         co = self.coefficients
@@ -311,9 +306,13 @@ class RamseySolution:
             raise RuntimeError(
                 f"continuity residuals {self.continuity_residuals} exceed 1e-8")
 
+    @property
+    def p_delta(self) -> float:
+        return float(np.imag(self.response))
+
     def _phi(self, k: complex, x: np.ndarray) -> np.ndarray:
         # cosh(kx)/cosh(ka) evaluated without overflow for |x| <= a, Re k >= 0
-        a = self.half_width_a
+        a = self.cfg.half_width_a
         num = np.exp(k * (x - a)) + np.exp(-k * (x + a))
         return num / (1.0 + np.exp(-2.0 * k * a))
 
@@ -321,11 +320,11 @@ class RamseySolution:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.zeros(x.shape, dtype=complex)
         s = np.abs(x)
-        inside = s <= self.half_width_a
+        inside = s <= self.cfg.half_width_a
         if np.any(inside):
             out[inside] = interior_fn(x[inside])
         if np.any(~inside):
-            out[~inside] = exterior_fn(s[~inside] - self.half_width_a)
+            out[~inside] = exterior_fn(s[~inside] - self.cfg.half_width_a)
         return out
 
     def rg(self, x) -> np.ndarray:
@@ -360,9 +359,10 @@ class RamseySolution:
     def probe_coherence(self, x) -> np.ndarray:
         """Probe-transition coherence; zero outside the sheet (no probe there)."""
         co = self.coefficients
+        f = self.cfg.fields
 
         def inner(xi):
-            return 1j * co.k_1p * (self.v1 * self.rg(xi) + self.probe_vp)
+            return 1j * co.k_1p * (f.v1 * self.rg(xi) + f.vp)
 
         def outer(s):
             return np.zeros(s.shape, dtype=complex)
@@ -386,9 +386,9 @@ def build_solution(cfg: RamseyConfig, deltap: Optional[float] = None) -> RamseyS
             trigger = "continuity matrix singular"
     if trigger is not None:
         warnings.warn(f"{trigger}; perturbing gamma_vcc by 1e-9 relative", stacklevel=2)
-        co = ramsey_coefficients(
-            cfg, deltap=dp,
-            params=replace(cfg.params, gamma_vcc=cfg.params.gamma_vcc * (1 + 1e-9)))
+        cfg = replace(cfg, params=replace(cfg.params,
+                                          gamma_vcc=cfg.params.gamma_vcc * (1 + 1e-9)))
+        co = ramsey_coefficients(cfg, deltap=dp)
         c, resid = solve_continuity(cfg, co)
 
     a = cfg.half_width_a
@@ -400,10 +400,9 @@ def build_solution(cfg: RamseyConfig, deltap: Optional[float] = None) -> RamseyS
     response = 1j * co.k_1p * (fields.v1 * rbar_g + fields.vp) / fields.vp
 
     return RamseySolution(
-        coefficients=co, half_width_a=a, c1=complex(c[0]), c2=complex(c[1]),
+        cfg=cfg, coefficients=co, c1=complex(c[0]), c2=complex(c[1]),
         c3=complex(c[2]), c4=complex(c[3]), continuity_residuals=resid,
-        response=complex(response), p_delta=float(np.imag(response)),
-        probe_vp=fields.vp, v1=fields.v1)
+        response=complex(response))
 
 
 def uniform_response(cfg: RamseyConfig, deltap: float) -> complex:
@@ -425,15 +424,15 @@ class DiffusionResidualReport:
     max_residual: float
     residual_ground: float
     residual_excited: float
-    h: float
 
 
 def diffusion_operator_check(cfg: RamseyConfig, solution: Optional[RamseySolution] = None,
                              rg_fn=None) -> DiffusionResidualReport:
     """Finite-difference residual of the coupled diffusion equations.
 
-    solution defaults to ``build_solution(cfg)`` at the configured deltap;
-    rg_fn, if given, replaces its ground coherence (a test can pass a wrong
+    solution defaults to ``build_solution(cfg)`` at the configured deltap,
+    and its cfg, the one it was solved at, gives the rates and a.  rg_fn,
+    if given, replaces its ground coherence (a test can pass a wrong
     profile).  Second derivatives are taken with a three-point stencil at
     spacings h and h/2 and Richardson-extrapolated, so the stencil's own
     O(h^2) error cancels and the reported residual reflects the solution, not
@@ -449,9 +448,9 @@ def diffusion_operator_check(cfg: RamseyConfig, solution: Optional[RamseySolutio
     rg = rg_fn if rg_fn is not None else solution.rg
     re = solution.re_excited
 
-    p = cfg.params
-    a = cfg.half_width_a
-    d_hat = co.diffusion_D
+    p = solution.cfg.params
+    a = solution.cfg.half_width_a
+    d_hat = solution.cfg.diffusion_d
     ba = p.b * p.branching_A * p.gamma_sp
     gvcc = p.gamma_vcc
 
@@ -508,4 +507,4 @@ def diffusion_operator_check(cfg: RamseyConfig, solution: Optional[RamseySolutio
     rel_e = max_e / scale_e if scale_e > 0 else 0.0
     return DiffusionResidualReport(
         max_residual=float(max(rel_g, rel_e)), residual_ground=float(rel_g),
-        residual_excited=float(rel_e), h=float(h))
+        residual_excited=float(rel_e))

@@ -39,6 +39,7 @@ from .velocity_integrals import (
     _doubling_check,
     _mesh_sum,
     _product_mesh,
+    _spans_residual_axis,
     _strong_collision,
 )
 
@@ -110,6 +111,8 @@ class SolveReport:
     ``scan_delta_q`` rung it is the sum over the rung's solver calls, about
     290 of the 1300 detunings >= 0.  notes holds the doubling-check change
     when the check ran, and a scan rung's fallback to all detunings >= 0.
+    n_par and n_res are the node counts of the given grid's velocity mesh:
+    n_res is 1 at dq_vth = 0 and on a collinear mesh, whatever the grid holds.
     """
 
     method: str
@@ -214,7 +217,8 @@ def _solve(route, method, what, params, fields, grid, detuning_grid,
         fine, notes = _doubling_check(what, solve_on, fields, grid, runs[0][0], conv_rtol)
         runs.append(fine)
         converged = True
-    report = SolveReport(method=method, n_par=grid.n_par, n_res=grid.n_res,
+    n_res = grid.n_res if _spans_residual_axis(fields) else 1
+    report = SolveReport(method=method, n_par=grid.n_par, n_res=n_res,
                          n_detunings=solved.size, max_condition=0.0,
                          converged=converged, notes=notes)
     return detunings, runs, report

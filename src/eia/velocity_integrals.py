@@ -63,15 +63,21 @@ class QuadratureGrid:
     weights_par: np.ndarray
     nodes_res: np.ndarray
     weights_res: np.ndarray
-    n_par: int
-    n_res: int
+
+    @property
+    def n_par(self) -> int:
+        return self.nodes_par.size
+
+    @property
+    def n_res(self) -> int:
+        return self.nodes_res.size
 
 
 @lru_cache(maxsize=64)
 def _gh_axis(n: int):
-    # node computation is expensive and shows up hot when kernels are
-    # re-averaged per detuning point, so memoize on the count; the cached
-    # arrays are shared between callers and therefore frozen
+    # node computation is expensive, and every checked solve asks _doubled
+    # for the 2n axis of the grid it was given, so memoize on the count; the
+    # cached arrays are shared between callers and therefore frozen
     x, w = roots_hermitenorm(n)
     w = w / np.sqrt(2.0 * np.pi)
     x.setflags(write=False)
@@ -86,24 +92,20 @@ def make_grid(n_par: int = 80, n_res: int = 40) -> QuadratureGrid:
             raise ValueError(f"{name} must be >= 1, got {n}")
         if n > MAX_NODES:
             raise ValueError(f"{name} must be <= {MAX_NODES}, got {n}")
-    xp, wp = _gh_axis(n_par)
-    xr, wr = _gh_axis(n_res)
-    return QuadratureGrid(
-        nodes_par=xp, weights_par=wp, nodes_res=xr, weights_res=wr,
-        n_par=n_par, n_res=n_res,
-    )
+    return QuadratureGrid(*_gh_axis(n_par), *_gh_axis(n_res))
+
+
+def _spans_residual_axis(fields: FieldConfig) -> bool:
+    """Whether the velocity mesh takes every residual node (transverse, dq_vth != 0);
+    otherwise it holds one, whatever the grid's n_res."""
+    return fields.dq_vth != 0.0 and fields.dq_direction == "transverse"
 
 
 def _doubled(grid: QuadratureGrid, need_res: bool) -> QuadratureGrid:
     # internal comparison grid for the convergence check; exempt from the
     # caller-facing node cap
-    xp, wp = _gh_axis(2 * grid.n_par)
-    if need_res:
-        xr, wr = _gh_axis(2 * grid.n_res)
-        nr = 2 * grid.n_res
-    else:
-        xr, wr, nr = grid.nodes_res, grid.weights_res, grid.n_res
-    return QuadratureGrid(xp, wp, xr, wr, 2 * grid.n_par, nr)
+    res = _gh_axis(2 * grid.n_res) if need_res else (grid.nodes_res, grid.weights_res)
+    return QuadratureGrid(*_gh_axis(2 * grid.n_par), *res)
 
 
 def _doubling_check(what, solve_on, fields, grid, response, rtol):
@@ -114,13 +116,13 @@ def _doubling_check(what, solve_on, fields, grid, response, rtol):
     a relative change above rtol raises NonConvergenceError, whose message
     starts with ``what``.
     """
-    need_res = fields.dq_vth != 0.0 and fields.dq_direction == "transverse"
-    fine = solve_on(_doubled(grid, need_res))
+    spans = _spans_residual_axis(fields)
+    fine = solve_on(_doubled(grid, spans))
     scale = max(np.abs(fine[0]).max(initial=0.0), np.finfo(float).tiny)
     rel = np.abs(fine[0] - response).max(initial=0.0) / scale
     if rel > rtol:
         raise NonConvergenceError(
-            f"{what} not converged: doubling {grid.n_par}x{grid.n_res} nodes "
+            f"{what} not converged: doubling {grid.n_par}x{grid.n_res if spans else 1} nodes "
             f"moved the result by {rel:.3e} (> rtol {rtol:.1e})"
         )
     return fine, f"doubling check rel change {rel:.2e}"

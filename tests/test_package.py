@@ -1,5 +1,6 @@
-"""Package surface: every exported name resolves, the benchmark's calls bind, and
-no function takes a parameter it never reads."""
+"""Package surface: every exported name resolves, the benchmark's calls bind, no
+function takes a parameter it never reads, and no dataclass stores a field that
+nothing reads."""
 
 import ast
 import importlib
@@ -90,3 +91,41 @@ def test_every_parameter_is_read(module):
     # an argument no body reads is an option that changes nothing
     path = pathlib.Path(eia.__file__).parent / f"{module}.py"
     assert _unread_parameters(path.read_text()) == []
+
+
+def _dataclass_fields(source: str):
+    """(class, field) for each annotated field of each @dataclass class."""
+    fields = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = {(d.func if isinstance(d, ast.Call) else d) for d in node.decorator_list}
+        if not any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+            continue
+        fields += [(node.name, stmt.target.id) for stmt in node.body
+                   if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+    return fields
+
+
+def _attributes_read(source: str):
+    return {n.attr for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
+def test_unread_field_guard_flags_a_dead_field():
+    src = ("@dataclass(frozen=True)\nclass R:\n    a: int\n    b: int\n\n"
+           "class N:\n    c: int\n\ndef f(r):\n    return r.a\n")
+    unread = [f for f in _dataclass_fields(src) if f[1] not in _attributes_read(src)]
+    assert unread == [("R", "b")]
+
+
+def test_every_dataclass_field_is_read():
+    # a stored field that no code reads, by name, is a value kept for nothing;
+    # matching by name cannot see a field whose name another object reads
+    root = pathlib.Path(eia.__file__).parent
+    tests = pathlib.Path(__file__).parent
+    sources = {p: p.read_text() for p in [*root.glob("*.py"), *tests.glob("*.py")]}
+    read = set().union(*map(_attributes_read, sources.values()))
+    unread = [f for p, src in sources.items() if p.parent == root
+              for f in _dataclass_fields(src) if f[1] not in read]
+    assert unread == []

@@ -203,26 +203,28 @@ class TestPerturbedRebuild:
 
         monkeypatch.setattr(ramsey_diffusion, "solve_continuity", singular_once)
         with pytest.warns(UserWarning, match="^continuity matrix singular; perturbing"):
-            got = build_solution(config(), deltap=0.0).response
+            sol = build_solution(config(), deltap=0.0)
         monkeypatch.undo()
         assert len(calls) == 2
-        assert got == self.perturbed_response()
+        assert sol.cfg.params.gamma_vcc == P.gamma_vcc * (1 + 1e-9)
+        assert sol.response == self.perturbed_response()
 
     def test_degenerate_modes(self, monkeypatch):
         real = ramsey_diffusion.ramsey_coefficients
         calls = []
 
-        def degenerate_once(cfg, deltap=None, params=None):
-            co = real(cfg, deltap=deltap, params=params)
-            calls.append(params)
+        def degenerate_once(cfg, deltap=None):
+            co = real(cfg, deltap=deltap)
+            calls.append(cfg)
             return replace(co, k2=co.k1) if len(calls) == 1 else co
 
         monkeypatch.setattr(ramsey_diffusion, "ramsey_coefficients", degenerate_once)
         with pytest.warns(UserWarning, match="^degenerate diffusion modes; perturbing"):
-            got = build_solution(config(), deltap=0.0).response
+            sol = build_solution(config(), deltap=0.0)
         monkeypatch.undo()
         assert len(calls) == 2
-        assert got == self.perturbed_response()
+        assert sol.cfg.params.gamma_vcc == P.gamma_vcc * (1 + 1e-9)
+        assert sol.response == self.perturbed_response()
 
 
 class TestOperatorResidual:

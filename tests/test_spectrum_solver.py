@@ -487,6 +487,21 @@ positive_detunings = st.lists(st.floats(min_value=1e-3, max_value=3.0), min_size
                               max_size=8, unique=True)
 
 
+@pytest.mark.parametrize("solve", [solve_exact, solve_approximate])
+@pytest.mark.parametrize("geometry, dq, n_res", [
+    ("transverse", 0.0, 1), ("collinear", 0.0, 1), ("collinear", 0.2, 1),
+    ("transverse", 0.2, 48)])
+def test_report_and_gate_give_the_residual_nodes_used(solve, geometry, dq, n_res):
+    # dq = 0 and collinear meshes hold one residual node, whatever the grid's n_res
+    p = ModelParams(gamma_pcc=1.0, gamma_vcc=0.1, gamma_g=0.05)
+    f = FieldConfig(v1=0.1, v2=0.1, vp=1e-4, qp_vth=1.0, dq_vth=dq, dq_direction=geometry)
+    grid, dgrid = make_grid(20, 48), np.linspace(-1, 1, 5)
+    _, rep = solve(p, f, grid, dgrid, check_convergence=False)
+    assert (rep.n_par, rep.n_res) == (20, n_res)
+    with pytest.raises(NonConvergenceError, match=f"doubling 20x{n_res} nodes"):
+        solve(p, f, grid, dgrid, conv_rtol=1e-300)
+
+
 @settings(max_examples=40, deadline=None)
 @given(gpcc=st.floats(0.05, 5.0), gvcc=st.floats(0.0, 0.5), gg=st.floats(1e-3, 0.1),
        qp=st.floats(0.0, 40.0), dq=st.floats(0.0, 2.0),
