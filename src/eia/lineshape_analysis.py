@@ -11,7 +11,6 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .core_model import FieldConfig, ModelParams
 from .spectrum_solver import (
@@ -176,6 +175,10 @@ def fit_lorentzian(spectrum: Spectrum) -> LineMetrics:
     except RuntimeError:
         w0 = 0.1 * (x[-1] - x[0])
     p0 = np.array([x[idx], w0, amp0, off0])
+
+    # only this fit needs scipy.optimize; importing it with the module cost
+    # every eia process about 0.3 s and 17 MiB at start-up
+    from scipy.optimize import least_squares
 
     res = least_squares(lambda p: _lorentz(p, x) - y, p0, max_nfev=500,
                         xtol=1e-14, ftol=1e-14, gtol=1e-14)

@@ -426,11 +426,10 @@ class DiffusionResidualReport:
     residual_excited: float
 
 
-def diffusion_operator_check(cfg: RamseyConfig, solution: Optional[RamseySolution] = None,
-                             rg_fn=None) -> DiffusionResidualReport:
+def diffusion_operator_check(cfg: RamseyConfig, rg_fn=None) -> DiffusionResidualReport:
     """Finite-difference residual of the coupled diffusion equations.
 
-    solution defaults to ``build_solution(cfg)`` at the configured deltap,
+    The solution checked is ``build_solution(cfg)`` at the configured deltap,
     and its cfg, the one it was solved at, gives the rates and a.  rg_fn,
     if given, replaces its ground coherence (a test can pass a wrong
     profile).  Second derivatives are taken with a three-point stencil at
@@ -442,8 +441,7 @@ def diffusion_operator_check(cfg: RamseyConfig, solution: Optional[RamseySolutio
     smooth).  Residuals are relative to the largest single term of each
     equation; an all-zero configuration reports zero.
     """
-    if solution is None:
-        solution = build_solution(cfg)
+    solution = build_solution(cfg)
     co = solution.coefficients
     rg = rg_fn if rg_fn is not None else solution.rg
     re = solution.re_excited

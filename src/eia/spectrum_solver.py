@@ -36,6 +36,7 @@ import numpy as np
 from .core_model import FieldConfig, ModelParams, toc_determinant, xi_set
 from .velocity_integrals import (
     QuadratureGrid,
+    _doubled,
     _doubling_check,
     _mesh_sum,
     _product_mesh,
@@ -111,8 +112,10 @@ class SolveReport:
     ``scan_delta_q`` rung it is the sum over the rung's solver calls, about
     290 of the 1300 detunings >= 0.  notes holds the doubling-check change
     when the check ran, and a scan rung's fallback to all detunings >= 0.
-    n_par and n_res are the node counts of the given grid's velocity mesh:
-    n_res is 1 at dq_vth = 0 and on a collinear mesh, whatever the grid holds.
+    n_par and n_res are the node counts of the velocity mesh behind the
+    returned spectrum: the node-doubled grid's when the check ran, the given
+    grid's otherwise.  n_res is 1 at dq_vth = 0 and on a collinear mesh,
+    whatever the grid holds.
     """
 
     method: str
@@ -212,13 +215,13 @@ def _solve(route, method, what, params, fields, grid, detuning_grid,
             extra = Components(*map(mirrored, extra))
         return mirrored(response), extra
 
-    runs, notes, converged = [solve_on(grid)], "", None
+    runs, notes, converged, used = [solve_on(grid)], "", None, grid
+    spans = _spans_residual_axis(fields)
     if check_convergence:
         fine, notes = _doubling_check(what, solve_on, fields, grid, runs[0][0], conv_rtol)
         runs.append(fine)
-        converged = True
-    n_res = grid.n_res if _spans_residual_axis(fields) else 1
-    report = SolveReport(method=method, n_par=grid.n_par, n_res=n_res,
+        converged, used = True, _doubled(grid, spans)
+    report = SolveReport(method=method, n_par=used.n_par, n_res=used.n_res if spans else 1,
                          n_detunings=solved.size, max_condition=0.0,
                          converged=converged, notes=notes)
     return detunings, runs, report

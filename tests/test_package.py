@@ -1,12 +1,15 @@
 """Package surface: every exported name resolves, the benchmark's calls bind, no
-function takes a parameter it never reads, and no dataclass stores a field that
-nothing reads."""
+function takes a parameter it never reads, no dataclass stores a field that
+nothing reads, and start-up does not load scipy.optimize."""
 
 import ast
 import importlib
 import inspect
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -50,6 +53,16 @@ def test_benchmark_call_binds(target, args, kwargs):
     module, _, name = target.partition(".")
     fn = getattr(importlib.import_module(f"eia.{module}"), name)
     inspect.signature(fn).bind(*args, **kwargs)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # a fresh interpreter: this one has loaded scipy.optimize through other tests
+    path = os.pathsep.join(filter(None, [str(pathlib.Path(eia.__file__).parent.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    code = "import sys, eia, eia.cli_runner; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "False"
 
 
 def test_benchmark_cli_surface():

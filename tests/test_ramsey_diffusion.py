@@ -228,8 +228,8 @@ class TestPerturbedRebuild:
 
 
 class TestOperatorResidual:
-    def test_solution_satisfies_the_coupled_equations(self, sol5mm):
-        rep = diffusion_operator_check(config(), solution=sol5mm)
+    def test_solution_satisfies_the_coupled_equations(self):
+        rep = diffusion_operator_check(config())
         assert rep.max_residual < 1e-8
         assert rep.residual_ground <= rep.max_residual
         assert rep.residual_excited <= rep.max_residual
@@ -238,7 +238,7 @@ class TestOperatorResidual:
         # doubling the curvature scale must blow the residual up by orders
         co = sol5mm.coefficients
         bad_rg = lambda x: sol5mm.rg(np.asarray(x) * 2.0)
-        rep = diffusion_operator_check(config(), solution=sol5mm, rg_fn=bad_rg)
+        rep = diffusion_operator_check(config(), rg_fn=bad_rg)
         assert rep.max_residual > 1e-3
 
 

@@ -502,6 +502,21 @@ def test_report_and_gate_give_the_residual_nodes_used(solve, geometry, dq, n_res
         solve(p, f, grid, dgrid, conv_rtol=1e-300)
 
 
+@pytest.mark.parametrize("solve", [solve_exact, solve_approximate])
+@pytest.mark.parametrize("geometry, dq, n_res", [
+    ("transverse", 0.0, 1), ("collinear", 0.0, 1), ("collinear", 0.2, 1),
+    ("transverse", 0.2, 96)])
+def test_checked_report_gives_the_doubled_nodes_behind_the_data(solve, geometry, dq, n_res):
+    # with the check on, the returned spectrum is the node-doubled grid's
+    p = ModelParams(gamma_pcc=1.0, gamma_vcc=0.1, gamma_g=0.05)
+    f = FieldConfig(v1=0.1, v2=0.1, vp=1e-4, qp_vth=1.0, dq_vth=dq, dq_direction=geometry)
+    dgrid = np.linspace(-1, 1, 5)
+    sp, rep = solve(p, f, make_grid(20, 48), dgrid, conv_rtol=np.inf)
+    assert rep.converged and (rep.n_par, rep.n_res) == (40, n_res)
+    fine, _ = solve(p, f, make_grid(40, n_res), dgrid, check_convergence=False)
+    assert np.array_equal(sp.response, fine.response)
+
+
 @settings(max_examples=40, deadline=None)
 @given(gpcc=st.floats(0.05, 5.0), gvcc=st.floats(0.0, 0.5), gg=st.floats(1e-3, 0.1),
        qp=st.floats(0.0, 40.0), dq=st.floats(0.0, 2.0),
