@@ -23,7 +23,6 @@ from .spectrum_solver import (
     solve_exact,
 )
 from .velocity_integrals import (
-    GKernelSpec,
     NonConvergenceError,
     QuadratureGrid,
     g_integral,
@@ -35,7 +34,7 @@ from .velocity_integrals import (
 __all__ = [
     "__version__",
     "ModelParams", "FieldConfig", "XiSet", "xi_set", "toc_determinant",
-    "QuadratureGrid", "GKernelSpec", "NonConvergenceError", "make_grid",
+    "QuadratureGrid", "NonConvergenceError", "make_grid",
     "g_integral", "pole_average", "one_photon_response",
     "Spectrum", "Components", "SolveReport", "default_detuning_grid",
     "solve_exact", "solve_approximate", "at_rest_spectrum",

@@ -172,8 +172,15 @@ def apply_filter(profile: TransverseProfile, fp: FilterParams, params: ModelPara
     only the k shape, per unit density), and L(k) is ``filter_response`` at
     deltap.  force_unitary drops Im(chi) (pure phase medium), which
     conserves power exactly.  Populated spectral samples beyond 0.1*q_p raise
-    ParaxialError.
+    ParaxialError.  deltap, slice_length, optical_depth_scale and qp_physical
+    must be finite, and qp_physical > 0.
     """
+    for name, x in (("deltap", deltap), ("slice_length", slice_length),
+                    ("optical_depth_scale", optical_depth_scale), ("qp_physical", qp_physical)):
+        if not np.isfinite(x):
+            raise ValueError(f"{name} must be finite, got {x}")
+    if not qp_physical > 0:
+        raise ValueError(f"qp_physical must be > 0, got {qp_physical}")
     a_hat = np.fft.fft2(profile.samples)
     kx = 2.0 * np.pi * np.fft.fftfreq(profile.nx, d=profile.dx)
     ky = 2.0 * np.pi * np.fft.fftfreq(profile.ny, d=profile.dy)

@@ -14,10 +14,11 @@ n0 and probe amplitude Vp (n0 cancels, so no parameter holds it):
   response.
 
 The first two share one solve routine, which walks chunks of detunings on the
-product velocity mesh of ``velocity_integrals``.  A vanishing xi_d shows as a
-non-finite result; IllConditionedError names the first such detuning.  On a
-grid symmetric about 0, with zero pump detunings and a real v1 conj(v2), the
-routine solves only the detunings >= 0 and reflects them.
+broadcastable product mesh that ``velocity_integrals.velocity_mesh`` builds.
+A vanishing xi_d shows as a non-finite result; IllConditionedError names the
+first such detuning.  On a grid symmetric about 0, with zero pump detunings
+and a real v1 conj(v2), the routine solves only the detunings >= 0 and
+reflects them.
 
 All detunings are in units of the spontaneous rate; response values are
 R_{e1g2}/(n0 Vp) and absorption is its imaginary part.  ``solve_exact`` warns
@@ -39,9 +40,9 @@ from .velocity_integrals import (
     _doubled,
     _doubling_check,
     _mesh_sum,
-    _product_mesh,
     _spans_residual_axis,
     _strong_collision,
+    velocity_mesh,
 )
 
 __all__ = [
@@ -139,8 +140,8 @@ def default_detuning_grid(params: ModelParams, span: float = 2.0, n: int = 2001,
     subnatural peak is resolved even when the base spacing is coarser than
     its width.
     """
-    if span <= 0 or n < 2:
-        raise ValueError("span must be > 0 and n >= 2")
+    if not 0 < span < np.inf or n < 2:
+        raise ValueError(f"span must be finite and > 0 and n >= 2, got span={span}, n={n}")
     inner = None
     w = 10.0 * (params.gamma_g + params.gamma_vcc)
     if refine and w > 0:
@@ -163,7 +164,7 @@ _CHUNK_ELEMENTS = 30_000
 
 def _mesh_chunks(params, fields, detunings, v_par, v_res, w):
     """The detuning loop of both routes: yields (slice, XiSet) per chunk, with
-    the chunk's detunings as (m, 1, 1) against ``_product_mesh``'s mesh."""
+    the chunk's detunings as (m, 1, 1) against ``velocity_mesh``'s product mesh."""
     # Allocation order, measured on exact_fig2 (glibc, 2 vCPUs): a callback loop
     # that frees each chunk first ran 1.7x slower, and xi_d built here, while
     # the caller holds the last XiSet, 2-8% slower: fresh pages fault in.
@@ -210,7 +211,7 @@ def _solve(route, method, what, params, fields, grid, detuning_grid,
     def solve_on(g):
         # a vanishing xi_d shows in the per-detuning results the routes check
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            response, extra = route(params, fields, solved, *_product_mesh(fields, g))
+            response, extra = route(params, fields, solved, *velocity_mesh(fields, g))
         if isinstance(extra, Components):
             extra = Components(*map(mirrored, extra))
         return mirrored(response), extra

@@ -11,14 +11,15 @@ averaged against one or two standard-normal velocity components.  A
 node-doubling self-check guards against under-resolved poles, which matters
 once the Doppler scale exceeds the pressure-broadened linewidth.  Every
 Gauss-Hermite average of the package, here and in ``spectrum_solver``, walks
-the velocity mesh in one product form.
+the mesh that ``velocity_mesh`` builds in broadcastable product form, and
+``g_integral`` averages only the eight named kernels ``G1_SPEC`` .. ``G_PUMP``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import roots_hermitenorm, wofz
@@ -27,7 +28,6 @@ from .core_model import FieldConfig, ModelParams, toc_determinant, xi_set
 
 __all__ = [
     "QuadratureGrid",
-    "GKernelSpec",
     "NonConvergenceError",
     "make_grid",
     "velocity_mesh",
@@ -88,6 +88,8 @@ def _gh_axis(n: int):
 def make_grid(n_par: int = 80, n_res: int = 40) -> QuadratureGrid:
     """Build the velocity quadrature; counts above 10^4 per axis are rejected."""
     for name, n in (("n_par", n_par), ("n_res", n_res)):
+        if n % 1:  # also NaN and inf
+            raise ValueError(f"{name} must be an integer, got {n}")
         if n < 1:
             raise ValueError(f"{name} must be >= 1, got {n}")
         if n > MAX_NODES:
@@ -114,8 +116,11 @@ def _doubling_check(what, solve_on, fields, grid, response, rtol):
     ``solve_on(grid)`` returns ``(response, extra)``, with response a complex
     scalar or array.  Returns the doubled grid's result and the report note;
     a relative change above rtol raises NonConvergenceError, whose message
-    starts with ``what``.
+    starts with ``what``.  rtol must be > 0 (inf is allowed): the comparison
+    is False for NaN, which would pass any change.
     """
+    if not rtol > 0:
+        raise ValueError(f"{what}: rtol must be > 0, got {rtol}")
     spans = _spans_residual_axis(fields)
     fine = solve_on(_doubled(grid, spans))
     scale = max(np.abs(fine[0]).max(initial=0.0), np.finfo(float).tiny)
@@ -129,41 +134,23 @@ def _doubling_check(what, solve_on, fields, grid, response, rtol):
 
 
 def velocity_mesh(fields: FieldConfig, grid: QuadratureGrid):
-    """Flatten the grid into (v_par, v_res, weight) arrays for the geometry.
+    """The (v_par, v_res, w) velocity mesh of the geometry, in broadcastable product form.
 
-    dq_vth = 0 collapses the residual axis to a single zero (any n_res gives
-    the same answer); collinear geometry reuses the parallel variable for the
-    residual projection; transverse geometry takes the full product grid.
+    Every Gauss-Hermite average of the package walks this form: v_par is the
+    grid's (n_par,) axis and w is (r, n_par).  On a transverse mesh with
+    dq_vth != 0 (``_spans_residual_axis``) r = n_res and v_res is
+    (n_res, 1).  Otherwise r = 1: v_res is v_par on a collinear mesh, and at
+    dq_vth = 0 the one zero node (1,), whatever the grid's n_res, so that
+    factors which follow v_res only are one value per detuning.  The long
+    v_par axis goes last to keep numpy's inner loops long.  Detunings lead
+    as (m, 1, 1), giving (m, r, n_par) factors.  w may be a read-only view
+    of the grid's weights.
     """
-    if fields.dq_vth == 0.0:
-        z = np.zeros_like(grid.nodes_par)
-        return grid.nodes_par, z, grid.weights_par
-    if fields.dq_direction == "collinear":
-        return grid.nodes_par, grid.nodes_par, grid.weights_par
-    v_par = np.repeat(grid.nodes_par, grid.n_res)
-    v_res = np.tile(grid.nodes_res, grid.n_par)
-    w = np.outer(grid.weights_par, grid.weights_res).ravel()
-    return v_par, v_res, w
-
-
-def _product_mesh(fields, grid):
-    """``velocity_mesh`` in broadcastable product form, v_par on the last axis.
-
-    Every Gauss-Hermite average of the package walks this form: v_par becomes
-    (n_par,) and w (r, n_par).  On a transverse mesh r = n_res and v_res is
-    (n_res, 1); otherwise r = 1, v_res is v_par on a collinear mesh, and at
-    dq_vth = 0 it is the one zero node (1,), so that factors which follow
-    v_res only are one value per detuning.  The long v_par axis goes last to
-    keep numpy's inner loops long.  Detunings lead as (m, 1, 1), giving
-    (m, r, n_par) factors whose flattened mesh axes match w.ravel().
-    """
-    v_par, v_res, w = velocity_mesh(fields, grid)
-    r = v_par.size // grid.n_par
-    if fields.dq_vth == 0.0:
-        v_res = v_res[:1]
-    elif r > 1:
-        v_res = v_res[:r, None]
-    return v_par[::r], v_res, np.ascontiguousarray(w.reshape(grid.n_par, r).T)
+    if _spans_residual_axis(fields):
+        return (grid.nodes_par, grid.nodes_res[:, None],
+                np.outer(grid.weights_res, grid.weights_par))
+    return (grid.nodes_par, grid.nodes_par if fields.dq_vth else np.zeros(1),
+            grid.weights_par[None, :])
 
 
 def _mesh_sum(f, x):
@@ -176,16 +163,11 @@ def _mesh_sum(f, x):
     return (f * x.sum(axis=along, keepdims=True)).sum(axis=(1, 2))
 
 
-_XI_INDEX = {1: "xi1", 2: "xi2", 3: "xi3", 4: "xi4", 5: "xi5"}
-_FactorKey = Union[int, str]
+class _Kernel(NamedTuple):
+    """Which xi factors sit over which: 1..5 name xi1..xi5, 'd' the determinant xi_d.
 
-
-@dataclass(frozen=True)
-class GKernelSpec:
-    """Which xi factors sit over which: indices 1..5, plus 'd' for the determinant.
-
-    The named specs below write out the kernels that ``g_integral`` averages
-    by Gauss-Hermite (GH).  They are the written definition and the GH
+    The eight named kernels below write out what ``g_integral`` averages by
+    Gauss-Hermite (GH).  They are the written definition and the GH
     reference of criteria 2-4 and the oracle tests; the solvers evaluate
     the same kernels fused on the product mesh, and the Ramsey kernels in
     closed form.
@@ -194,35 +176,28 @@ class GKernelSpec:
     numerator: tuple
     denominator: tuple
 
-    def __post_init__(self):
-        if len(self.denominator) == 0:
-            raise ValueError("denominator must be nonempty")
-        for part, keys in (("numerator", self.numerator), ("denominator", self.denominator)):
-            for k in keys:
-                if k != "d" and k not in _XI_INDEX:
-                    raise ValueError(f"{part} entry {k!r} not in 1..5 or 'd'")
-
 
 # the named kernels of the approximate probe response
-G1_SPEC = GKernelSpec((2, 3, 4), ("d",))
-G2_SPEC = GKernelSpec((3, 4), ("d",))
-G3_SPEC = GKernelSpec((2, 4), (5, "d"))
-G4_SPEC = GKernelSpec((1, 3, 4), ("d",))
-G5_SPEC = GKernelSpec((3,), ("d",))
+G1_SPEC = _Kernel((2, 3, 4), ("d",))
+G2_SPEC = _Kernel((3, 4), ("d",))
+G3_SPEC = _Kernel((2, 4), (5, "d"))
+G4_SPEC = _Kernel((1, 3, 4), ("d",))
+G5_SPEC = _Kernel((3,), ("d",))
 # bare one-photon kernels (probe, three-photon, pump dipole)
-G_1P = GKernelSpec((), (2,))
-G_3P = GKernelSpec((), (4,))
-G_PUMP = GKernelSpec((), (5,))
+G_1P = _Kernel((), (2,))
+G_3P = _Kernel((), (4,))
+G_PUMP = _Kernel((), (5,))
+_KERNELS = (G1_SPEC, G2_SPEC, G3_SPEC, G4_SPEC, G5_SPEC, G_1P, G_3P, G_PUMP)
 
 
-def _factor(key: _FactorKey, xi, params, fields):
+def _factor(key, xi, params, fields):
     if key == "d":
         return toc_determinant(xi, params, fields)
-    return getattr(xi, _XI_INDEX[key])
+    return getattr(xi, f"xi{key}")
 
 
 def _eval_on_grid(spec, params, fields, grid):
-    v_par, v_res, w = _product_mesh(fields, grid)
+    v_par, v_res, w = velocity_mesh(fields, grid)
     xi = xi_set(params, fields, v_par, v_res)
     val = w.astype(complex)
     for k in spec.numerator:
@@ -232,7 +207,7 @@ def _eval_on_grid(spec, params, fields, grid):
     return val.sum()
 
 
-def g_integral(spec: GKernelSpec, params: ModelParams, fields: FieldConfig,
+def g_integral(spec: _Kernel, params: ModelParams, fields: FieldConfig,
                grid: QuadratureGrid, rtol: float | None = 1e-7) -> complex:
     """Velocity average of prod(xi_num)/prod(xi_den) against the thermal Gaussian.
 
@@ -243,7 +218,10 @@ def g_integral(spec: GKernelSpec, params: ModelParams, fields: FieldConfig,
     integral is re-evaluated on a grid with doubled node counts; a relative
     change above rtol raises NonConvergenceError, otherwise the finer value
     is returned.  ``rtol=None`` skips the check and uses the grid as given.
+    spec must be one of the eight named kernels (``G1_SPEC`` .. ``G_PUMP``).
     """
+    if not any(spec is k for k in _KERNELS):
+        raise ValueError(f"spec must be one of the eight named kernels, got {spec!r}")
     coarse = _eval_on_grid(spec, params, fields, grid)
     if rtol is None:
         return coarse

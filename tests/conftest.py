@@ -56,3 +56,20 @@ def fig2_fields():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260819)
+
+
+def flat_velocity_mesh(fields, grid):
+    """The velocity mesh as flat (v_par, v_res, w) node arrays, one entry per node.
+
+    An independent reference for ``velocity_mesh``'s product form: dq_vth = 0
+    pairs every parallel node with v_res = 0, a collinear mesh reuses v_par as
+    v_res, and a transverse mesh takes every (par, res) pair.
+    """
+    if fields.dq_vth == 0.0:
+        return grid.nodes_par, np.zeros_like(grid.nodes_par), grid.weights_par
+    if fields.dq_direction == "collinear":
+        return grid.nodes_par, grid.nodes_par, grid.weights_par
+    v_par = np.repeat(grid.nodes_par, grid.n_res)
+    v_res = np.tile(grid.nodes_res, grid.n_par)
+    w = np.outer(grid.weights_par, grid.weights_res).ravel()
+    return v_par, v_res, w

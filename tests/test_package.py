@@ -1,6 +1,6 @@
 """Package surface: every exported name resolves, the benchmark's calls bind, no
-function takes a parameter it never reads, no dataclass stores a field that
-nothing reads, and start-up does not load scipy.optimize."""
+function takes a parameter it never reads, no dataclass or NamedTuple stores a
+field that nothing reads, and start-up does not load scipy.optimize."""
 
 import ast
 import importlib
@@ -107,13 +107,14 @@ def test_every_parameter_is_read(module):
 
 
 def _dataclass_fields(source: str):
-    """(class, field) for each annotated field of each @dataclass class."""
+    """(class, field) for each annotated field of each @dataclass or NamedTuple class."""
     fields = []
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.ClassDef):
             continue
         decorators = {(d.func if isinstance(d, ast.Call) else d) for d in node.decorator_list}
-        if not any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+        if not (any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators)
+                or any(isinstance(b, ast.Name) and b.id == "NamedTuple" for b in node.bases)):
             continue
         fields += [(node.name, stmt.target.id) for stmt in node.body
                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
@@ -130,6 +131,13 @@ def test_unread_field_guard_flags_a_dead_field():
            "class N:\n    c: int\n\ndef f(r):\n    return r.a\n")
     unread = [f for f in _dataclass_fields(src) if f[1] not in _attributes_read(src)]
     assert unread == [("R", "b")]
+
+
+def test_unread_field_guard_flags_a_dead_namedtuple_field():
+    src = ("class T(NamedTuple):\n    a: int\n    b: int\n\n"
+           "class U(Base):\n    c: int\n\ndef f(t):\n    return t.a\n")
+    unread = [f for f in _dataclass_fields(src) if f[1] not in _attributes_read(src)]
+    assert unread == [("T", "b")]
 
 
 def test_every_dataclass_field_is_read():

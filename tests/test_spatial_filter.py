@@ -185,6 +185,17 @@ class TestApplyFilter:
         with pytest.raises(ParaxialError, match="exceeds"):
             apply_filter(prof, self.FP, P0, 0.0, 0.1)
 
+    @pytest.mark.parametrize("name, bad", [
+        ("deltap", np.nan), ("slice_length", np.inf), ("optical_depth_scale", -np.inf),
+        ("qp_physical", np.nan), ("qp_physical", 0.0), ("qp_physical", -1.0),
+    ])
+    def test_bad_arguments_are_named(self, name, bad):
+        args = dict(deltap=0.0, slice_length=0.1, optical_depth_scale=1.0,
+                    qp_physical=DEFAULT_QP_PHYSICAL)
+        args[name] = bad
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            apply_filter(gaussian_profile(), self.FP, P0, **args)
+
 
 class TestProfileIO:
     def test_validation(self):

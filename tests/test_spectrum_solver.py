@@ -7,15 +7,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import flat_velocity_mesh
 from eia.core_model import ModelParams, FieldConfig, xi_set, toc_determinant
 from eia.velocity_integrals import (
     G1_SPEC, G2_SPEC, G3_SPEC, G4_SPEC, G5_SPEC,
-    NonConvergenceError, _doubled, _product_mesh, _strong_collision, g_integral, make_grid,
+    NonConvergenceError, _doubled, _strong_collision, g_integral, make_grid,
     one_photon_response, pole_average, velocity_mesh,
 )
 from eia import spectrum_solver
 from eia.cli_runner import _ramsey_detuning_grid, parse_config
 from eia.lineshape_analysis import _scan_detuning_grid, dicke_fwhm_model
+from eia.spatial_filter import filter_params_from_model
 from eia.spectrum_solver import (
     _CHUNK_ELEMENTS,
     _approx_terms_on_mesh,
@@ -215,16 +217,16 @@ class TestExactElimination:
     def test_product_mesh_matches_lapack_on_the_flat_mesh(self, n_par, n_res,
                                                           geometry, dq):
         """solve_exact walks the product mesh, the reference the flat
-        velocity_mesh of the same grid, over two full detuning chunks and a
+        mesh of the same grid, over two full detuning chunks and a
         partial one: a mis-sliced axis or a dropped chunk shows here."""
         p = ModelParams(gamma_pcc=0.4, gamma_vcc=0.2, gamma_g=0.003)
         f = FieldConfig(v1=0.1 + 0.05j, v2=0.2 - 0.1j, vp=1e-4, delta1=0.05,
                         delta2=-0.1, qp_vth=3.0, dq_vth=dq, dq_direction=geometry)
         grid = make_grid(n_par, n_res)
-        v_par, v_res, w = velocity_mesh(f, grid)
+        v_par, v_res, w = flat_velocity_mesh(f, grid)
         dgrid = np.linspace(-3.0, 3.0, 2 * (_CHUNK_ELEMENTS // w.size) + 5)
         sp, rep = solve_exact(p, f, grid, dgrid, check_convergence=False)
-        got, got_cond = _exact_response_on_mesh(p, f, dgrid, *_product_mesh(f, grid))
+        got, got_cond = _exact_response_on_mesh(p, f, dgrid, *velocity_mesh(f, grid))
         want, want_cond = lapack_response_on_mesh(p, f, dgrid, v_par, v_res, w)
         assert np.array_equal(sp.response, got) and rep.max_condition == got_cond.max()
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -265,8 +267,8 @@ def test_exact_route_matches_lapack_at_strong_pumps(amp, phase, b, geometry, dq,
                     dq_vth=dq, dq_direction=geometry)
     grid = make_grid(n_par, n_res)
     dgrid = np.sort(where) * max(1.0, *amp)
-    got, got_cond = _exact_response_on_mesh(p, f, dgrid, *_product_mesh(f, grid))
-    want, want_cond = lapack_response_on_mesh(p, f, dgrid, *velocity_mesh(f, grid))
+    got, got_cond = _exact_response_on_mesh(p, f, dgrid, *velocity_mesh(f, grid))
+    want, want_cond = lapack_response_on_mesh(p, f, dgrid, *flat_velocity_mesh(f, grid))
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     assert np.abs(got_cond - want_cond).max() <= 1e-12 * want_cond.max()
 
@@ -517,6 +519,32 @@ def test_checked_report_gives_the_doubled_nodes_behind_the_data(solve, geometry,
     assert np.array_equal(sp.response, fine.response)
 
 
+# each entry point with a doubling check, and the detuning grid's span; a NaN
+# tolerance would pass any change, because rel > NaN is False
+BAD_TOLERANCE_CALLS = {
+    "solve_exact": (lambda p, f, g: solve_exact(p, f, g, [-0.01, 0.0, 0.01], conv_rtol=np.nan),
+                    "^exact solve: rtol must be > 0, got nan"),
+    "solve_approximate": (lambda p, f, g: solve_approximate(p, f, g, [-0.01, 0.0, 0.01],
+                                                            conv_rtol=-1e-6),
+                          "^factored solve: rtol must be > 0, got -1e-06"),
+    "g_integral": (lambda p, f, g: g_integral(G1_SPEC, p, f, g, rtol=np.nan),
+                   "^quadrature: rtol must be > 0, got nan"),
+    "filter_params_from_model": (lambda p, f, g: filter_params_from_model(p, f, g, rtol=np.nan),
+                                 "^quadrature: rtol must be > 0, got nan"),
+    "span_nan": (lambda p, f, g: default_detuning_grid(p, span=np.nan),
+                 "^span must be finite and > 0 .* got span=nan"),
+    "span_inf": (lambda p, f, g: default_detuning_grid(p, span=np.inf),
+                 "^span must be finite and > 0 .* got span=inf"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(BAD_TOLERANCE_CALLS))
+def test_a_tolerance_that_passes_nothing_is_rejected(entry, fig2_params, fig2_fields):
+    call, match = BAD_TOLERANCE_CALLS[entry]
+    with pytest.raises(ValueError, match=match):
+        call(fig2_params, fig2_fields, make_grid(80, 1))
+
+
 @settings(max_examples=40, deadline=None)
 @given(gpcc=st.floats(0.05, 5.0), gvcc=st.floats(0.0, 0.5), gg=st.floats(1e-3, 0.1),
        qp=st.floats(0.0, 40.0), dq=st.floats(0.0, 2.0),
@@ -563,7 +591,7 @@ def unmirrored(route, params, fields, grid, d):
     mesh, with no reflection: the reference for the solvers' mirrored path."""
     d = np.asarray(d, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        response, extra = MESH_ROUTES[route](params, fields, d, *_product_mesh(fields, grid))
+        response, extra = MESH_ROUTES[route](params, fields, d, *velocity_mesh(fields, grid))
     return Spectrum.from_response(d, response, extra if route == "approx" else None)
 
 

@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import flat_velocity_mesh
 from eia.core_model import ModelParams, FieldConfig, toc_determinant, xi_set
 from eia.velocity_integrals import (
     MAX_NODES,
     NonConvergenceError,
-    GKernelSpec,
-    _product_mesh,
+    _Kernel,
+    _spans_residual_axis,
     make_grid,
     velocity_mesh,
     g_integral,
@@ -85,6 +87,13 @@ class TestMakeGrid:
             make_grid(MAX_NODES + 1, 10)
         make_grid(MAX_NODES, 1)  # cap itself is allowed
 
+    @pytest.mark.parametrize("n_par, n_res, name", [
+        (2.5, 1, "n_par"), (4, 0.5, "n_res"), (np.nan, 1, "n_par"), (4, np.inf, "n_res"),
+    ])
+    def test_non_integral_count_names_the_axis(self, n_par, n_res, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            make_grid(n_par, n_res)
+
     def test_cached_axes_are_read_only(self):
         g = make_grid(64, 64)
         with pytest.raises(ValueError):
@@ -106,7 +115,7 @@ class TestVelocityMesh:
     def test_product_mesh_keeps_one_residual_node_when_dq_vanishes(self, geometry, n_res):
         # xi1 and xi3 then stay (m, 1, 1) against the detunings
         f = FieldConfig(qp_vth=36.5, dq_vth=0.0, dq_direction=geometry)
-        v_par, v_res, w = _product_mesh(f, make_grid(50, n_res))
+        v_par, v_res, w = velocity_mesh(f, make_grid(50, n_res))
         assert v_par.shape == (50,) and w.shape == (1, 50)
         assert v_res.shape == (1,) and v_res[0] == 0.0
 
@@ -115,23 +124,40 @@ class TestVelocityMesh:
         g = make_grid(50, 40)
         v_par, v_res, w = velocity_mesh(f, g)
         assert v_par is v_res
-        assert w.shape == (50,)
+        assert w.shape == (1, 50)
 
     def test_transverse_takes_product_grid(self):
         f = FieldConfig(qp_vth=36.5, dq_vth=0.1, dq_direction="transverse")
         g = make_grid(6, 4)
         v_par, v_res, w = velocity_mesh(f, g)
-        assert v_par.shape == v_res.shape == w.shape == (24,)
+        assert v_par.shape == (6,) and v_res.shape == (4, 1) and w.shape == (4, 6)
         assert w.sum() == pytest.approx(1.0, abs=1e-13)
 
 
-def test_kernel_spec_validation():
-    with pytest.raises(ValueError):
-        GKernelSpec((1,), ())
-    with pytest.raises(ValueError):
-        GKernelSpec((7,), ("d",))
-    with pytest.raises(ValueError):
-        GKernelSpec((), ("x",))
+@settings(max_examples=60, deadline=None)
+@given(geometry=st.sampled_from(["transverse", "collinear"]),
+       dq=st.one_of(st.just(0.0), st.floats(0.0, 2.0, exclude_min=True)),
+       n_par=st.integers(1, 40), n_res=st.integers(1, 12))
+def test_product_mesh_holds_the_flat_mesh(geometry, dq, n_par, n_res):
+    """velocity_mesh's arrays, broadcast against each other and raveled, are
+    the nodes and weights of the flat mesh, node for node."""
+    f = FieldConfig(qp_vth=3.0, dq_vth=dq, dq_direction=geometry)
+    grid = make_grid(n_par, n_res)
+    v_par, v_res, w = velocity_mesh(f, grid)
+    r = n_res if _spans_residual_axis(f) else 1
+    assert w.shape == (r, n_par)
+    assert w.sum() == pytest.approx(1.0, abs=1e-13)
+    got = np.stack([a.ravel() for a in np.broadcast_arrays(v_par, v_res, w)])
+    want = np.stack(flat_velocity_mesh(f, grid))
+    assert got.shape == want.shape
+    assert np.array_equal(got[:, np.lexsort(got)], want[:, np.lexsort(want)])
+
+
+def test_g_integral_rejects_a_kernel_it_does_not_name():
+    p, f, grid = ModelParams(), FieldConfig(), make_grid(10, 1)
+    for spec in (_Kernel((1,), ()), _Kernel((7,), ("d",)), _Kernel((), ("x",))):
+        with pytest.raises(ValueError, match="named kernels"):
+            g_integral(spec, p, f, grid, rtol=None)
 
 
 class TestGIntegral:
@@ -243,12 +269,12 @@ class TestOnePhotonResponse:
 @pytest.mark.parametrize("spec", [G1_SPEC, G2_SPEC, G3_SPEC, G4_SPEC, G5_SPEC, G_1P])
 def test_g_integral_matches_the_flat_mesh_sum(spec):
     """g_integral sums on the product mesh; the reference sums the same
-    integrand node by node on the flat velocity_mesh of the same grid."""
+    integrand node by node on the flat mesh of the same grid."""
     p = ModelParams(gamma_pcc=0.4, gamma_vcc=0.2, gamma_g=0.003)
     f = FieldConfig(v1=0.1 + 0.05j, v2=0.2 - 0.1j, delta1=0.05, delta2=-0.1,
                     deltap=0.3, qp_vth=3.0, dq_vth=0.7, dq_direction="transverse")
     grid = make_grid(30, 8)
-    v_par, v_res, w = velocity_mesh(f, grid)
+    v_par, v_res, w = flat_velocity_mesh(f, grid)
     xi = xi_set(p, f, v_par, v_res)
     factor = {k: getattr(xi, f"xi{k}") for k in range(1, 6)}
     factor["d"] = toc_determinant(xi, p, f)
