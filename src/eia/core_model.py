@@ -156,6 +156,11 @@ def xi_set(params: ModelParams, fields: FieldConfig, v_par, v_res, deltap=None) 
     (qp - q1 - q2).v = -qp.v + 2 dq.v and q2.v = qp.v - dq.v.  The slow pair
     xi1, xi3 carries only the residual shift dq.v; the sum xi2 + xi4 carries
     -2 dq.v (the one-photon shifts cancel).
+
+    Each xi sums its detuning and damping constants, and apart its velocity
+    terms, before adding the two, so on a product mesh a factor that spans
+    the whole mesh is built by one broadcast add.  At dq_vth = 0 this rounds
+    exactly as the formulas above read left to right.
     """
     dp = fields.deltap if deltap is None else deltap
     g = params.gamma_sp
@@ -165,11 +170,11 @@ def xi_set(params: ModelParams, fields: FieldConfig, v_par, v_res, deltap=None) 
     qp_v = fields.qp_vth * np.asarray(v_par)
     dq_v = fields.dq_vth * np.asarray(v_res)
 
-    xi1 = (dp - fields.delta1) - dq_v + 1j * (params.gamma_g + gvcc)
-    xi2 = dp - qp_v + 1j * (gt + gvcc)
-    xi3 = (dp - fields.delta2) - dq_v + 1j * (g + params.gamma_g + gvcc)
-    xi4 = (dp - fields.delta1 - fields.delta2) + qp_v - 2.0 * dq_v + 1j * (gt + gvcc)
-    xi5 = -fields.delta2 + qp_v - dq_v + 1j * (gt + gvcc)
+    xi1 = ((dp - fields.delta1) + 1j * (params.gamma_g + gvcc)) - dq_v
+    xi2 = (dp + 1j * (gt + gvcc)) - qp_v
+    xi3 = ((dp - fields.delta2) + 1j * (g + params.gamma_g + gvcc)) - dq_v
+    xi4 = ((dp - fields.delta1 - fields.delta2) + 1j * (gt + gvcc)) + (qp_v - 2.0 * dq_v)
+    xi5 = (-fields.delta2 + 1j * (gt + gvcc)) + (qp_v - dq_v)
     return XiSet(xi1=xi1, xi2=xi2, xi3=xi3, xi4=xi4, xi5=xi5)
 
 

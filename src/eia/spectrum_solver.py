@@ -4,9 +4,11 @@ Three routes to the probe response R_{e1g2}/(n0 Vp), per unit atom density
 n0 and probe amplitude Vp (n0 cancels, so no parameter holds it):
 
 * ``solve_exact`` averages each velocity node's 4x4 coherence inverse as
-  adj(M)/xi_d, 13 thermal averages of xi-products over xi_d, and closes the
-  strong-collision velocity-changing terms self-consistently on the four
-  velocity-integrated densities.
+  adj(M)/xi_d, a table of 17 thermal averages of xi-products over xi_d, and
+  closes the strong-collision velocity-changing terms self-consistently on
+  the four velocity-integrated densities.  Only four sums per detuning span
+  the whole mesh; because xi2 + xi4 - 2 xi1 and xi4 - xi5 - xi1 are
+  constants, the rest of the table follows from them.
 * ``solve_approximate`` evaluates the factored response built from the five
   named thermal averages G1..G5, including its three-way split into one-photon
   background, pump-broadened pedestal, and the sharp collision-induced peak.
@@ -40,6 +42,7 @@ from .velocity_integrals import (
     _doubled,
     _doubling_check,
     _mesh_sum,
+    _require_tolerance,
     _spans_residual_axis,
     _strong_collision,
     velocity_mesh,
@@ -158,7 +161,10 @@ def _mirrored_grid(span, n_uniform, log_points=None):
     return np.concatenate([-pos[:0:-1], pos])
 
 
-# Detunings x velocity nodes per chunk (~0.5 MB a temporary); 15k and 60k measured slower.
+# Detunings x velocity nodes per chunk (~0.5 MB a temporary).  Timed on the four-sum exact
+# route, run.py --seconds 10, 3 rotated rounds on 2 vCPUs, wall_s in s: exact_fig2 15k
+# 0.040-0.049, 30k 0.039-0.041, 60k 0.040-0.046; dicke_scan 15k 0.259-0.267, 30k
+# 0.236-0.257, 60k 0.256-0.272.
 _CHUNK_ELEMENTS = 30_000
 
 
@@ -200,6 +206,8 @@ def _solve(route, method, what, params, fields, grid, detuning_grid,
     (detunings, the runs in order, report with max_condition 0).  When
     ``_mirror_symmetric`` holds the route sees only the detunings >= 0, and
     the response and Components in extra are reflected for the rest."""
+    if check_convergence:
+        _require_tolerance(what, "conv_rtol", conv_rtol)
     detunings = np.asarray(detuning_grid, dtype=float)
     mirror = _mirror_symmetric(fields, detunings)
     solved = detunings[detunings.size // 2:] if mirror else detunings
@@ -237,7 +245,11 @@ def _exact_response_on_mesh(params, fields, detunings, v_par, v_res, w):
     # xi5 carries no probe-detuning dependence; close the pump dipole once
     xi0 = xi_set(params, fields, v_par, v_res)
     r5 = -1j * cv2 * _strong_collision(np.sum(w / xi0.xi5), gvcc)
-    src3_row = -vp * (1j * gvcc * r5 + cv2) / xi0.xi5
+    c3 = -vp * (1j * gvcc * r5 + cv2)
+    src3_row = c3 / xi0.xi5
+    # xi2 + xi4 - 2 xi1 and xi4 - xi5 - xi1 are constants (``xi_set``)
+    s_off = (fields.delta1 - fields.delta2) + 1j * (params.gamma_sp + 2.0 * params.gamma_pcc)
+    u_off = -1j * (params.gamma_g + gvcc)
 
     # Per node the system M x = r reads
     #   xi1 x0 + conj(v1) x1 - toc x2 - v2 x3 = r0
@@ -249,19 +261,28 @@ def _exact_response_on_mesh(params, fields, detunings, v_par, v_res, w):
     # and the probe source (0, -vp, src3_row, 0) four more, b_m = <src3_row m/xi_d>.
     avg = np.empty((17, detunings.size), dtype=complex)
     for chunk, xi in _mesh_chunks(params, fields, detunings, v_par, v_res, w):
-        # Products with xi2 and xi4, which span the whole mesh, are built in place and reduced
-        # at once along the axes where xi1 and xi3 are constant; _mesh_sum applies those two.
+        # Only four sums span the whole mesh: those of w/xi_d times 1, xi4, xi2 xi4 and
+        # src3_row.  They are reduced at once along the axes where xi1 and xi3 are
+        # constant, and _mesh_sum applies those two.  s = xi2 + xi4 and u = xi4 - xi5
+        # follow xi1 alone, and src3_row xi4 = c3 + u src3_row, so the partial sums of
+        # xi2 and of src3_row times xi2, xi4 and xi2 xi4 follow on the reduced arrays.
         along = tuple(ax for ax in (1, 2) if xi.xi1.shape[ax] == 1)
 
         def part(x):
             return x.sum(axis=along, keepdims=True)
-        inv = w / toc_determinant(xi, params, fields)
-        p0, t = part(inv), inv * xi.xi4
-        p4, q4 = part(t), part(src3_row * t)
-        inv *= xi.xi2  # now w xi2 / xi_d
-        p2, q2 = part(inv), part(src3_row * inv)
+        inv = toc_determinant(xi, params, fields)
+        np.divide(w, inv, out=inv)  # w/xi_d in xi_d's array: one fresh mesh array fewer
+        t = inv * xi.xi4
+        p0, p4 = part(inv), part(t)
         t *= xi.xi2  # now w xi2 xi4 / xi_d
-        p24, q24 = part(t), part(src3_row * t)
+        p24 = part(t)
+        inv *= src3_row  # now w src3_row / xi_d
+        q0 = part(inv)
+        s, u = 2.0 * xi.xi1 + s_off, xi.xi1 + u_off
+        p2 = s * p0 - p4
+        q2 = (s - u) * q0 - c3 * p0
+        q4 = c3 * p0 + u * q0
+        q24 = c3 * p2 + u * q2
         avg[:, chunk] = [*(p.sum(axis=(1, 2)) for p in (p0, p2, p4, p24, q2, q4, q24)),
                          *(_mesh_sum(xi.xi3, p) for p in (p0, p2, p4, p24)),
                          *(_mesh_sum(xi.xi1, p) for p in (p2, p4, p24, q24)),
@@ -298,18 +319,23 @@ def solve_exact(params: ModelParams, fields: FieldConfig, grid: QuadratureGrid,
     the entries of adj(M) = xi_d M^-1 sum products of distinct xi's with
     constant coefficients: the node sums of M^-1 and of the probe-source
     solution are 17 thermal averages over xi_d, one complex division per
-    node.  They close on the four velocity-integrated densities.  Returns
-    (Spectrum, SolveReport).  With check_convergence the whole spectrum is
-    recomputed on a node-doubled grid and the finer result is kept;
-    disagreement beyond conv_rtol raises NonConvergenceError.  A density
-    system that is not finite, as a vanishing xi_d makes it, raises
-    IllConditionedError naming the first such detuning.  With delta1 =
-    delta2 = 0, a real v1 conj(v2) and a grid symmetric about 0, only the
-    detunings >= 0 are solved, on each mesh, and the rest follow from
-    response(-delta) = -conj(response(delta)): n_detunings counts the solved
-    half, and IllConditionedError names a detuning >= 0.  The largest
-    condition estimate of the density systems is reported as max_condition;
-    above 1e8 it warns, above 1e12 it raises IllConditionedError.
+    node.  The mesh sums of w/xi_d times 1, xi4, xi2 xi4 and src3_row (the
+    probe source's third entry, over xi5) give all 17: xi2 + xi4 - 2 xi1 and
+    xi4 - xi5 - xi1 are constants, so the other products reduce to these four
+    times factors that follow xi1 alone.  They close on the four
+    velocity-integrated densities.  Returns (Spectrum, SolveReport).  With
+    check_convergence the whole spectrum is recomputed on a node-doubled grid
+    and the finer result is kept; disagreement beyond conv_rtol raises
+    NonConvergenceError, and a conv_rtol that is NaN or not > 0 raises
+    ValueError before any solve.  A density system that is not finite, as a
+    vanishing xi_d makes it, raises IllConditionedError naming the first such
+    detuning.  With delta1 = delta2 = 0, a real v1 conj(v2) and a grid
+    symmetric about 0, only the detunings >= 0 are solved, on each mesh, and
+    the rest follow from response(-delta) = -conj(response(delta)):
+    n_detunings counts the solved half, and IllConditionedError names a
+    detuning >= 0.  The largest condition estimate of the density systems is
+    reported as max_condition; above 1e8 it warns, above 1e12 it raises
+    IllConditionedError.
     """
     detunings, runs, report = _solve(
         _exact_response_on_mesh, "exact", "exact solve", params, fields, grid,

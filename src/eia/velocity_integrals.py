@@ -110,17 +110,22 @@ def _doubled(grid: QuadratureGrid, need_res: bool) -> QuadratureGrid:
     return QuadratureGrid(*_gh_axis(2 * grid.n_par), *res)
 
 
+def _require_tolerance(what, name, rtol):
+    """Reject a doubling tolerance that is not > 0 (inf is allowed), naming it
+    as the caller's parameter ``name``: the check's comparison is False for
+    NaN, which would pass any change.  Callers check before their first solve."""
+    if not rtol > 0:
+        raise ValueError(f"{what}: {name} must be > 0, got {rtol}")
+
+
 def _doubling_check(what, solve_on, fields, grid, response, rtol):
     """Solve again on the node-doubled grid and compare the two responses.
 
     ``solve_on(grid)`` returns ``(response, extra)``, with response a complex
     scalar or array.  Returns the doubled grid's result and the report note;
     a relative change above rtol raises NonConvergenceError, whose message
-    starts with ``what``.  rtol must be > 0 (inf is allowed): the comparison
-    is False for NaN, which would pass any change.
+    starts with ``what``.  rtol has passed ``_require_tolerance``.
     """
-    if not rtol > 0:
-        raise ValueError(f"{what}: rtol must be > 0, got {rtol}")
     spans = _spans_residual_axis(fields)
     fine = solve_on(_doubled(grid, spans))
     scale = max(np.abs(fine[0]).max(initial=0.0), np.finfo(float).tiny)
@@ -217,14 +222,16 @@ def g_integral(spec: _Kernel, params: ModelParams, fields: FieldConfig,
     filter still averages through it.  With ``rtol`` set (default 1e-7) the
     integral is re-evaluated on a grid with doubled node counts; a relative
     change above rtol raises NonConvergenceError, otherwise the finer value
-    is returned.  ``rtol=None`` skips the check and uses the grid as given.
+    is returned; an rtol that is NaN or not > 0 raises ValueError before any
+    evaluation.  ``rtol=None`` skips the check and uses the grid as given.
     spec must be one of the eight named kernels (``G1_SPEC`` .. ``G_PUMP``).
     """
     if not any(spec is k for k in _KERNELS):
         raise ValueError(f"spec must be one of the eight named kernels, got {spec!r}")
-    coarse = _eval_on_grid(spec, params, fields, grid)
     if rtol is None:
-        return coarse
+        return _eval_on_grid(spec, params, fields, grid)
+    _require_tolerance("quadrature", "rtol", rtol)
+    coarse = _eval_on_grid(spec, params, fields, grid)
     (fine, _), _ = _doubling_check(
         "quadrature", lambda g: (_eval_on_grid(spec, params, fields, g), None),
         fields, grid, coarse, rtol)

@@ -191,3 +191,77 @@ def test_determinant_broadcasts_over_velocity_arrays():
     assert det.shape == (7,)
     one = toc_determinant(xi_set(p, f, v[2], v[2]), p, f)
     assert det[2] == pytest.approx(one)
+
+
+# the shapes the solvers pass: detunings as (m, 1, 1) against velocity_mesh's product mesh
+detuning_columns = st.lists(detunings, min_size=1, max_size=4).map(
+    lambda d: np.array(d)[:, None, None])
+velocity_axes = st.lists(velocities, min_size=1, max_size=6).map(np.array)
+geometries = st.sampled_from(["transverse", "collinear"])
+
+
+def product_mesh_velocities(geometry, v_par, v_res):
+    """(v_par, v_res) as velocity_mesh pairs them: v_res is v_par on a collinear mesh."""
+    return v_par, (v_par if geometry == "collinear" else v_res[:, None])
+
+
+@settings(max_examples=80, deadline=None)
+@given(gpcc=rates, gvcc=rates, gg=rates, d1=detunings, d2=detunings, dp=detuning_columns,
+       v_par=velocity_axes, v_res=velocity_axes, qp=st.floats(0.0, 40.0),
+       dq=st.just(0.0) | st.floats(0.0, 2.0), geometry=geometries)
+def test_exact_table_identities(gpcc, gvcc, gg, d1, d2, dp, v_par, v_res, qp, dq, geometry):
+    """xi2 + xi4 - 2 xi1 and xi4 - xi5 - xi1 are constants at every velocity
+    and detuning: the exact route derives its table from four mesh sums on them."""
+    p = ModelParams(gamma_pcc=gpcc, gamma_vcc=gvcc, gamma_g=gg)
+    f = FieldConfig(delta1=d1, delta2=d2, qp_vth=qp, dq_vth=dq, dq_direction=geometry)
+    v_par, v_res = product_mesh_velocities(geometry, v_par, v_res)
+    xi = xi_set(p, f, v_par, v_res, deltap=dp)
+    # magnitude of the operands xi_set adds; each identity is good to a few ulps of it
+    scale = (np.abs(dp) + abs(d1) + abs(d2) + qp * np.abs(v_par) + 2.0 * dq * np.abs(v_res)
+             + p.gamma_sp + p.gamma_tilde + gvcc)
+    tol = 4.0 * np.finfo(float).eps * scale
+    s = xi.xi2 + xi.xi4 - 2.0 * xi.xi1
+    u = xi.xi4 - xi.xi5 - xi.xi1
+    assert np.all(np.abs(s - ((d1 - d2) + 1j * (p.gamma_sp + 2.0 * gpcc))) <= tol)
+    assert np.all(np.abs(u - (-1j * (gg + gvcc))) <= tol)
+
+
+def docstring_xi(p, f, v_par, v_res, dp):
+    """xi1..xi5 as xi_set's docstring writes them, evaluated left to right."""
+    qp_v, dq_v = f.qp_vth * v_par, f.dq_vth * v_res
+    gt, gvcc = p.gamma_tilde, p.gamma_vcc
+    return ((dp - f.delta1) - dq_v + 1j * (p.gamma_g + gvcc),
+            dp - qp_v + 1j * (gt + gvcc),
+            (dp - f.delta2) - dq_v + 1j * (p.gamma_sp + p.gamma_g + gvcc),
+            (dp - f.delta1 - f.delta2) + qp_v - 2.0 * dq_v + 1j * (gt + gvcc),
+            -f.delta2 + qp_v - dq_v + 1j * (gt + gvcc))
+
+
+@settings(max_examples=80, deadline=None)
+@given(gpcc=rates, gvcc=rates, gg=rates, d1=detunings, d2=detunings, dp=detuning_columns,
+       v_par=velocity_axes, v_res=velocity_axes, qp=st.floats(0.0, 40.0),
+       dq=st.just(0.0) | st.floats(1e-3, 2.0), geometry=geometries)
+def test_xi_set_rounds_as_its_docstring(gpcc, gvcc, gg, d1, d2, dp, v_par, v_res, qp, dq,
+                                        geometry):
+    """xi_set adds its constants first.  At dq_vth = 0 that rounds bit for bit
+    as the docstring formulas read, on the product mesh and without detunings
+    (the pump-dipole call); otherwise within 2 ulps of the operands."""
+    p = ModelParams(gamma_pcc=gpcc, gamma_vcc=gvcc, gamma_g=gg)
+    f = FieldConfig(delta1=d1, delta2=d2, deltap=float(dp[0, 0, 0]), qp_vth=qp, dq_vth=dq,
+                    dq_direction=geometry)
+    if dq == 0.0:
+        v_res = np.zeros(1)  # velocity_mesh's one residual node
+    v_par, v_res = product_mesh_velocities(geometry, v_par, v_res)
+    for deltap, want_dp in ((dp, dp), (None, f.deltap)):
+        got = xi_set(p, f, v_par, v_res, deltap=deltap)
+        want = docstring_xi(p, f, v_par, v_res, want_dp)
+        for name, w in zip(("xi1", "xi2", "xi3", "xi4", "xi5"), want):
+            g = np.asarray(getattr(got, name))
+            w = np.asarray(w)
+            assert g.shape == w.shape
+            if dq == 0.0:
+                assert g.tobytes() == w.tobytes(), name
+            else:
+                scale = (np.abs(want_dp) + abs(d1) + abs(d2) + qp * np.abs(v_par)
+                         + 2.0 * dq * np.abs(v_res) + p.gamma_sp + p.gamma_tilde + gvcc)
+                assert np.all(np.abs(g - w) <= 2.0 * np.spacing(scale)), name

@@ -14,7 +14,7 @@ from eia.velocity_integrals import (
     NonConvergenceError, _doubled, _strong_collision, g_integral, make_grid,
     one_photon_response, pole_average, velocity_mesh,
 )
-from eia import spectrum_solver
+from eia import spectrum_solver, velocity_integrals
 from eia.cli_runner import _ramsey_detuning_grid, parse_config
 from eia.lineshape_analysis import _scan_detuning_grid, dicke_fwhm_model
 from eia.spatial_filter import filter_params_from_model
@@ -520,13 +520,14 @@ def test_checked_report_gives_the_doubled_nodes_behind_the_data(solve, geometry,
 
 
 # each entry point with a doubling check, and the detuning grid's span; a NaN
-# tolerance would pass any change, because rel > NaN is False
+# tolerance would pass any change, because rel > NaN is False.  Each message
+# names the parameter the call used.
 BAD_TOLERANCE_CALLS = {
     "solve_exact": (lambda p, f, g: solve_exact(p, f, g, [-0.01, 0.0, 0.01], conv_rtol=np.nan),
-                    "^exact solve: rtol must be > 0, got nan"),
+                    "^exact solve: conv_rtol must be > 0, got nan"),
     "solve_approximate": (lambda p, f, g: solve_approximate(p, f, g, [-0.01, 0.0, 0.01],
                                                             conv_rtol=-1e-6),
-                          "^factored solve: rtol must be > 0, got -1e-06"),
+                          "^factored solve: conv_rtol must be > 0, got -1e-06"),
     "g_integral": (lambda p, f, g: g_integral(G1_SPEC, p, f, g, rtol=np.nan),
                    "^quadrature: rtol must be > 0, got nan"),
     "filter_params_from_model": (lambda p, f, g: filter_params_from_model(p, f, g, rtol=np.nan),
@@ -539,10 +540,20 @@ BAD_TOLERANCE_CALLS = {
 
 
 @pytest.mark.parametrize("entry", sorted(BAD_TOLERANCE_CALLS))
-def test_a_tolerance_that_passes_nothing_is_rejected(entry, fig2_params, fig2_fields):
+def test_a_tolerance_that_passes_nothing_is_rejected(entry, fig2_params, fig2_fields,
+                                                     monkeypatch):
+    # rejected before any solve: no velocity mesh is built
+    meshes = []
+
+    def counting_mesh(fields, grid):
+        meshes.append(grid.n_par)
+        return velocity_mesh(fields, grid)
+    monkeypatch.setattr(spectrum_solver, "velocity_mesh", counting_mesh)
+    monkeypatch.setattr(velocity_integrals, "velocity_mesh", counting_mesh)
     call, match = BAD_TOLERANCE_CALLS[entry]
     with pytest.raises(ValueError, match=match):
         call(fig2_params, fig2_fields, make_grid(80, 1))
+    assert meshes == []
 
 
 @settings(max_examples=40, deadline=None)
