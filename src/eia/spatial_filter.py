@@ -111,11 +111,14 @@ def filter_response(fp: FilterParams, params: ModelParams, deltap: float, k):
     eta = fp.eta
     num = eta * (2.0 * ba - eta) * fp.power_broadening
     k = np.asarray(k, dtype=float)
+    dk2 = np.square(k)
+    dk2 *= fp.diffusion_D
     den = (-1j * deltap + params.gamma_g
            + (eta**2 + 1.0 - 2.0 * ba * eta) * fp.power_broadening
-           + fp.diffusion_D * k**2)
-    out = np.asarray(num / den, dtype=complex)
-    return complex(out) if out.ndim == 0 else out
+           + dk2)
+    if k.ndim == 0:
+        return complex(num / den)
+    return np.divide(num, den, out=den)
 
 
 @dataclass(frozen=True)
@@ -186,35 +189,59 @@ def apply_filter(profile: TransverseProfile, fp: FilterParams, params: ModelPara
     ky = 2.0 * np.pi * np.fft.fftfreq(profile.ny, d=profile.dy)
     kmag = np.sqrt(ky[:, None] ** 2 + kx[None, :] ** 2)
 
-    populated = np.abs(a_hat) > 1e-12 * np.abs(a_hat).max(initial=0.0)
-    if np.any(kmag[populated] > 0.1 * qp_physical):
-        worst = kmag[populated].max()
+    mag = np.abs(a_hat)
+    worst = np.max(kmag, where=mag > 1e-12 * mag.max(initial=0.0), initial=0.0)
+    del mag  # freed before the transfer is built, which sets the peak memory
+    if worst > 0.1 * qp_physical:
         raise ParaxialError(
             f"populated spatial frequency {worst:.3e} 1/m exceeds 0.1*q_p = "
             f"{0.1 * qp_physical:.3e} 1/m")
 
-    ell = filter_response(fp, params, deltap, kmag / qp_physical)
-    chi = optical_depth_scale * 1j * fp.probe_kernel * (1.0 + ell)
+    # exp(1j * (chi - kmag**2 / (2 q_p)) * dz) in chi's and kmag's buffers.
+    # The complex products run as array * scalar, which numpy rounds apart
+    # from scalar * array in the last bit; the out-of-place expression runs
+    # them this way only from 256 KiB up, where numpy reuses its temporaries.
+    chi = filter_response(fp, params, deltap, kmag / qp_physical)
+    chi += 1.0
+    chi *= optical_depth_scale * 1j * fp.probe_kernel
     if force_unitary:
-        chi = chi.real
-    transfer = np.exp(1j * (chi - kmag**2 / (2.0 * qp_physical)) * slice_length)
-    out = np.fft.ifft2(a_hat * transfer)
+        chi.imag = 0.0
+    np.square(kmag, out=kmag)
+    kmag /= 2.0 * qp_physical
+    chi -= kmag
+    chi *= 1j
+    chi *= slice_length
+    np.exp(chi, out=chi)
+    a_hat *= chi
+    del chi  # freed before ifft2 allocates its output
+    out = np.fft.ifft2(a_hat)
     return TransverseProfile(samples=out, extent=profile.extent)
 
 
-# profile files: header (nx, ny, dx, dy) then row-major (y rows, x fastest)
-# complex pairs; binary form is little-endian int64/float64/complex128
 _BIN_HEADER = struct.Struct("<qqdd")
+_TEXT_BLOCK = 4096  # samples per text write
 
 
 def save_profile(profile: TransverseProfile, path, fmt: str = "text") -> None:
+    """Write the profile to path as text (fmt="text") or binary (fmt="binary").
+
+    Both forms hold a header (nx, ny, dx, dy), then the nx*ny samples in
+    row-major order (y rows, x fastest).  Text: the header line
+    "nx ny dx dy", then one line "re im" per sample, each float written as
+    its ``repr``; that is the shortest exact round trip, signed zeros
+    included, and ``np.loadtxt`` parses it.  Binary: little-endian int64 nx,
+    int64 ny, float64 dx, float64 dy, then complex128 samples.
+    """
     data = np.ascontiguousarray(profile.samples, dtype=complex)
     if fmt == "text":
+        flat = data.view(float).ravel()
         with open(path, "w", newline="\n") as fh:
             fh.write(f"{profile.nx} {profile.ny} {float(profile.dx)!r} {float(profile.dy)!r}\n")
-            for val in data.ravel(order="C"):
-                # plain-float repr: shortest exact roundtrip, parseable by loadtxt
-                fh.write(f"{float(val.real)!r} {float(val.imag)!r}\n")
+            # one %-format and one write per block keeps the save close to
+            # the cost of repr itself; per-sample f-strings and writes do not
+            for a in range(0, flat.size, 2 * _TEXT_BLOCK):
+                b = flat[a:a + 2 * _TEXT_BLOCK].tolist()
+                fh.write("%r %r\n" * (len(b) // 2) % tuple(b))
     elif fmt == "binary":
         with open(path, "wb") as fh:
             fh.write(_BIN_HEADER.pack(profile.nx, profile.ny, profile.dx, profile.dy))
@@ -233,6 +260,17 @@ def _check_header(path, nx, ny, dx, dy) -> None:
 
 
 def load_profile(path, fmt: str = "text") -> TransverseProfile:
+    """Read a profile that ``save_profile`` wrote in the same fmt.
+
+    The header (nx, ny, dx, dy) comes first, then nx*ny samples in
+    row-major order (y rows, x fastest); the extent is (nx*dx, ny*dy).
+    Text: a line "nx ny dx dy", then one line "re im" per sample; the
+    ``repr`` floats ``save_profile`` writes read back exactly, signed zeros
+    included.  Binary: little-endian int64 nx, int64 ny, float64 dx, float64
+    dy, then complex128 samples.  A header with a size below 1 or a spacing
+    that is not finite and > 0, or a body of the wrong length, raises
+    ValueError naming the file.
+    """
     if fmt == "text":
         with open(path, "r") as fh:
             header = fh.readline().split()
@@ -247,7 +285,7 @@ def load_profile(path, fmt: str = "text") -> TransverseProfile:
             flat = np.loadtxt(fh, dtype=float, ndmin=2)
         if flat.shape != (nx * ny, 2):
             raise ValueError(f"profile {path}: body has shape {flat.shape}, expected ({nx * ny}, 2)")
-        samples = (flat[:, 0] + 1j * flat[:, 1]).reshape(ny, nx)
+        samples = flat.view(complex).reshape(ny, nx)
     elif fmt == "binary":
         with open(path, "rb") as fh:
             raw = fh.read()

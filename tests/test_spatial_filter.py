@@ -1,6 +1,7 @@
 """k-space filter shape, thin-slice propagation, and profile IO."""
 
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from eia.core_model import ModelParams, FieldConfig
 from eia.velocity_integrals import G_1P, g_integral, make_grid, one_photon_response
 from eia.spatial_filter import (
+    _TEXT_BLOCK,
     DEFAULT_QP_PHYSICAL,
     FilterParams,
     ParaxialError,
@@ -67,8 +69,10 @@ class TestFilterResponse:
         assert filter_response(hand_params(), pb, 0.0, 0.0).real < 0
 
     def test_array_in_array_out(self):
-        got = filter_response(hand_params(), P0, 0.0, np.array([0.0, 0.01]))
+        k = np.array([0.0, 0.01])
+        got = filter_response(hand_params(), P0, 0.0, k)
         assert isinstance(got, np.ndarray) and got.shape == (2,)
+        assert k.tolist() == [0.0, 0.01]  # the caller's k is not overwritten
 
     def test_detuned_response_is_smaller_and_warns(self):
         fp = hand_params()
@@ -146,8 +150,93 @@ def gaussian_profile(n=64, extent=0.01, waist=0.002):
                              extent=(extent, extent))
 
 
+def reference_transfer(profile, fp, params, deltap, slice_length,
+                       optical_depth_scale=1.0, qp_physical=DEFAULT_QP_PHYSICAL,
+                       force_unitary=False):
+    """The thin-slice transfer and its paraxial message, one expression per step."""
+    a_hat = np.fft.fft2(profile.samples)
+    kx = 2.0 * np.pi * np.fft.fftfreq(profile.nx, d=profile.dx)
+    ky = 2.0 * np.pi * np.fft.fftfreq(profile.ny, d=profile.dy)
+    kmag = np.sqrt(ky[:, None] ** 2 + kx[None, :] ** 2)
+    populated = np.abs(a_hat) > 1e-12 * np.abs(a_hat).max(initial=0.0)
+    if np.any(kmag[populated] > 0.1 * qp_physical):
+        worst = kmag[populated].max()
+        return (f"populated spatial frequency {worst:.3e} 1/m exceeds 0.1*q_p = "
+                f"{0.1 * qp_physical:.3e} 1/m")
+    ba = params.b * params.branching_A
+    eta = fp.eta
+    k = kmag / qp_physical
+    ell = eta * (2.0 * ba - eta) * fp.power_broadening / (
+        -1j * deltap + params.gamma_g
+        + (eta**2 + 1.0 - 2.0 * ba * eta) * fp.power_broadening
+        + fp.diffusion_D * k**2)
+    chi = optical_depth_scale * 1j * fp.probe_kernel * (1.0 + ell)
+    if force_unitary:
+        chi = chi.real
+    transfer = np.exp(1j * (chi - kmag**2 / (2.0 * qp_physical)) * slice_length)
+    return np.fft.ifft2(a_hat * transfer)
+
+
 class TestApplyFilter:
     FP = hand_params()
+
+    @pytest.mark.parametrize("force_unitary", [False, True])
+    @pytest.mark.parametrize("deltap, ods", [(0.0, 1.0), (0.3, 2.5), (-0.2, -0.7)])
+    @pytest.mark.parametrize("n_y, n_x", [(128, 136), (40, 48)])
+    def test_bit_for_bit_with_the_written_out_transfer(self, force_unitary, deltap, ods,
+                                                       n_y, n_x, rng):
+        """Bit for bit from 16384 samples (256 KiB) up.
+
+        From that size numpy reuses the temporaries of reference_transfer's
+        `s * (1 + ell)` and `1j * (...)`, so both products run as the
+        in-place array * scalar that apply_filter uses.  Below it they run as
+        scalar * array, which rounds complex products differently in the
+        last bit.
+        """
+        x = (np.arange(n_x) - n_x / 2) * (0.01 / n_x)
+        y = (np.arange(n_y) - n_y / 2) * (0.012 / n_y)
+        env = np.exp(-(y[:, None] ** 2 + x[None, :] ** 2) / 0.002**2)
+        noise = rng.normal(size=(n_y, n_x)) + 1j * rng.normal(size=(n_y, n_x))
+        prof = TransverseProfile(samples=env * (1.0 + 0.3 * noise), extent=(0.01, 0.012))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = apply_filter(prof, self.FP, P0, deltap, 0.07, optical_depth_scale=ods,
+                               force_unitary=force_unitary)
+            want = reference_transfer(prof, self.FP, P0, deltap, 0.07, optical_depth_scale=ods,
+                                      force_unitary=force_unitary)
+        if n_y * n_x >= 16384:
+            assert got.samples.tobytes() == want.tobytes()
+        else:
+            np.testing.assert_allclose(got.samples, want, rtol=0, atol=1e-15 * np.abs(want).max())
+
+    def test_paraxial_message_names_the_worst_populated_frequency(self, rng):
+        prof = TransverseProfile(samples=rng.normal(size=(8, 6)) + 0j, extent=(8e-6, 9e-6))
+        want = reference_transfer(prof, self.FP, P0, 0.0, 0.1)
+        assert isinstance(want, str)
+        with pytest.raises(ParaxialError) as exc:
+            apply_filter(prof, self.FP, P0, 0.0, 0.1)
+        assert str(exc.value) == want
+
+    def test_scalar_response_is_a_python_complex_of_the_written_out_formula(self):
+        fp, k = self.FP, 0.013
+        ba = P0.b * P0.branching_A
+        want = fp.eta * (2.0 * ba - fp.eta) * fp.power_broadening / (
+            -1j * 0.0 + P0.gamma_g + (fp.eta**2 + 1.0 - 2.0 * ba * fp.eta) * fp.power_broadening
+            + fp.diffusion_D * np.asarray(k) ** 2)
+        got = filter_response(fp, P0, 0.0, k)
+        assert type(got) is complex
+        assert (got.real, got.imag) == (want.real, want.imag)
+
+    def test_peak_memory_of_one_slice(self):
+        prof = gaussian_profile(n=256, extent=0.02)
+        apply_filter(prof, self.FP, P0, 0.0, 0.1)  # first-call allocations outside the count
+        tracemalloc.start()
+        try:
+            apply_filter(prof, self.FP, P0, 0.0, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * prof.samples.nbytes
 
     def test_uniform_profile_attenuates_by_the_dc_response(self):
         prof = TransverseProfile(samples=np.full((8, 8), 2.0 + 0.0j),
@@ -221,6 +310,45 @@ class TestProfileIO:
         np.testing.assert_array_equal(back.samples, samples)
         assert back.extent[0] == pytest.approx(0.5, rel=1e-15)
         assert back.extent[1] == pytest.approx(0.12, rel=1e-15)
+
+    def test_text_keeps_signed_zeros(self, tmp_path):
+        path = tmp_path / "zeros.txt"
+        path.write_text("2 1 0.5 0.5\n-0.0 1.0\n2.0 -0.0\n")
+        s = load_profile(path, fmt="text").samples
+        assert s.shape == (1, 2)
+        assert np.signbit(s.real).tolist() == [[True, False]]
+        assert np.signbit(s.imag).tolist() == [[False, True]]
+
+    @pytest.mark.parametrize("fmt", ["text", "binary"])
+    def test_roundtrip_is_sign_exact(self, fmt, tmp_path):
+        samples = np.array([[complex(-0.0, 1.0), complex(2.0, -0.0), complex(-0.0, -0.0)],
+                            [complex(0.0, -5e-324), complex(-1e300, 3.0), 0.1 - 0.2j]])
+        path = tmp_path / f"zeros.{fmt}"
+        save_profile(TransverseProfile(samples=samples, extent=(3.0, 2.0)), path, fmt=fmt)
+        assert load_profile(path, fmt=fmt).samples.tobytes() == samples.tobytes()
+
+    @staticmethod
+    def per_sample_text(profile):
+        """The text form written one f-string per sample."""
+        data = np.ascontiguousarray(profile.samples, dtype=complex)
+        lines = [f"{profile.nx} {profile.ny} {float(profile.dx)!r} {float(profile.dy)!r}\n"]
+        for val in data.ravel(order="C"):
+            lines.append(f"{float(val.real)!r} {float(val.imag)!r}\n")
+        return "".join(lines).encode()
+
+    @pytest.mark.parametrize("shape", [
+        (1, 1), (3, 5), (1, _TEXT_BLOCK - 1), (64, _TEXT_BLOCK // 64),
+        (_TEXT_BLOCK + 1, 1), (5, (2 * _TEXT_BLOCK + 3) // 5 + 1)])
+    def test_text_bytes_match_the_per_sample_writer(self, shape, tmp_path, rng):
+        samples = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        special = [5e-324, -2.2250738585072014e-308 / 3, 0.0, -0.0, 1e300, -1e300, 3.0, 0.1]
+        flat = samples.view(float).reshape(-1)
+        flat[:len(special)] = special[:flat.size]
+        flat[-len(special):] = special[::-1][-flat.size:]
+        prof = TransverseProfile(samples=samples, extent=(0.3, 7e-3))
+        path = tmp_path / "golden.txt"
+        save_profile(prof, path, fmt="text")
+        assert path.read_bytes() == self.per_sample_text(prof)
 
     def test_bad_format_rejected(self, tmp_path):
         prof = TransverseProfile(samples=np.ones((2, 2), complex), extent=(1.0, 1.0))
