@@ -187,6 +187,12 @@ def ramsey_coefficients(cfg: RamseyConfig, deltap: Optional[float] = None) -> Ra
     ba = p.b * p.branching_A * big_g
     v1, v2, vp = f.v1, f.v2, f.vp
 
+    if gam == 0 and dp == 0:
+        # alpha3^2 = (gamma_g - i deltap)/D vanishes: the exterior ground
+        # coherence would not decay away from the sheet
+        raise ValueError("the sheet's exterior ground coherence does not decay at "
+                         "gamma_g = 0 and deltap = 0; set gamma_g > 0 or leave "
+                         "deltap = 0 off the detuning grid")
     q = cfg.effective_fields(dp).qp_vth
     width = p.gamma_tilde + gvcc
     k_1p = _strong_collision(pole_average(dp, q, width), gvcc)

@@ -9,9 +9,16 @@ i*K*(1+L) up to one user-set magnitude constant.
 
 from __future__ import annotations
 
+import contextlib
+import io
+import os
+import shutil
+import signal
 import struct
+import tempfile
 import warnings
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Tuple
 
 import numpy as np
@@ -220,6 +227,118 @@ def apply_filter(profile: TransverseProfile, fp: FilterParams, params: ModelPara
 
 _BIN_HEADER = struct.Struct("<qqdd")
 _TEXT_BLOCK = 4096  # samples per text write
+# fewest samples in a text run: about 20 ms of repr against a few ms per fork
+_RUN_MIN = 4 * _TEXT_BLOCK
+
+
+def _text_runs(n: int):
+    """[start, stop) runs of n samples, one per CPU this process may run on.
+
+    Each run holds at least _RUN_MIN samples, so a small body is one run;
+    so is every body on a platform without os.fork or os.sched_getaffinity.
+    """
+    cpus = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    k = max(1, min(cpus, n // _RUN_MIN))
+    edges = [n * i // k for i in range(k + 1)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+@contextlib.contextmanager
+def _children():
+    """The pids of one save's or load's forked workers, as a set.
+
+    Leaving the context kills and reaps every child still in the set, so
+    none outlives the call, on any path.
+    """
+    pids = set()
+    try:
+        yield pids
+    finally:
+        for pid in pids:
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _fork(pids: set, work):
+    """Run work() in a forked child and add its pid to pids; None where the fork fails.
+
+    The child exits 0 if work returns and 1 if it raises or warns.  It ends
+    in os._exit, so it never returns into the caller's stack nor flushes a
+    buffer this process holds.
+    """
+    try:
+        with warnings.catch_warnings():
+            # Python >= 3.12 warns on forking while threads run (the BLAS
+            # pool's).  The child only formats or parses text, calls no BLAS
+            # or FFT, and leaves through os._exit.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            warnings.simplefilter("error")
+            work()
+            status = 0
+        finally:
+            os._exit(status)
+    pids.add(pid)
+    return pid
+
+
+def _succeeded(pids: set, pid) -> bool:
+    """Reap the child pid of _fork (None: no child); True if its work returned."""
+    if pid is None:
+        return False
+    pids.discard(pid)
+    try:
+        status = os.waitpid(pid, 0)[1]
+    except ChildProcessError:  # reaped already, where SIGCHLD is ignored
+        return False
+    return os.waitstatus_to_exitcode(status) == 0
+
+
+def _write_text_run(flat, start: int, stop: int, write) -> None:
+    """Samples [start, stop) of the interleaved floats flat, one "re im" line each."""
+    # one %-format and one write per block keeps the save close to the cost
+    # of repr itself; per-sample f-strings and writes do not
+    for a in range(2 * start, 2 * stop, 2 * _TEXT_BLOCK):
+        b = flat[a:min(a + 2 * _TEXT_BLOCK, 2 * stop)].tolist()
+        write(("%r %r\n" * (len(b) // 2) % tuple(b)).encode())
+
+
+def _format_into(flat, start: int, stop: int, tmp) -> None:
+    _write_text_run(flat, start, stop, tmp.write)
+    tmp.flush()
+
+
+def _save_text(profile: TransverseProfile, data: np.ndarray, path) -> None:
+    flat = data.view(float).ravel()
+    runs = _text_runs(flat.size // 2)
+    with open(path, "wb") as fh, _children() as pids, contextlib.ExitStack() as temps:
+        fh.write(f"{profile.nx} {profile.ny} {float(profile.dx)!r} "
+                 f"{float(profile.dy)!r}\n".encode())
+        jobs = []
+        for start, stop in runs[1:]:
+            try:
+                # unnamed where the file system allows it, unlinked at once where not
+                tmp = temps.enter_context(tempfile.TemporaryFile())
+            except OSError:
+                tmp = pid = None  # this process formats the run
+            else:
+                pid = _fork(pids, partial(_format_into, flat, start, stop, tmp))
+            jobs.append((start, stop, tmp, pid))
+        _write_text_run(flat, *runs[0], fh.write)
+        for start, stop, tmp, pid in jobs:
+            if _succeeded(pids, pid):
+                tmp.seek(0)
+                shutil.copyfileobj(tmp, fh)
+            else:
+                _write_text_run(flat, start, stop, fh.write)
 
 
 def save_profile(profile: TransverseProfile, path, fmt: str = "text") -> None:
@@ -231,17 +350,17 @@ def save_profile(profile: TransverseProfile, path, fmt: str = "text") -> None:
     its ``repr``; that is the shortest exact round trip, signed zeros
     included, and ``np.loadtxt`` parses it.  Binary: little-endian int64 nx,
     int64 ny, float64 dx, float64 dy, then complex128 samples.
+
+    A text body is formatted in contiguous runs of samples, one per CPU in
+    the process's affinity mask (``os.sched_getaffinity``): this process
+    writes the first run straight into the file while forked children
+    format the others into temporary files, which are appended in order.
+    A run that a child fails to format is formatted here instead.  The
+    bytes written do not depend on how the body is split.
     """
     data = np.ascontiguousarray(profile.samples, dtype=complex)
     if fmt == "text":
-        flat = data.view(float).ravel()
-        with open(path, "w", newline="\n") as fh:
-            fh.write(f"{profile.nx} {profile.ny} {float(profile.dx)!r} {float(profile.dy)!r}\n")
-            # one %-format and one write per block keeps the save close to
-            # the cost of repr itself; per-sample f-strings and writes do not
-            for a in range(0, flat.size, 2 * _TEXT_BLOCK):
-                b = flat[a:a + 2 * _TEXT_BLOCK].tolist()
-                fh.write("%r %r\n" * (len(b) // 2) % tuple(b))
+        _save_text(profile, data, path)
     elif fmt == "binary":
         with open(path, "wb") as fh:
             fh.write(_BIN_HEADER.pack(profile.nx, profile.ny, profile.dx, profile.dy))
@@ -259,6 +378,91 @@ def _check_header(path, nx, ny, dx, dy) -> None:
                          "both must be finite and > 0")
 
 
+def _parse_text_part(path, encoding: str, start: int, stop: int, tmp) -> None:
+    """Parse bytes [start, stop) of path into tmp: an int64 row count, then the rows."""
+    with open(path, "rb") as raw:  # a handle of its own: a forked one shares its offset
+        raw.seek(start)
+        chunk = raw.read(stop - start)
+    part = np.loadtxt(io.TextIOWrapper(io.BytesIO(chunk), encoding=encoding),
+                      dtype=float, ndmin=2)
+    if part.shape[1] != 2:
+        raise ValueError(f"part has {part.shape[1]} columns")
+    tmp.write(struct.pack("<q", part.shape[0]))
+    tmp.write(part.tobytes())
+    tmp.flush()
+
+
+def _parse_text_runs(path, encoding: str, header: str, n: int):
+    """The (n, 2) text body of path parsed in runs, one per CPU, or None.
+
+    Run edges are byte offsets into the body, each moved on past the next
+    newline.  Forked children parse every run but the last, each from a
+    handle of its own, and hand back float64 rows through a temporary
+    file; this process streams the last run through ``np.loadtxt``.  None,
+    which leaves the decision to one ``np.loadtxt`` over the whole body,
+    comes back for a single run, a first line that does not read back as
+    header, a child that fails, a part that warns or does not have 2
+    columns, or part sizes that do not add up to n.
+    """
+    runs = len(_text_runs(n))
+    if runs == 1:
+        return None
+    with open(path, "rb") as raw:
+        first = raw.readline()
+        try:
+            if first.decode(encoding).replace("\r\n", "\n") != header:
+                return None
+        except UnicodeDecodeError:
+            return None
+        body = raw.tell()
+        size = os.fstat(raw.fileno()).st_size
+        edges = [body]
+        for i in range(1, runs):
+            raw.seek(body + (size - body) * i // runs)
+            raw.readline()
+            edges.append(raw.tell())
+    edges = sorted(set(edges + [size]))
+    if len(edges) < 3:
+        return None
+    spans = list(zip(edges[:-1], edges[1:]))
+    with _children() as pids, contextlib.ExitStack() as temps:
+        jobs = []
+        for start, stop in spans[:-1]:
+            try:
+                tmp = temps.enter_context(tempfile.TemporaryFile())
+            except OSError:
+                return None
+            jobs.append((tmp, _fork(pids, partial(_parse_text_part, path, encoding,
+                                                  start, stop, tmp))))
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with open(path, "rb") as raw:
+                    raw.seek(spans[-1][0])
+                    with io.TextIOWrapper(raw, encoding=encoding) as fh:
+                        tail = np.loadtxt(fh, dtype=float, ndmin=2)
+        except (ValueError, OSError, Warning):
+            return None
+        if tail.shape[1] != 2 or tail.shape[0] > n:
+            return None
+        # the last run goes into place before the others are read in, so the
+        # body is held once, not twice
+        flat = np.empty((n, 2))
+        end = n - tail.shape[0]
+        flat[end:] = tail
+        del tail
+        at = 0
+        for tmp, pid in jobs:
+            if not _succeeded(pids, pid):
+                return None
+            tmp.seek(0)
+            m = struct.unpack("<q", tmp.read(8))[0]
+            if at + m > end or tmp.readinto(flat[at:at + m]) != 16 * m:
+                return None
+            at += m
+    return flat if at == end else None
+
+
 def load_profile(path, fmt: str = "text") -> TransverseProfile:
     """Read a profile that ``save_profile`` wrote in the same fmt.
 
@@ -270,10 +474,19 @@ def load_profile(path, fmt: str = "text") -> TransverseProfile:
     dy, then complex128 samples.  A header with a size below 1 or a spacing
     that is not finite and > 0, or a body of the wrong length, raises
     ValueError naming the file.
+
+    A text body is parsed in contiguous runs of lines, one per CPU in the
+    process's affinity mask (``os.sched_getaffinity``): forked children
+    parse all runs but the last, which this process parses meanwhile.
+    Where a child fails, or a run does not parse to rows of two floats
+    that add up to nx*ny, the whole body is parsed again in one piece, so
+    errors read as they would unsplit.  The samples read do not depend on
+    how the body is split.
     """
     if fmt == "text":
         with open(path, "r") as fh:
-            header = fh.readline().split()
+            line = fh.readline()
+            header = line.split()
             if len(header) != 4:
                 raise ValueError(f"profile {path}: header has {len(header)} fields, not 4")
             try:
@@ -282,7 +495,9 @@ def load_profile(path, fmt: str = "text") -> TransverseProfile:
                 raise ValueError(f"profile {path}: header {' '.join(header)!r} is not "
                                  "two integers and two floats") from None
             _check_header(path, nx, ny, dx, dy)
-            flat = np.loadtxt(fh, dtype=float, ndmin=2)
+            flat = _parse_text_runs(path, fh.encoding, line, nx * ny)
+            if flat is None:
+                flat = np.loadtxt(fh, dtype=float, ndmin=2)
         if flat.shape != (nx * ny, 2):
             raise ValueError(f"profile {path}: body has shape {flat.shape}, expected ({nx * ny}, 2)")
         samples = flat.view(complex).reshape(ny, nx)

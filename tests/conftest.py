@@ -1,4 +1,6 @@
+import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
@@ -73,3 +75,38 @@ def flat_velocity_mesh(fields, grid):
     v_res = np.tile(grid.nodes_res, grid.n_par)
     w = np.outer(grid.weights_par, grid.weights_res).ravel()
     return v_par, v_res, w
+
+
+def _unlinked_open_files():
+    """Open descriptors of this process whose file has no name (Linux only)."""
+    fd_dir = "/proc/self/fd"
+    if not os.path.isdir(fd_dir):
+        return set()
+    links = set()
+    for fd in os.listdir(fd_dir):
+        try:
+            link = os.readlink(os.path.join(fd_dir, fd))
+        except OSError:  # the descriptor listing itself, closed by now
+            continue
+        if link.endswith(" (deleted)"):
+            links.add((fd, link))
+    return links
+
+
+@pytest.fixture
+def no_stray_children(tmp_path_factory, monkeypatch):
+    """After the test: no child process left to reap and no temporary file left behind.
+
+    The profile codec forks workers and gives them temporary files; each
+    save or load must reap every child and close and remove every file,
+    whether it succeeds or raises.  The test's temporary files go to a
+    directory of their own, which must be empty afterwards.
+    """
+    temp_dir = tmp_path_factory.mktemp("tempfile")
+    monkeypatch.setattr(tempfile, "tempdir", str(temp_dir))
+    before = _unlinked_open_files()
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert _unlinked_open_files() <= before
+    assert list(temp_dir.iterdir()) == []

@@ -13,6 +13,9 @@ from eia.spatial_filter import load_profile
 from eia.spectrum_solver import solve_approximate
 
 
+pytestmark = pytest.mark.usefixtures("no_stray_children")
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -283,6 +286,14 @@ class TestMainErrors:
                      "--out", str(tmp_path / "run")]) == 1
         err = capsys.readouterr().err
         assert "error: config key 'gamma_vcc':" in err and "gamma_vcc > 0" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_ramsey_without_ground_decay_names_the_inputs(self, tmp_path, capsys):
+        # the default gamma_g is 0, and the Ramsey grid always holds deltap = 0
+        assert main(["ramsey", "--set", "gamma_vcc=0.025", "--set", "ramsey_n=3",
+                     "--out", str(tmp_path / "rms")]) == 1
+        err = capsys.readouterr().err
+        assert "gamma_g = 0 and deltap = 0" in err and "alpha3" not in err
         assert list(tmp_path.iterdir()) == []
 
     def test_unknown_target(self, capsys):

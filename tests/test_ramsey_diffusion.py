@@ -250,3 +250,18 @@ class TestSpectrum:
         assert sp.absorption.shape == (7,)
         assert np.argmax(sp.absorption) == 3
         assert np.all(sp.absorption > 0)
+
+    def test_no_ground_decay_at_line_center_names_the_inputs(self):
+        # alpha3^2 = (gamma_g - i deltap)/D is 0 there: no exterior decay
+        cfg = RamseyConfig(params=replace(P, gamma_g=0.0), fields=F, half_width_a=5e-3)
+        for call in (lambda: ramsey_coefficients(cfg, deltap=0.0),
+                     lambda: ramsey_spectrum(cfg, [-0.001, 0.0, 0.001])):
+            with pytest.raises(ValueError, match="gamma_g = 0 and deltap = 0"):
+                call()
+
+    def test_no_ground_decay_off_line_center_still_runs(self):
+        cfg = RamseyConfig(params=replace(P, gamma_g=0.0), fields=F, half_width_a=5e-3)
+        d = np.linspace(-0.004, 0.004, 4)  # an even count leaves 0 out
+        sp = ramsey_spectrum(cfg, d)
+        assert np.all(np.isfinite(sp.response)) and np.all(sp.absorption > 0)
+        assert sp.absorption[1] == pytest.approx(sp.absorption[2], rel=1e-9)

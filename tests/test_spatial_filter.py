@@ -1,5 +1,7 @@
 """k-space filter shape, thin-slice propagation, and profile IO."""
 
+import os
+import signal
 import struct
 import tracemalloc
 import warnings
@@ -7,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+from eia import spatial_filter
 from eia.core_model import ModelParams, FieldConfig
 from eia.velocity_integrals import G_1P, g_integral, make_grid, one_photon_response
 from eia.spatial_filter import (
@@ -21,6 +24,8 @@ from eia.spatial_filter import (
     load_profile,
     save_profile,
 )
+
+pytestmark = pytest.mark.usefixtures("no_stray_children")
 
 P0 = ModelParams(gamma_pcc=5.0, gamma_vcc=0.025, gamma_g=0.001)
 F0 = FieldConfig(v1=0.0816, v2=0.1, vp=0.001, qp_vth=36.5, dq_vth=0.0,
@@ -286,6 +291,10 @@ class TestApplyFilter:
             apply_filter(gaussian_profile(), self.FP, P0, **args)
 
 
+# subnormals, signed zeros, the ends of the float range and short reprs
+SPECIAL = [5e-324, -2.2250738585072014e-308 / 3, 0.0, -0.0, 1e300, -1e300, 3.0, 0.1]
+
+
 class TestProfileIO:
     def test_validation(self):
         with pytest.raises(ValueError, match="2-D"):
@@ -341,10 +350,9 @@ class TestProfileIO:
         (_TEXT_BLOCK + 1, 1), (5, (2 * _TEXT_BLOCK + 3) // 5 + 1)])
     def test_text_bytes_match_the_per_sample_writer(self, shape, tmp_path, rng):
         samples = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        special = [5e-324, -2.2250738585072014e-308 / 3, 0.0, -0.0, 1e300, -1e300, 3.0, 0.1]
         flat = samples.view(float).reshape(-1)
-        flat[:len(special)] = special[:flat.size]
-        flat[-len(special):] = special[::-1][-flat.size:]
+        flat[:len(SPECIAL)] = SPECIAL[:flat.size]
+        flat[-len(SPECIAL):] = SPECIAL[::-1][-flat.size:]
         prof = TransverseProfile(samples=samples, extent=(0.3, 7e-3))
         path = tmp_path / "golden.txt"
         save_profile(prof, path, fmt="text")
@@ -427,3 +435,159 @@ class TestProfileIO:
         with pytest.raises(ValueError, match="header '2 x 0.1 0.1' is not two integers") as exc:
             load_profile(path, fmt="text")
         assert str(path) in str(exc.value)
+
+
+class TestSplitTextCodec:
+    """Text bodies split into runs across forked workers read and write as one."""
+
+    @pytest.fixture
+    def split(self, monkeypatch):
+        """split(cpus): runs of 600 samples and up, over `cpus` CPUs."""
+        def use(cpus):
+            monkeypatch.setattr(spatial_filter, "_RUN_MIN", 600)
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        return use
+
+    @staticmethod
+    def profile_with_specials_at_run_edges(shape, rng):
+        samples = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        flat = samples.view(float).reshape(-1)
+        for start, _ in spatial_filter._text_runs(samples.size):
+            # the floats of the two samples either side of each run edge
+            at = max(0, 2 * start - 4)
+            flat[at:at + len(SPECIAL)] = SPECIAL[:flat.size - at]
+        flat[-len(SPECIAL):] = SPECIAL[::-1]
+        return TransverseProfile(samples=samples, extent=(0.3, 7e-3))
+
+    @staticmethod
+    def spy_on_parent(monkeypatch, module, name, fail_in_children=False):
+        """Record the calls this process makes to module.name; children may be made to fail."""
+        parent, calls, real = os.getpid(), [], getattr(module, name)
+
+        def spy(*args, **kwargs):
+            if os.getpid() == parent:
+                calls.append(args)
+            elif fail_in_children:
+                raise OSError("worker failure")
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, spy)
+        return calls
+
+    @pytest.mark.parametrize("cpus, shape, runs", [
+        (2, (2, 700), 2), (3, (37, 50), 3), (4, (129, 131), 4), (8, (1, 1799), 2)])
+    def test_bytes_match_the_per_sample_writer(self, cpus, shape, runs, split, tmp_path, rng):
+        split(cpus)
+        assert len(spatial_filter._text_runs(shape[0] * shape[1])) == runs
+        prof = self.profile_with_specials_at_run_edges(shape, rng)
+        path = tmp_path / "split.txt"
+        save_profile(prof, path, fmt="text")
+        assert path.read_bytes() == TestProfileIO.per_sample_text(prof)
+
+    @pytest.mark.parametrize("cpus", [2, 4])
+    def test_roundtrip_across_runs_is_sign_exact(self, cpus, split, tmp_path, rng):
+        split(cpus)
+        prof = self.profile_with_specials_at_run_edges((129, 131), rng)
+        path = tmp_path / "split.txt"
+        save_profile(prof, path, fmt="text")
+        assert load_profile(path, fmt="text").samples.tobytes() == prof.samples.tobytes()
+
+    def test_valid_file_takes_the_split_path(self, split, tmp_path, rng, monkeypatch):
+        split(3)
+        prof = self.profile_with_specials_at_run_edges((129, 131), rng)
+        path = tmp_path / "split.txt"
+        save_profile(prof, path, fmt="text")
+        forks = self.spy_on_parent(monkeypatch, os, "fork")
+        parses = self.spy_on_parent(monkeypatch, np, "loadtxt")
+        assert load_profile(path, fmt="text").samples.tobytes() == prof.samples.tobytes()
+        # two children parse the first two runs; this process parses the last
+        # one and never the whole body
+        assert len(forks) == 2 and len(parses) == 1
+
+    def test_failed_children_leave_the_serial_bytes(self, split, tmp_path, rng, monkeypatch):
+        split(4)
+        prof = self.profile_with_specials_at_run_edges((129, 131), rng)
+        path = tmp_path / "split.txt"
+        writes = self.spy_on_parent(monkeypatch, spatial_filter, "_write_text_run",
+                                    fail_in_children=True)
+        save_profile(prof, path, fmt="text")
+        assert path.read_bytes() == TestProfileIO.per_sample_text(prof)
+        assert len(writes) == 4  # the first run, then each failed child's run
+
+    def test_failed_fork_leaves_the_serial_bytes(self, split, tmp_path, rng, monkeypatch):
+        split(4)
+        prof = self.profile_with_specials_at_run_edges((129, 131), rng)
+        path = tmp_path / "split.txt"
+
+        def no_fork():
+            raise OSError("fork refused")
+        monkeypatch.setattr(os, "fork", no_fork)
+        save_profile(prof, path, fmt="text")
+        assert path.read_bytes() == TestProfileIO.per_sample_text(prof)
+        assert load_profile(path, fmt="text").samples.tobytes() == prof.samples.tobytes()
+
+    def test_failed_children_fall_back_to_one_parse(self, split, tmp_path, rng, monkeypatch):
+        split(4)
+        prof = self.profile_with_specials_at_run_edges((129, 131), rng)
+        path = tmp_path / "split.txt"
+        save_profile(prof, path, fmt="text")
+        parses = self.spy_on_parent(monkeypatch, np, "loadtxt", fail_in_children=True)
+        assert load_profile(path, fmt="text").samples.tobytes() == prof.samples.tobytes()
+        assert len(parses) == 2  # the last run, then the whole body
+
+    @staticmethod
+    def serial_error(path, monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(spatial_filter, "_RUN_MIN", 10**9)
+            with pytest.raises(ValueError) as exc:
+                load_profile(path, fmt="text")
+        return str(exc.value)
+
+    @pytest.mark.parametrize("row", [5, 16890])  # a child's run, this process's run
+    def test_bad_token_reads_as_unsplit(self, row, split, tmp_path, rng, monkeypatch):
+        split(3)
+        prof = self.profile_with_specials_at_run_edges((129, 131), rng)
+        path = tmp_path / "bad.txt"
+        save_profile(prof, path, fmt="text")
+        lines = path.read_text().split("\n")
+        lines[1 + row] = "abc " + lines[1 + row].split()[1]
+        path.write_text("\n".join(lines))
+        want = self.serial_error(path, monkeypatch)
+        assert f"could not convert string 'abc' to float64 at row {row}, column 1" in want
+        with pytest.raises(ValueError) as exc:
+            load_profile(path, fmt="text")
+        assert str(exc.value) == want
+
+    @pytest.mark.parametrize("cut", [1, 4000])
+    def test_short_body_reads_as_unsplit(self, cut, split, tmp_path, rng, monkeypatch):
+        split(3)
+        prof = self.profile_with_specials_at_run_edges((129, 131), rng)
+        path = tmp_path / "short.txt"
+        save_profile(prof, path, fmt="text")
+        lines = path.read_text().split("\n")
+        path.write_text("\n".join(lines[:-1 - cut]) + "\n")
+        want = self.serial_error(path, monkeypatch)
+        assert f"body has shape ({129 * 131 - cut}, 2)" in want
+        with pytest.raises(ValueError) as exc:
+            load_profile(path, fmt="text")
+        assert str(exc.value) == want
+
+    def test_one_run_without_fork(self, split, monkeypatch):
+        split(4)
+        assert len(spatial_filter._text_runs(10**6)) == 4
+        monkeypatch.delattr(os, "fork")
+        assert spatial_filter._text_runs(10**6) == [(0, 10**6)]
+
+    def test_ignored_sigchld_leaves_the_serial_result(self, split, tmp_path, rng):
+        # with SIGCHLD ignored children reap themselves, so no exit status
+        # comes back; every run falls back to this process
+        split(3)
+        prof = self.profile_with_specials_at_run_edges((129, 131), rng)
+        path = tmp_path / "split.txt"
+        old = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            save_profile(prof, path, fmt="text")
+            back = load_profile(path, fmt="text")
+        finally:
+            signal.signal(signal.SIGCHLD, old)
+        assert path.read_bytes() == TestProfileIO.per_sample_text(prof)
+        assert back.samples.tobytes() == prof.samples.tobytes()
