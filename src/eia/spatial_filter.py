@@ -246,99 +246,86 @@ def _text_runs(n: int):
 
 
 @contextlib.contextmanager
-def _children():
-    """The pids of one save's or load's forked workers, as a set.
+def _forked(work, jobs):
+    """Run work(*job, out) in a forked child per job, out an unnamed temporary file.
 
-    Leaving the context kills and reaps every child still in the set, so
-    none outlives the call, on any path.
+    Yields an iterator that waits for the children in job order and gives
+    each job's file rewound, or None where the file, the fork or the work
+    failed.  A child fails if work raises or warns; it ends in os._exit, so
+    it never returns into the caller's stack nor flushes a buffer this
+    process holds.  Leaving the context kills and reaps every child still
+    running, so none outlives the call, on any path.
     """
-    pids = set()
-    try:
-        yield pids
-    finally:
-        for pid in pids:
-            with contextlib.suppress(ProcessLookupError, ChildProcessError):
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+    running, forked = set(), []
 
+    def results():
+        for pid, out in forked:
+            status = 1
+            if pid is not None:
+                running.discard(pid)
+                with contextlib.suppress(ChildProcessError):  # reaped already, where SIGCHLD is ignored
+                    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if status == 0:
+                out.seek(0)
+            yield out if status == 0 else None
 
-def _fork(pids: set, work):
-    """Run work() in a forked child and add its pid to pids; None where the fork fails.
-
-    The child exits 0 if work returns and 1 if it raises or warns.  It ends
-    in os._exit, so it never returns into the caller's stack nor flushes a
-    buffer this process holds.
-    """
-    try:
-        with warnings.catch_warnings():
-            # Python >= 3.12 warns on forking while threads run (the BLAS
-            # pool's).  The child only formats or parses text, calls no BLAS
-            # or FFT, and leaves through os._exit.
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
-    except OSError:
-        return None
-    if pid == 0:
-        status = 1
+    with contextlib.ExitStack() as temps:
         try:
-            warnings.simplefilter("error")
-            work()
-            status = 0
+            for job in jobs:
+                try:
+                    # unnamed where the file system allows it, unlinked at once where not
+                    out = temps.enter_context(tempfile.TemporaryFile())
+                    with warnings.catch_warnings():
+                        # Python >= 3.12 warns on forking while threads run (the
+                        # BLAS pool's).  The child only formats or parses text,
+                        # calls no BLAS or FFT, and leaves through os._exit.
+                        warnings.simplefilter("ignore", DeprecationWarning)
+                        pid = os.fork()
+                except OSError:
+                    pid = out = None
+                if pid == 0:
+                    status = 1
+                    try:
+                        warnings.simplefilter("error")
+                        work(*job, out)
+                        out.flush()
+                        status = 0
+                    finally:
+                        os._exit(status)
+                if pid is not None:
+                    running.add(pid)
+                forked.append((pid, out))
+            yield results()
         finally:
-            os._exit(status)
-    pids.add(pid)
-    return pid
+            for pid in running:
+                with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
 
 
-def _succeeded(pids: set, pid) -> bool:
-    """Reap the child pid of _fork (None: no child); True if its work returned."""
-    if pid is None:
-        return False
-    pids.discard(pid)
-    try:
-        status = os.waitpid(pid, 0)[1]
-    except ChildProcessError:  # reaped already, where SIGCHLD is ignored
-        return False
-    return os.waitstatus_to_exitcode(status) == 0
-
-
-def _write_text_run(flat, start: int, stop: int, write) -> None:
-    """Samples [start, stop) of the interleaved floats flat, one "re im" line each."""
+def _write_text_run(flat, start: int, stop: int, out) -> None:
+    """Samples [start, stop) of the interleaved floats flat to out, one "re im" line each."""
     # one %-format and one write per block keeps the save close to the cost
     # of repr itself; per-sample f-strings and writes do not
     for a in range(2 * start, 2 * stop, 2 * _TEXT_BLOCK):
         b = flat[a:min(a + 2 * _TEXT_BLOCK, 2 * stop)].tolist()
-        write(("%r %r\n" * (len(b) // 2) % tuple(b)).encode())
-
-
-def _format_into(flat, start: int, stop: int, tmp) -> None:
-    _write_text_run(flat, start, stop, tmp.write)
-    tmp.flush()
+        out.write(("%r %r\n" * (len(b) // 2) % tuple(b)).encode())
 
 
 def _save_text(profile: TransverseProfile, data: np.ndarray, path) -> None:
     flat = data.view(float).ravel()
-    runs = _text_runs(flat.size // 2)
-    with open(path, "wb") as fh, _children() as pids, contextlib.ExitStack() as temps:
+    first, *rest = _text_runs(flat.size // 2)
+    write = partial(_write_text_run, flat)
+    with open(path, "wb") as fh:
         fh.write(f"{profile.nx} {profile.ny} {float(profile.dx)!r} "
                  f"{float(profile.dy)!r}\n".encode())
-        jobs = []
-        for start, stop in runs[1:]:
-            try:
-                # unnamed where the file system allows it, unlinked at once where not
-                tmp = temps.enter_context(tempfile.TemporaryFile())
-            except OSError:
-                tmp = pid = None  # this process formats the run
-            else:
-                pid = _fork(pids, partial(_format_into, flat, start, stop, tmp))
-            jobs.append((start, stop, tmp, pid))
-        _write_text_run(flat, *runs[0], fh.write)
-        for start, stop, tmp, pid in jobs:
-            if _succeeded(pids, pid):
-                tmp.seek(0)
-                shutil.copyfileobj(tmp, fh)
-            else:
-                _write_text_run(flat, start, stop, fh.write)
+        with _forked(write, rest) as outs:
+            write(*first, fh)
+            for run, out in zip(rest, outs):
+                if out is None:
+                    write(*run, fh)  # this process formats a run its child did not
+                else:
+                    shutil.copyfileobj(out, fh)
 
 
 def save_profile(profile: TransverseProfile, path, fmt: str = "text") -> None:
@@ -354,9 +341,10 @@ def save_profile(profile: TransverseProfile, path, fmt: str = "text") -> None:
     A text body is formatted in contiguous runs of samples, one per CPU in
     the process's affinity mask (``os.sched_getaffinity``): this process
     writes the first run straight into the file while forked children
-    format the others into temporary files, which are appended in order.
-    A run that a child fails to format is formatted here instead.  The
-    bytes written do not depend on how the body is split.
+    format the others into unnamed temporary files, which are appended in
+    order.  A run whose temporary file, fork or child fails is formatted
+    here instead.  The bytes written do not depend on how the body is
+    split.  No child outlives the call, also when it raises.
     """
     data = np.ascontiguousarray(profile.samples, dtype=complex)
     if fmt == "text":
@@ -378,31 +366,29 @@ def _check_header(path, nx, ny, dx, dy) -> None:
                          "both must be finite and > 0")
 
 
-def _parse_text_part(path, encoding: str, start: int, stop: int, tmp) -> None:
-    """Parse bytes [start, stop) of path into tmp: an int64 row count, then the rows."""
+def _parse_rows(path, encoding: str, start: int, stop=None) -> np.ndarray:
+    """Rows of two floats parsed from bytes [start, stop) of path, or from start to its end."""
     with open(path, "rb") as raw:  # a handle of its own: a forked one shares its offset
         raw.seek(start)
-        chunk = raw.read(stop - start)
-    part = np.loadtxt(io.TextIOWrapper(io.BytesIO(chunk), encoding=encoding),
-                      dtype=float, ndmin=2)
-    if part.shape[1] != 2:
-        raise ValueError(f"part has {part.shape[1]} columns")
-    tmp.write(struct.pack("<q", part.shape[0]))
-    tmp.write(part.tobytes())
-    tmp.flush()
+        run = raw if stop is None else io.BytesIO(raw.read(stop - start))
+        with io.TextIOWrapper(run, encoding=encoding) as fh:
+            rows = np.loadtxt(fh, dtype=float, ndmin=2)
+    if rows.shape[1] != 2:
+        raise ValueError(f"rows have {rows.shape[1]} columns, not 2")
+    return rows
 
 
 def _parse_text_runs(path, encoding: str, header: str, n: int):
     """The (n, 2) text body of path parsed in runs, one per CPU, or None.
 
     Run edges are byte offsets into the body, each moved on past the next
-    newline.  Forked children parse every run but the last, each from a
-    handle of its own, and hand back float64 rows through a temporary
-    file; this process streams the last run through ``np.loadtxt``.  None,
-    which leaves the decision to one ``np.loadtxt`` over the whole body,
-    comes back for a single run, a first line that does not read back as
-    header, a child that fails, a part that warns or does not have 2
-    columns, or part sizes that do not add up to n.
+    newline.  Forked children parse every run but the last and hand back
+    float64 rows through a temporary file, whose size gives their count;
+    this process parses the last run meanwhile.  None, which leaves the
+    decision to one ``np.loadtxt`` over the whole body, comes back for a
+    single run, a first line that does not read back as header, a body too
+    short to hold n rows, a child that fails, a run that warns or does not
+    have 2 columns, or run sizes that do not add up to n.
     """
     runs = len(_text_runs(n))
     if runs == 1:
@@ -416,6 +402,10 @@ def _parse_text_runs(path, encoding: str, header: str, n: int):
             return None
         body = raw.tell()
         size = os.fstat(raw.fileno()).st_size
+        # each row takes 4 bytes or more ("0 0\n"), the last 3; a shorter
+        # body is refused before n rows are allocated
+        if size - body < 4 * n - 1:
+            return None
         edges = [body]
         for i in range(1, runs):
             raw.seek(body + (size - body) * i // runs)
@@ -425,25 +415,15 @@ def _parse_text_runs(path, encoding: str, header: str, n: int):
     if len(edges) < 3:
         return None
     spans = list(zip(edges[:-1], edges[1:]))
-    with _children() as pids, contextlib.ExitStack() as temps:
-        jobs = []
-        for start, stop in spans[:-1]:
-            try:
-                tmp = temps.enter_context(tempfile.TemporaryFile())
-            except OSError:
-                return None
-            jobs.append((tmp, _fork(pids, partial(_parse_text_part, path, encoding,
-                                                  start, stop, tmp))))
+    with _forked(lambda start, stop, out: out.write(_parse_rows(path, encoding, start, stop)),
+                 spans[:-1]) as outs:
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                with open(path, "rb") as raw:
-                    raw.seek(spans[-1][0])
-                    with io.TextIOWrapper(raw, encoding=encoding) as fh:
-                        tail = np.loadtxt(fh, dtype=float, ndmin=2)
+                tail = _parse_rows(path, encoding, edges[-2])
         except (ValueError, OSError, Warning):
             return None
-        if tail.shape[1] != 2 or tail.shape[0] > n:
+        if tail.shape[0] > n:
             return None
         # the last run goes into place before the others are read in, so the
         # body is held once, not twice
@@ -452,12 +432,11 @@ def _parse_text_runs(path, encoding: str, header: str, n: int):
         flat[end:] = tail
         del tail
         at = 0
-        for tmp, pid in jobs:
-            if not _succeeded(pids, pid):
+        for out in outs:
+            if out is None:
                 return None
-            tmp.seek(0)
-            m = struct.unpack("<q", tmp.read(8))[0]
-            if at + m > end or tmp.readinto(flat[at:at + m]) != 16 * m:
+            m = os.fstat(out.fileno()).st_size // 16
+            if at + m > end or out.readinto(flat[at:at + m]) != 16 * m:
                 return None
             at += m
     return flat if at == end else None
@@ -477,11 +456,13 @@ def load_profile(path, fmt: str = "text") -> TransverseProfile:
 
     A text body is parsed in contiguous runs of lines, one per CPU in the
     process's affinity mask (``os.sched_getaffinity``): forked children
-    parse all runs but the last, which this process parses meanwhile.
-    Where a child fails, or a run does not parse to rows of two floats
-    that add up to nx*ny, the whole body is parsed again in one piece, so
-    errors read as they would unsplit.  The samples read do not depend on
-    how the body is split.
+    parse all runs but the last into unnamed temporary files, and this
+    process parses the last one meanwhile.  Where the body has fewer bytes
+    than nx*ny rows take (4 a row, 3 for the last), a temporary file, fork
+    or child fails, or a run does not parse to rows of two floats that add
+    up to nx*ny, the whole body is parsed again in one piece, so errors
+    read as they would unsplit.  The samples read do not depend on how the
+    body is split.  No child outlives the call, also when it raises.
     """
     if fmt == "text":
         with open(path, "r") as fh:

@@ -2,6 +2,8 @@
 
 import csv
 import json
+import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -342,3 +344,19 @@ class TestMainErrors:
         bad.write_text("[1, 2]")
         assert main(["at_rest", "--config", str(bad)]) == 1
         assert "JSON object" in capsys.readouterr().err
+
+
+def readme_commands():
+    """The `eia` command lines of the README's command-line examples, without `eia`."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    commands = re.findall(r"^eia (.+)$", section, flags=re.M)
+    if not commands:
+        raise ValueError("README.md's command-line section holds no eia command")
+    return commands
+
+
+@pytest.mark.parametrize("command", readme_commands())
+def test_readme_command_exits_0(command, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(shlex.split(command)) == 0

@@ -3,6 +3,7 @@
 import os
 import signal
 import struct
+import time
 import tracemalloc
 import warnings
 
@@ -591,3 +592,52 @@ class TestSplitTextCodec:
             signal.signal(signal.SIGCHLD, old)
         assert path.read_bytes() == TestProfileIO.per_sample_text(prof)
         assert back.samples.tobytes() == prof.samples.tobytes()
+
+    def test_header_beyond_the_body_reads_as_unsplit(self, split, tmp_path, monkeypatch):
+        # nx*ny rows could not fit in the body, so none are allocated for it
+        split(2)
+        path = tmp_path / "huge.txt"
+        path.write_text("200000 200000 0.1 0.1\n1.0 2.0\n3.0 4.0\n5.0 6.0\n")
+        want = self.serial_error(path, monkeypatch)
+        assert want.endswith("body has shape (3, 2), expected (40000000000, 2)")
+        with pytest.raises(ValueError) as exc:
+            load_profile(path, fmt="text")
+        assert str(exc.value) == want
+
+    @pytest.mark.parametrize("end", ["", "\n"])
+    def test_shortest_rows_take_the_split_path(self, end, split, tmp_path, monkeypatch):
+        # "0 0\n" per row and "0 0" last: the fewest bytes nx*ny rows can take
+        split(2)
+        path = tmp_path / "zeros.txt"
+        path.write_text("40 30 0.1 0.1\n" + "\n".join(["0 0"] * 1200) + end)
+        forks = self.spy_on_parent(monkeypatch, os, "fork")
+        back = load_profile(path, fmt="text")
+        assert len(forks) == 1
+        assert back.samples.shape == (30, 40) and not back.samples.any()
+
+    def test_caller_failure_during_a_split_save_is_raised(self, split, tmp_path, rng,
+                                                           monkeypatch):
+        # the children are still formatting when this process fails; they
+        # are killed, so none gets as far as leaving a mark
+        split(4)
+        prof = self.profile_with_specials_at_run_edges((129, 131), rng)
+        parent, real = os.getpid(), spatial_filter._write_text_run
+
+        def fail_here(*args):
+            if os.getpid() == parent:
+                raise OSError("caller failure")
+            time.sleep(5.0)
+            (tmp_path / f"child-{os.getpid()}").touch()
+            return real(*args)
+        monkeypatch.setattr(spatial_filter, "_write_text_run", fail_here)
+        with pytest.raises(OSError, match="caller failure"):
+            save_profile(prof, tmp_path / "split.txt", fmt="text")
+        assert list(tmp_path.glob("child-*")) == []
+
+    def test_small_last_block_of_a_child_run_arrives(self, split, tmp_path, rng):
+        # the child's run ends in 50 samples, fewer bytes than a file buffer
+        split(2)
+        prof = self.profile_with_specials_at_run_edges((2, _TEXT_BLOCK + 50), rng)
+        path = tmp_path / "split.txt"
+        save_profile(prof, path, fmt="text")
+        assert path.read_bytes() == TestProfileIO.per_sample_text(prof)
