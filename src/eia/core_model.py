@@ -160,15 +160,18 @@ def xi_set(params: ModelParams, fields: FieldConfig, v_par, v_res, deltap=None) 
     Each xi sums its detuning and damping constants, and apart its velocity
     terms, before adding the two, so on a product mesh a factor that spans
     the whole mesh is built by one broadcast add.  At dq_vth = 0 this rounds
-    exactly as the formulas above read left to right.
+    exactly as the formulas above read left to right.  v_par (and v_res) may
+    also be the moment kernel's polynomial in v_par
+    (``velocity_integrals._Poly``): each xi then comes out as its polynomial
+    on each row of the product mesh, from these same formulas.
     """
     dp = fields.deltap if deltap is None else deltap
     g = params.gamma_sp
     gvcc = params.gamma_vcc
     gt = params.gamma_tilde
 
-    qp_v = fields.qp_vth * np.asarray(v_par)
-    dq_v = fields.dq_vth * np.asarray(v_res)
+    qp_v = fields.qp_vth * v_par
+    dq_v = fields.dq_vth * v_res
 
     xi1 = ((dp - fields.delta1) + 1j * (params.gamma_g + gvcc)) - dq_v
     xi2 = (dp + 1j * (gt + gvcc)) - qp_v
@@ -194,7 +197,9 @@ def toc_determinant(xi: XiSet, params: ModelParams, fields: FieldConfig):
     with toc = i b A gamma_sp v1 conj(v2).  On a product velocity mesh xi1 and
     xi3 vary along v_res and xi2 along v_par, so xi1 xi3, |v1|^2 xi3 - toc and
     toc - |v2|^2 xi3 stay one-axis arrays; only the products with xi2 and
-    xi4 span the whole mesh.
+    xi4 span the whole mesh.  Given xi's that are polynomials in v_par (see
+    ``xi_set``), it returns xi_d's polynomial: degree 2, or 4 where xi1 and
+    xi3 carry v_par too (collinear, dq_vth != 0).
     """
     v1sq = abs(fields.v1) ** 2
     v2sq = abs(fields.v2) ** 2

@@ -61,9 +61,17 @@ class LineMetrics:
             raise ValueError("fitted hwhm must be > 0")
 
 
-def _wing_baseline(y: np.ndarray) -> float:
+def _wings(y: np.ndarray) -> np.ndarray:
+    """The outer 5% of the samples on each side, whose mean is the baseline."""
     k = max(1, int(np.ceil(0.05 * y.size)))
-    return float(np.mean(np.concatenate([y[:k], y[-k:]])))
+    return np.concatenate([y[:k], y[-k:]])
+
+
+# The largest spread (max - min) of the wing samples, relative to the peak height above
+# their mean, of a line the grid holds.  Every scan of the test suite reads <= 1.84e-2
+# (criterion 6's pedestal at x = 5; the dicke_scan rungs <= 3.6e-4).  Lorentzians on the
+# +-2 scan grid read 1.8e-2 at FWHM 1, 3.8e-2 at 1.5, 6.0e-2 at 2 and 2.7e-1 at 100.
+_WING_FLATNESS = 3e-2
 
 
 def _half_crossings(x: np.ndarray, y: np.ndarray, baseline: float):
@@ -92,6 +100,22 @@ def _half_crossings(x: np.ndarray, y: np.ndarray, baseline: float):
     return crossing(below_left[-1]), crossing(idx + below_right[0]), idx, peak
 
 
+def _line_metrics(x: np.ndarray, y: np.ndarray, wings: np.ndarray) -> LineMetrics:
+    """Width, peak and baseline of the line sampled as (x, y), the baseline
+    being the mean of ``wings``, the outer-5% samples of the full grid.  A
+    line wider than the grid still crosses its half level, as the wings
+    average to the baseline, but leaves the wing samples sloped: a spread
+    above ``_WING_FLATNESS`` of the peak height raises RuntimeError."""
+    baseline = float(np.mean(wings))
+    left, right, idx, peak = _half_crossings(x, y, baseline)
+    spread = float(np.ptp(wings)) / (peak - baseline)
+    if spread > _WING_FLATNESS:
+        raise RuntimeError(f"wing samples spread {spread:.3g} of the peak height above "
+                           "their mean; detuning grid too narrow")
+    return LineMetrics(fwhm=right - left, peak_value=peak, peak_position=float(x[idx]),
+                       baseline=baseline)
+
+
 _FEATURES = ("sharp_peak_component", "total_minus_background", "pedestal_component")
 
 
@@ -106,6 +130,8 @@ def extract_fwhm(spectrum: Spectrum, feature: str = "sharp_peak_component") -> L
     All require a spectrum with components.  The baseline is the mean of the
     outer 5% of the grid on each side; each crossing is the closed-form
     crossing of the linear interpolant on its bracketing grid segment.
+    RuntimeError says "detuning grid too narrow" when a crossing is missing
+    or the outer 5% are not flat (``_line_metrics``).
     """
     if feature not in _FEATURES:
         raise ValueError(f"feature must be one of {_FEATURES}, got {feature!r}")
@@ -119,10 +145,7 @@ def extract_fwhm(spectrum: Spectrum, feature: str = "sharp_peak_component") -> L
     else:
         y = np.asarray(spectrum.absorption) - np.imag(spectrum.components.background)
 
-    baseline = _wing_baseline(y)
-    left, right, idx, peak = _half_crossings(x, y, baseline)
-    return LineMetrics(fwhm=right - left, peak_value=peak,
-                       peak_position=float(x[idx]), baseline=baseline)
+    return _line_metrics(x, y, _wings(y))
 
 
 def dicke_fwhm_model(gamma_vcc: float, v_th_dq):
@@ -164,7 +187,7 @@ def fit_lorentzian(spectrum: Spectrum) -> LineMetrics:
     if y.max() - y.min() <= 1e-14 * max(scale, 1e-300):
         raise ValueError("flat spectrum: no peak to fit")
 
-    off0 = _wing_baseline(y)
+    off0 = float(np.mean(_wings(y)))
     idx = int(np.argmax(y))
     amp0 = y[idx] - off0
     if amp0 <= 0:
@@ -219,7 +242,7 @@ def _scan_rung(params: ModelParams, fields: FieldConfig, grid: QuadratureGrid,
     two ``solve_approximate`` calls on the detunings >= 0 of a scan grid.
 
     The first call takes every _COARSE_STEP-th point and the outer 5% that
-    ``_wing_baseline`` averages.  Both components are even in the detuning,
+    ``_wings`` holds.  Both components are even in the detuning,
     so the baseline is built from the mirrored wings and the peak is the
     line-center value.  The second call fills in the grid points inside the
     coarse bracket of each half-level crossing.  ``_half_crossings`` then
@@ -264,12 +287,13 @@ def _scan_rung(params: ModelParams, fields: FieldConfig, grid: QuadratureGrid,
     solve(np.flatnonzero(solved))
     coarse = np.flatnonzero(solved)
     # mirrored unsolved points are NaN; the wings are all solved
-    baselines = [_wing_baseline(mirrored(y)) for y in ys]
+    wings = [_wings(mirrored(y)) for y in ys]
     if not off_center_peak():
         # The center tops the wings, whose mean is the baseline, so some wing
         # sample is at or below the level: every component has a bracket.
         fill = []
-        for y, baseline in zip(ys, baselines):
+        for y, wing in zip(ys, wings):
+            baseline = float(np.mean(wing))
             level = baseline + 0.5 * (y[0] - baseline)
             i = 1 + np.flatnonzero(y[coarse[1:]] <= level)[0]
             fill.append(np.arange(coarse[i - 1] + 1, coarse[i]))
@@ -281,11 +305,7 @@ def _scan_rung(params: ModelParams, fields: FieldConfig, grid: QuadratureGrid,
         return fallback("an off-center sample reaches the line-center value",
                         sum(r.n_detunings for r in reports))
     x = np.concatenate([-half[solved][:0:-1], half[solved]])
-    metrics = []
-    for y, baseline in zip(ys, baselines):
-        left, right, idx, peak = _half_crossings(x, mirrored(y[solved]), baseline)
-        metrics.append(LineMetrics(fwhm=right - left, peak_value=peak,
-                                   peak_position=float(x[idx]), baseline=baseline))
+    metrics = [_line_metrics(x, mirrored(y[solved]), wing) for y, wing in zip(ys, wings)]
     # the largest doubling-check change of the calls, in its own format
     notes = max((r.notes for r in reports), key=lambda n: float(n.split()[-1]) if n else 0.0)
     return (*metrics, replace(reports[0], n_detunings=sum(r.n_detunings for r in reports),

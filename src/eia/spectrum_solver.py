@@ -6,17 +6,18 @@ n0 and probe amplitude Vp (n0 cancels, so no parameter holds it):
 * ``solve_exact`` averages each velocity node's 4x4 coherence inverse as
   adj(M)/xi_d, a table of 17 thermal averages of xi-products over xi_d, and
   closes the strong-collision velocity-changing terms self-consistently on
-  the four velocity-integrated densities.  Only four sums per detuning span
-  the whole mesh; because xi2 + xi4 - 2 xi1 and xi4 - xi5 - xi1 are
-  constants, the rest of the table follows from them.
+  the four velocity-integrated densities.
 * ``solve_approximate`` evaluates the factored response built from the five
   named thermal averages G1..G5, including its three-way split into one-photon
   background, pump-broadened pedestal, and the sharp collision-induced peak.
 * ``at_rest_spectrum`` is the motionless, collisionless closed form of the
   response.
 
-The first two share one solve routine, which walks chunks of detunings on the
-broadcastable product mesh that ``velocity_integrals.velocity_mesh`` builds.
+The first two share one solve routine on the broadcastable product mesh that
+``velocity_integrals.velocity_mesh`` builds, and read every average from one
+moment kernel, ``velocity_integrals._PoleMoments``: on each row of the mesh
+(one detuning, one residual node) xi_d is a polynomial in v_par, and each
+average a coefficient-moment sum of M_j = <v^j/xi_d> and N_j = <v^j/(xi5 xi_d)>.
 A vanishing xi_d shows as a non-finite result; IllConditionedError names the
 first such detuning.  On a grid symmetric about 0, with zero pump detunings
 and a real v1 conj(v2), the routine solves only the detunings >= 0 and
@@ -41,7 +42,7 @@ from .velocity_integrals import (
     QuadratureGrid,
     _doubled,
     _doubling_check,
-    _mesh_sum,
+    _PoleMoments,
     _require_tolerance,
     _spans_residual_axis,
     _strong_collision,
@@ -161,25 +162,6 @@ def _mirrored_grid(span, n_uniform, log_points=None):
     return np.concatenate([-pos[:0:-1], pos])
 
 
-# Detunings x velocity nodes per chunk (~0.5 MB a temporary).  Timed on the four-sum exact
-# route, run.py --seconds 10, 3 rotated rounds on 2 vCPUs, wall_s in s: exact_fig2 15k
-# 0.040-0.049, 30k 0.039-0.041, 60k 0.040-0.046; dicke_scan 15k 0.259-0.267, 30k
-# 0.236-0.257, 60k 0.256-0.272.
-_CHUNK_ELEMENTS = 30_000
-
-
-def _mesh_chunks(params, fields, detunings, v_par, v_res, w):
-    """The detuning loop of both routes: yields (slice, XiSet) per chunk, with
-    the chunk's detunings as (m, 1, 1) against ``velocity_mesh``'s product mesh."""
-    # Allocation order, measured on exact_fig2 (glibc, 2 vCPUs): a callback loop
-    # that frees each chunk first ran 1.7x slower, and xi_d built here, while
-    # the caller holds the last XiSet, 2-8% slower: fresh pages fault in.
-    size = max(1, _CHUNK_ELEMENTS // w.size)
-    for a in range(0, detunings.size, size):
-        xi = xi_set(params, fields, v_par, v_res, deltap=detunings[a:a + size, None, None])
-        yield slice(a, a + size), xi
-
-
 def _name_bad_detuning(what, detunings, ok):
     """Raise IllConditionedError naming the first detuning whose ``ok`` is false."""
     if not ok.all():
@@ -242,14 +224,11 @@ def _exact_response_on_mesh(params, fields, detunings, v_par, v_res, w):
     cv1, cv2 = np.conj(v1), np.conj(v2)
     toc = 1j * params.b * params.branching_A * params.gamma_sp
 
+    kernel = _PoleMoments(params, fields, detunings, v_par, v_res, w)
+    avg = kernel.average
     # xi5 carries no probe-detuning dependence; close the pump dipole once
-    xi0 = xi_set(params, fields, v_par, v_res)
-    r5 = -1j * cv2 * _strong_collision(np.sum(w / xi0.xi5), gvcc)
+    r5 = -1j * cv2 * _strong_collision(kernel.pump, gvcc)
     c3 = -vp * (1j * gvcc * r5 + cv2)
-    src3_row = c3 / xi0.xi5
-    # xi2 + xi4 - 2 xi1 and xi4 - xi5 - xi1 are constants (``xi_set``)
-    s_off = (fields.delta1 - fields.delta2) + 1j * (params.gamma_sp + 2.0 * params.gamma_pcc)
-    u_off = -1j * (params.gamma_g + gvcc)
 
     # Per node the system M x = r reads
     #   xi1 x0 + conj(v1) x1 - toc x2 - v2 x3 = r0
@@ -258,36 +237,13 @@ def _exact_response_on_mesh(params, fields, detunings, v_par, v_res, w):
     #   -conj(v2) x0 + xi4 x3 = r3
     # det M = xi_d, and adj(M) entries sum products m of distinct xi's with constant
     # coefficients: the node sums of M^-1 = adj(M)/xi_d take 13 averages a_m = <m/xi_d>,
-    # and the probe source (0, -vp, src3_row, 0) four more, b_m = <src3_row m/xi_d>.
-    avg = np.empty((17, detunings.size), dtype=complex)
-    for chunk, xi in _mesh_chunks(params, fields, detunings, v_par, v_res, w):
-        # Only four sums span the whole mesh: those of w/xi_d times 1, xi4, xi2 xi4 and
-        # src3_row.  They are reduced at once along the axes where xi1 and xi3 are
-        # constant, and _mesh_sum applies those two.  s = xi2 + xi4 and u = xi4 - xi5
-        # follow xi1 alone, and src3_row xi4 = c3 + u src3_row, so the partial sums of
-        # xi2 and of src3_row times xi2, xi4 and xi2 xi4 follow on the reduced arrays.
-        along = tuple(ax for ax in (1, 2) if xi.xi1.shape[ax] == 1)
-
-        def part(x):
-            return x.sum(axis=along, keepdims=True)
-        inv = toc_determinant(xi, params, fields)
-        np.divide(w, inv, out=inv)  # w/xi_d in xi_d's array: one fresh mesh array fewer
-        t = inv * xi.xi4
-        p0, p4 = part(inv), part(t)
-        t *= xi.xi2  # now w xi2 xi4 / xi_d
-        p24 = part(t)
-        inv *= src3_row  # now w src3_row / xi_d
-        q0 = part(inv)
-        s, u = 2.0 * xi.xi1 + s_off, xi.xi1 + u_off
-        p2 = s * p0 - p4
-        q2 = (s - u) * q0 - c3 * p0
-        q4 = c3 * p0 + u * q0
-        q24 = c3 * p2 + u * q2
-        avg[:, chunk] = [*(p.sum(axis=(1, 2)) for p in (p0, p2, p4, p24, q2, q4, q24)),
-                         *(_mesh_sum(xi.xi3, p) for p in (p0, p2, p4, p24)),
-                         *(_mesh_sum(xi.xi1, p) for p in (p2, p4, p24, q24)),
-                         *(_mesh_sum(xi.xi1 * xi.xi3, p) for p in (p2, p4))]
-    a0, a2, a4, a24, b2, b4, b24, a3, a23, a34, a234, a12, a14, a124, b124, a123, a134 = avg
+    # and the probe source (0, -vp, c3/xi5, 0) four more, b_m = c3 <m/(xi5 xi_d)>.
+    x1, x2, x3, x4 = kernel.xi.xi1, kernel.xi.xi2, kernel.xi.xi3, kernel.xi.xi4
+    x24 = x2 * x4
+    a0, a2, a4, a24, a3, a23, a34, a234, a12, a14, a124, a123, a134 = (
+        avg(m) for m in (1.0, x2, x4, x24, x3, x2 * x3, x3 * x4, x24 * x3,
+                         x1 * x2, x1 * x4, x1 * x24, x1 * x2 * x3, x1 * x3 * x4))
+    b2, b4, b24, b124 = (c3 * avg(m, over_xi5=True) for m in (x2, x4, x24, x1 * x24))
     e1 = toc * v1 * a0 - v2 * a3
     e2, e3 = (cv1 * v1 - cv2 * v2) * a0, cv2 * toc * a0 - cv1 * a3
     Aw = np.stack([a234, cv2 * toc * a4 - cv1 * a34, toc * a24, v2 * a23 - toc * v1 * a2,
@@ -318,11 +274,9 @@ def solve_exact(params: ModelParams, fields: FieldConfig, grid: QuadratureGrid,
     velocity node's 4x4 system M has det M = xi_d (``toc_determinant``), and
     the entries of adj(M) = xi_d M^-1 sum products of distinct xi's with
     constant coefficients: the node sums of M^-1 and of the probe-source
-    solution are 17 thermal averages over xi_d, one complex division per
-    node.  The mesh sums of w/xi_d times 1, xi4, xi2 xi4 and src3_row (the
-    probe source's third entry, over xi5) give all 17: xi2 + xi4 - 2 xi1 and
-    xi4 - xi5 - xi1 are constants, so the other products reduce to these four
-    times factors that follow xi1 alone.  They close on the four
+    solution are 17 thermal averages over xi_d, and over xi5 xi_d.  Each is a
+    coefficient-moment sum from the moment kernel (``_PoleMoments``), which
+    takes one reciprocal of xi_d per node.  They close on the four
     velocity-integrated densities.  Returns (Spectrum, SolveReport).  With
     check_convergence the whole spectrum is recomputed on a node-doubled grid
     and the finer result is kept; disagreement beyond conv_rtol raises
@@ -352,29 +306,15 @@ def solve_exact(params: ModelParams, fields: FieldConfig, grid: QuadratureGrid,
 
 
 def _approx_terms_on_mesh(params, fields, detunings, v_par, v_res, w):
-    # On the product mesh xi1 and xi3 follow v_res only, xi2 v_par only and
-    # xi5 no detuning, so only xi4 and xi_d are full (m, r, n_par) arrays.
-    # With inv = w / xi_d, the one complex division per node, T = xi4 inv and
-    # S = xi3 T:
-    #   G1 = <xi2 xi3 xi4/d>     = sum xi2 S
-    #   G2 = <xi3 xi4/d>         = sum S
-    #   G3 = <xi2 xi4/(xi5 d)>   = sum xi2 T / xi5
-    #   G4 = <xi1 xi3 xi4/d>     = sum xi1 S
-    #   G5 = <xi3/d>             = sum xi3 inv
     gvcc = params.gamma_vcc
     toc = 1j * params.b * params.branching_A * params.gamma_sp * fields.v1 * np.conj(fields.v2)
-    inv_xi5 = 1.0 / xi_set(params, fields, v_par, v_res).xi5
-
-    g = np.empty((5, detunings.size), dtype=complex)
-    for chunk, xi in _mesh_chunks(params, fields, detunings, v_par, v_res, w):
-        inv = w / toc_determinant(xi, params, fields)
-        t = xi.xi4 * inv
-        s = xi.xi3 * t
-        g[0, chunk] = _mesh_sum(xi.xi2, s)
-        g[1, chunk] = s.sum(axis=(1, 2))
-        g[2, chunk] = _mesh_sum(xi.xi2, t * inv_xi5)
-        g[3, chunk] = _mesh_sum(xi.xi1, s)
-        g[4, chunk] = _mesh_sum(xi.xi3, inv)
+    kernel = _PoleMoments(params, fields, detunings, v_par, v_res, w)
+    avg, xi = kernel.average, kernel.xi
+    x34 = xi.xi3 * xi.xi4
+    # G1 = <xi2 xi3 xi4/d>, G2 = <xi3 xi4/d>, G3 = <xi2 xi4/(xi5 d)>, G4 = <xi1 xi3 xi4/d>,
+    # G5 = <xi3/d>
+    g = np.array([avg(xi.xi2 * x34), avg(x34), avg(xi.xi2 * xi.xi4, over_xi5=True),
+                  avg(xi.xi1 * x34), avg(xi.xi3)])
     _name_bad_detuning("factored solve: non-finite velocity average (xi_d vanishes "
                        "at a node)", detunings, np.isfinite(g).all(axis=0))
     g1, g2, g3, g4, g5 = g
@@ -389,8 +329,9 @@ def solve_approximate(params: ModelParams, fields: FieldConfig, grid: Quadrature
                       conv_rtol: float = 1e-6):
     """Factored response from the five named thermal averages, with components.
 
-    The averages G1..G5 (``G1_SPEC``..``G5_SPEC``) are taken on the product
-    velocity mesh with one complex division per node.  The response splits into the
+    The averages G1..G5 (``G1_SPEC``..``G5_SPEC``) are coefficient-moment
+    sums from the moment kernel (``_PoleMoments``) on the product velocity
+    mesh, which takes one reciprocal of xi_d per node.  The response splits into the
     one-photon background -G4, the pump-broadened pedestal |v2|^2 G5 and the
     collision-fed sharp peak toc i G2 G3 gamma_vcc / (1 - i G1 gamma_vcc),
     with toc = i b A gamma_sp v1 conj(v2).

@@ -10,15 +10,17 @@ of the per-velocity complex frequencies over the probe-sector determinant,
 averaged against one or two standard-normal velocity components.  A
 node-doubling self-check guards against under-resolved poles, which matters
 once the Doppler scale exceeds the pressure-broadened linewidth.  Every
-Gauss-Hermite average of the package, here and in ``spectrum_solver``, walks
-the mesh that ``velocity_mesh`` builds in broadcastable product form, and
-``g_integral`` averages only the eight named kernels ``G1_SPEC`` .. ``G_PUMP``.
+Gauss-Hermite average of the package walks the mesh that ``velocity_mesh``
+builds in broadcastable product form.  ``g_integral`` averages the eight
+named kernels ``G1_SPEC`` .. ``G_PUMP`` node by node; the solvers of
+``spectrum_solver`` read theirs from one moment kernel, ``_PoleMoments``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import zip_longest
 from typing import NamedTuple
 
 import numpy as np
@@ -147,9 +149,9 @@ def velocity_mesh(fields: FieldConfig, grid: QuadratureGrid):
     (n_res, 1).  Otherwise r = 1: v_res is v_par on a collinear mesh, and at
     dq_vth = 0 the one zero node (1,), whatever the grid's n_res, so that
     factors which follow v_res only are one value per detuning.  The long
-    v_par axis goes last to keep numpy's inner loops long.  Detunings lead
-    as (m, 1, 1), giving (m, r, n_par) factors.  w may be a read-only view
-    of the grid's weights.
+    v_par axis goes last to keep numpy's inner loops long.  The moment kernel
+    puts detunings between the two, as (1, m, 1), and works on (r, m, n_par)
+    arrays.  w may be a read-only view of the grid's weights.
     """
     if _spans_residual_axis(fields):
         return (grid.nodes_par, grid.nodes_res[:, None],
@@ -158,14 +160,132 @@ def velocity_mesh(fields: FieldConfig, grid: QuadratureGrid):
             grid.weights_par[None, :])
 
 
-def _mesh_sum(f, x):
-    """Sum of f * x over the two mesh axes of (m, r, n_par) arrays, per detuning.
+def _coef(x):
+    return x.coef if isinstance(x, _Poly) else (x,)
 
-    x is reduced first along the axes where f is constant, so the product
-    with f is taken on the small, reduced array.
+
+class _Poly:
+    """A polynomial in v_par, coefficients lowest degree first.
+
+    The coefficients are numbers or arrays that broadcast over the rows of
+    the product mesh.  It has the arithmetic that ``xi_set`` and
+    ``toc_determinant`` use, so passing ``_V`` for v_par gives xi1..xi5 and
+    xi_d on each row as polynomials from their one definition.  Zero
+    coefficients are kept, so degrees follow the formulas' structure alone.
     """
-    along = tuple(ax for ax in (1, 2) if f.shape[ax] == 1)
-    return (f * x.sum(axis=along, keepdims=True)).sum(axis=(1, 2))
+
+    __array_ufunc__ = None  # ndarray and numpy scalar operands defer to the methods below
+
+    def __init__(self, *coef):
+        self.coef = coef
+
+    def __add__(self, other):
+        return _Poly(*(a + b for a, b in zip_longest(self.coef, _coef(other), fillvalue=0.0)))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return _Poly(*(a - b for a, b in zip_longest(self.coef, _coef(other), fillvalue=0.0)))
+
+    def __rsub__(self, other):
+        return _Poly(*(b - a for a, b in zip_longest(self.coef, _coef(other), fillvalue=0.0)))
+
+    def __mul__(self, other):
+        other = _coef(other)
+        out = [0.0] * (len(self.coef) + len(other) - 1)
+        for i, a in enumerate(self.coef):
+            for j, b in enumerate(other):
+                out[i + j] = out[i + j] + a * b
+        return _Poly(*out)
+
+    __rmul__ = __mul__
+
+
+_V = _Poly(0.0, 1.0)
+
+# Detunings x velocity nodes per chunk of the moment kernel (a 2 MB buffer).  Median
+# in-process pass times on 2 vCPUs, 3 rounds, 30k/60k/120k/240k: exact_fig2's solve
+# 15.1-15.7/14.7-15.9/14.0-15.0/14.0-14.2 ms, dicke_scan's rungs 101-104/94-103/92-94/
+# 93-100 ms.  At most 16 detunings, and never one alone: on OpenBLAS 0.3.31 (Haswell
+# kernels, OPENBLAS_NUM_THREADS=2) a complex matmul with more rows (from ~7e4
+# multiply-adds) or with one row (a gemv, from ~9e3) ran on two threads, for twice the
+# CPU time and no wall-time gain.
+_CHUNK_ELEMENTS = 120_000
+_CHUNK_ROWS = 16
+
+
+class _PoleMoments:
+    """The moment kernel of both velocity-resolved routes.
+
+    On a row of the product mesh (one detuning, one residual node) every xi
+    is linear in v_par, so xi_d is a polynomial in v_par: degree 2, or 4 on
+    a collinear mesh with dq_vth != 0, where v_res is v_par too.  ``xi``
+    holds xi1..xi5 as ``_Poly`` rows, and xi_d their ``toc_determinant``,
+    with coefficient arrays (r, m, 1) for r rows and m detunings.  Per chunk
+    of detunings the kernel builds xi_d on the mesh by Horner's rule, takes
+    one reciprocal per node and contracts it, in one matrix product, with
+    the detuning-free table [w v^j, w v^j/xi5], j = 0..degree, for the
+    moments M_j = sum_v w v^j/xi_d and N_j = sum_v w v^j/(xi5 xi_d) of each
+    row.  ``average`` then reads any average whose numerator is a polynomial
+    in the xi's of degree <= ``degree`` as a coefficient-moment sum.
+
+    (v_par, v_res, w) is ``velocity_mesh``'s product form; a flat node list
+    (1-D w) is taken as one row when v_res is v_par or a single value, and
+    otherwise as one row per node.  ``pump`` is the bare average <1/xi5>.
+    """
+
+    def __init__(self, params, fields, detunings, v_par, v_res, w):
+        if w.ndim == 1 and v_res is not v_par and np.size(v_res) > 1:
+            v_par, v_res, w = v_par[:, None], v_res[:, None], w[:, None]
+        w = np.atleast_2d(w)
+        r, n = w.shape
+        rows = _V if v_res is v_par else np.reshape(v_res, (r, 1, 1))
+        self.xi = xi_set(params, fields, _V, rows, deltap=detunings[None, :, None])
+        self._xi_d = toc_determinant(self.xi, params, fields).coef
+        # the highest numerator either route averages: xi1 or xi3 times xi2 xi4
+        self.degree = len(_coef(self.xi.xi1 * self.xi.xi2 * self.xi.xi4)) - 1
+
+        v = np.broadcast_to(v_par, w.shape)
+        inv_xi5 = 1.0 / xi_set(params, fields, v_par, v_res).xi5
+        cols = [w]
+        for _ in range(self.degree):
+            cols.append(cols[-1] * v)
+        table = np.stack(cols + [c * inv_xi5 for c in cols], axis=-1)
+        self.pump = table[..., self.degree + 1].sum()
+        self._v = v[:, None, :]
+
+        m = detunings.size
+        chunks = max(1, -(-m // max(2, min(_CHUNK_ELEMENTS // w.size, _CHUNK_ROWS))))
+        cuts = [m * k // chunks for k in range(chunks + 1)]  # sizes differ by at most 1
+        buf = np.empty((r, -(-m // chunks), n), dtype=complex)
+        self._mom = np.empty((r, m, table.shape[-1]), dtype=complex)
+        for a, b in zip(cuts, cuts[1:]):
+            x = self.xi_d_on_mesh(a, b, out=buf[:, :b - a])
+            np.reciprocal(x, out=x)
+            if b - a == 1:  # one detuning in all: a matmul would be a gemv
+                np.einsum("rmn,rnk->rmk", x, table, out=self._mom[:, a:b])
+            else:
+                np.matmul(x, table, out=self._mom[:, a:b])
+
+    def xi_d_on_mesh(self, a, b, out=None):
+        """xi_d at the mesh nodes of detunings a..b-1, (r, b - a, n), by Horner's rule."""
+        c = [x[:, a:b] if np.ndim(x) else x for x in self._xi_d]
+        if out is None:
+            out = np.empty((self._v.shape[0], b - a, self._v.shape[2]), dtype=complex)
+        np.multiply(c[-1], self._v, out=out)
+        out += c[-2]
+        for ck in c[-3::-1]:
+            out *= self._v
+            out += ck
+        return out
+
+    def average(self, p, over_xi5=False):
+        """Per detuning, the average of p/xi_d, or of p/(xi5 xi_d), for p a
+        polynomial in the xi's (or a number) of degree <= ``degree``."""
+        first = self.degree + 1 if over_xi5 else 0
+        mom = self._mom
+        return sum(c * mom[..., first + j:first + j + 1]
+                   for j, c in enumerate(_coef(p))).sum(axis=(0, 2))
 
 
 class _Kernel(NamedTuple):
@@ -173,9 +293,9 @@ class _Kernel(NamedTuple):
 
     The eight named kernels below write out what ``g_integral`` averages by
     Gauss-Hermite (GH).  They are the written definition and the GH
-    reference of criteria 2-4 and the oracle tests; the solvers evaluate
-    the same kernels fused on the product mesh, and the Ramsey kernels in
-    closed form.
+    reference of criteria 2-4 and the oracle tests; the solvers read the
+    same averages from the moment kernel ``_PoleMoments``, and the Ramsey
+    kernels are closed forms.
     """
 
     numerator: tuple

@@ -211,7 +211,7 @@ def product_mesh_velocities(geometry, v_par, v_res):
        dq=st.just(0.0) | st.floats(0.0, 2.0), geometry=geometries)
 def test_exact_table_identities(gpcc, gvcc, gg, d1, d2, dp, v_par, v_res, qp, dq, geometry):
     """xi2 + xi4 - 2 xi1 and xi4 - xi5 - xi1 are constants at every velocity
-    and detuning: the exact route derives its table from four mesh sums on them."""
+    and detuning: the two pump wavevectors are one, q = q_p - dq."""
     p = ModelParams(gamma_pcc=gpcc, gamma_vcc=gvcc, gamma_g=gg)
     f = FieldConfig(delta1=d1, delta2=d2, qp_vth=qp, dq_vth=dq, dq_direction=geometry)
     v_par, v_res = product_mesh_velocities(geometry, v_par, v_res)

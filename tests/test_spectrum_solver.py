@@ -11,15 +11,14 @@ from conftest import flat_velocity_mesh
 from eia.core_model import ModelParams, FieldConfig, xi_set, toc_determinant
 from eia.velocity_integrals import (
     G1_SPEC, G2_SPEC, G3_SPEC, G4_SPEC, G5_SPEC,
-    NonConvergenceError, _doubled, _strong_collision, g_integral, make_grid,
-    one_photon_response, pole_average, velocity_mesh,
+    NonConvergenceError, _CHUNK_ELEMENTS, _PoleMoments, _doubled, _strong_collision,
+    g_integral, make_grid, one_photon_response, pole_average, velocity_mesh,
 )
 from eia import spectrum_solver, velocity_integrals
 from eia.cli_runner import _ramsey_detuning_grid, parse_config
 from eia.lineshape_analysis import _scan_detuning_grid, dicke_fwhm_model
 from eia.spatial_filter import filter_params_from_model
 from eia.spectrum_solver import (
-    _CHUNK_ELEMENTS,
     _approx_terms_on_mesh,
     _exact_response_on_mesh,
     Components,
@@ -271,6 +270,83 @@ def test_exact_route_matches_lapack_at_strong_pumps(amp, phase, b, geometry, dq,
     want, want_cond = lapack_response_on_mesh(p, f, dgrid, *flat_velocity_mesh(f, grid))
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     assert np.abs(got_cond - want_cond).max() <= 1e-12 * want_cond.max()
+
+
+nonzero_detunings = st.floats(-1.0, 1.0).filter(lambda d: d != 0.0)
+kernel_cases = dict(
+    gpcc=st.floats(0.0, 5.0), gvcc=st.floats(0.0, 1.0), gg=st.floats(1e-3, 0.1),
+    b=st.integers(0, 1),
+    pumps=st.tuples(*[st.complex_numbers(min_magnitude=1e-2, max_magnitude=3.0)] * 2),
+    delta1=nonzero_detunings, delta2=nonzero_detunings, qp=st.floats(1e-3, 40.0),
+    dq=st.just(0.0) | st.floats(1e-3, 2.5),
+    geometry=st.sampled_from(["transverse", "collinear"]),
+    n_par=st.integers(8, 41), n_res=st.integers(1, 6),
+    where=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=7, unique=True))
+
+
+def kernel_case(gpcc, gvcc, gg, b, pumps, delta1, delta2, qp, dq, geometry, where):
+    p = ModelParams(gamma_pcc=gpcc, gamma_vcc=gvcc, gamma_g=gg, b=b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)   # pumps weak against vp
+        f = FieldConfig(v1=pumps[0], v2=pumps[1], vp=1e-3, delta1=delta1, delta2=delta2,
+                        qp_vth=qp, dq_vth=dq, dq_direction=geometry)
+    return p, f, np.sort(where) * max(1.0, *map(abs, pumps))
+
+
+@settings(max_examples=60, deadline=None)
+@given(**kernel_cases)
+def test_moment_kernel_routes_match_the_per_node_oracles(gpcc, gvcc, gg, b, pumps, delta1,
+                                                         delta2, qp, dq, geometry, n_par,
+                                                         n_res, where):
+    """Both routes read their averages from one polynomial-moment kernel; each
+    must match its per-node oracle to 1e-12 of the largest value, in the three
+    geometries (transverse, collinear, dq = 0) and on odd n_par, which puts a
+    node at v = 0, and even n_par: the exact route against per-node LAPACK
+    solves, the factored one against g_integral of G1_SPEC..G5_SPEC."""
+    p, f, dgrid = kernel_case(gpcc, gvcc, gg, b, pumps, delta1, delta2, qp, dq, geometry,
+                              where)
+    grid = make_grid(n_par, n_res)
+    got, got_cond = _exact_response_on_mesh(p, f, dgrid, *velocity_mesh(f, grid))
+    want, want_cond = lapack_response_on_mesh(p, f, dgrid, *flat_velocity_mesh(f, grid))
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert np.abs(got_cond - want_cond).max() <= 1e-12 * want_cond.max()
+
+    _, parts = _approx_terms_on_mesh(p, f, dgrid, *velocity_mesh(f, grid))
+    g = np.array([[g_integral(spec, p, replace(f, deltap=dp), grid, rtol=None)
+                   for dp in dgrid]
+                  for spec in (G1_SPEC, G2_SPEC, G3_SPEC, G4_SPEC, G5_SPEC)])
+    toc = 1j * b * p.branching_A * p.gamma_sp * f.v1 * np.conj(f.v2)
+    want = (-g[3], abs(f.v2) ** 2 * g[4],
+            toc * 1j * g[1] * g[2] * gvcc / (1.0 - 1j * g[0] * gvcc))
+    for got_part, want_part in zip(parts, want):
+        assert np.abs(got_part - want_part).max() <= 1e-12 * np.abs(want_part).max(
+            initial=np.finfo(float).tiny)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**kernel_cases)
+def test_moment_kernel_builds_xi_d_on_the_mesh(gpcc, gvcc, gg, b, pumps, delta1, delta2,
+                                               qp, dq, geometry, n_par, n_res, where):
+    """The kernel's xi_d, from its per-row polynomial in v_par, is
+    toc_determinant(xi_set(...)) at every mesh node to rounding: within a few
+    ulps of the size of the terms the determinant sums."""
+    p, f, dgrid = kernel_case(gpcc, gvcc, gg, b, pumps, delta1, delta2, qp, dq, geometry,
+                              where)
+    v_par, v_res, w = velocity_mesh(f, make_grid(n_par, n_res))
+    kernel = _PoleMoments(p, f, dgrid, v_par, v_res, w)
+    got = kernel.xi_d_on_mesh(0, dgrid.size).transpose(1, 0, 2)
+    xi = xi_set(p, f, v_par, v_res, deltap=dgrid[:, None, None])
+    want = toc_determinant(xi, p, f)
+    assert got.shape == np.broadcast(want, w).shape
+    # each xi's constant and velocity parts in magnitude, then the determinant's terms
+    rest = xi_set(p, f, 0.0, v_res if geometry == "transverse" else 0.0,
+                  deltap=dgrid[:, None, None])
+    s1, s2, s3, s4 = (np.abs(getattr(rest, k)) + np.abs(getattr(xi, k) - getattr(rest, k))
+                      for k in ("xi1", "xi2", "xi3", "xi4"))
+    toc = abs(p.b * p.branching_A * p.gamma_sp * f.v1 * f.v2)
+    terms = s1 * s2 * s3 * s4 + s3 * (abs(f.v1) ** 2 * s4 + abs(f.v2) ** 2 * s2) \
+        + toc * (s2 + s4)
+    assert np.all(np.abs(got - want) <= 32 * np.finfo(float).eps * terms)
 
 
 class TestExactSolver:
