@@ -332,8 +332,9 @@ def _run_beam_filter(cfg: ScenarioConfig):
                        optical_depth_scale=cfg.values["optical_depth_scale"],
                        qp_physical=cfg.values["qp_physical"],
                        force_unitary=cfg.values["force_unitary"])
-    path = cfg.values["profile_out"] or (cfg.out + ".profile.txt")
-    save_profile(out, path, fmt=cfg.values["profile_format"])
+    fmt = cfg.values["profile_format"]
+    path = cfg.values["profile_out"] or cfg.out + (".profile.txt" if fmt == "text" else ".profile.bin")
+    save_profile(out, path, fmt=fmt)
     meta = {"method": "beam_filter", "deltap": deltap,
             "power_in": profile.power(), "power_out": out.power()}
     return [path], meta

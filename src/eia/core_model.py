@@ -158,10 +158,10 @@ def xi_set(params: ModelParams, fields: FieldConfig, v_par, v_res, deltap=None) 
     -2 dq.v (the one-photon shifts cancel).
 
     Each xi sums its detuning and damping constants, and apart its velocity
-    terms, before adding the two, so on a product mesh a factor that spans
-    the whole mesh is built by one broadcast add.  At dq_vth = 0 this rounds
-    exactly as the formulas above read left to right.  v_par (and v_res) may
-    also be the moment kernel's polynomial in v_par
+    terms, before adding the two: no solver broadcasts with it now, but it
+    keeps the rounding of ``at_rest_spectrum`` and of the Gauss-Hermite
+    reference (``velocity_integrals.g_integral``) bit-identical.  v_par
+    (and v_res) may also be the moment kernel's polynomial in v_par
     (``velocity_integrals._Poly``): each xi then comes out as its polynomial
     on each row of the product mesh, from these same formulas.
     """
@@ -194,12 +194,13 @@ def toc_determinant(xi: XiSet, params: ModelParams, fields: FieldConfig):
 
     It is evaluated as
         xi4 (xi2 (xi1 xi3) - (|v1|^2 xi3 - toc)) + xi2 (toc - |v2|^2 xi3)
-    with toc = i b A gamma_sp v1 conj(v2).  On a product velocity mesh xi1 and
-    xi3 vary along v_res and xi2 along v_par, so xi1 xi3, |v1|^2 xi3 - toc and
-    toc - |v2|^2 xi3 stay one-axis arrays; only the products with xi2 and
-    xi4 span the whole mesh.  Given xi's that are polynomials in v_par (see
-    ``xi_set``), it returns xi_d's polynomial: degree 2, or 4 where xi1 and
-    xi3 carry v_par too (collinear, dq_vth != 0).
+    with toc = i b A gamma_sp v1 conj(v2).  That order of products no longer
+    serves a broadcast over the product mesh; it stays because it keeps the
+    rounding of ``at_rest_spectrum`` and of the Gauss-Hermite reference
+    (``velocity_integrals.g_integral``) bit-identical.  Given xi's that are
+    polynomials in v_par (see ``xi_set``), it returns xi_d's polynomial:
+    degree 2, or 4 where xi1 and xi3 carry v_par too (collinear,
+    dq_vth != 0).
     """
     v1sq = abs(fields.v1) ** 2
     v2sq = abs(fields.v2) ** 2

@@ -143,7 +143,7 @@ class TransverseProfile:
         s = np.asarray(self.samples)
         if s.ndim != 2:
             raise ValueError("samples must be a 2-D array")
-        if not np.all(np.isfinite(s.real)) or not np.all(np.isfinite(s.imag)):
+        if not np.isfinite(s).all():
             raise ValueError("profile power must be finite")
         if not (0 < self.extent[0] < np.inf and 0 < self.extent[1] < np.inf):
             raise ValueError(f"extent must be finite and positive per axis, got {self.extent}")
@@ -366,41 +366,33 @@ def _check_header(path, nx, ny, dx, dy) -> None:
                          "both must be finite and > 0")
 
 
-def _parse_rows(path, encoding: str, start: int, stop=None) -> np.ndarray:
+def _parse_rows(path, start: int, stop=None) -> np.ndarray:
     """Rows of two floats parsed from bytes [start, stop) of path, or from start to its end."""
     with open(path, "rb") as raw:  # a handle of its own: a forked one shares its offset
         raw.seek(start)
-        run = raw if stop is None else io.BytesIO(raw.read(stop - start))
-        with io.TextIOWrapper(run, encoding=encoding) as fh:
-            rows = np.loadtxt(fh, dtype=float, ndmin=2)
+        rows = np.loadtxt(raw if stop is None else io.BytesIO(raw.read(stop - start)),
+                          dtype=float, ndmin=2)
     if rows.shape[1] != 2:
         raise ValueError(f"rows have {rows.shape[1]} columns, not 2")
     return rows
 
 
-def _parse_text_runs(path, encoding: str, header: str, n: int):
-    """The (n, 2) text body of path parsed in runs, one per CPU, or None.
+def _parse_text_runs(path, body: int, n: int):
+    """The (n, 2) text body of path from byte offset body on, parsed in runs, or None.
 
-    Run edges are byte offsets into the body, each moved on past the next
-    newline.  Forked children parse every run but the last and hand back
-    float64 rows through a temporary file, whose size gives their count;
-    this process parses the last run meanwhile.  None, which leaves the
-    decision to one ``np.loadtxt`` over the whole body, comes back for a
-    single run, a first line that does not read back as header, a body too
-    short to hold n rows, a child that fails, a run that warns or does not
-    have 2 columns, or run sizes that do not add up to n.
+    There is one run per CPU.  Run edges are byte offsets into the body,
+    each moved on past the next newline.  Forked children parse every run
+    but the last and hand back float64 rows through a temporary file, whose
+    size gives their count; this process parses the last run meanwhile.
+    None, which leaves the decision to one ``np.loadtxt`` over the whole
+    body, comes back for a single run, a body too short to hold n rows, a
+    child that fails, a run that warns or does not have 2 columns, or run
+    sizes that do not add up to n.
     """
     runs = len(_text_runs(n))
     if runs == 1:
         return None
     with open(path, "rb") as raw:
-        first = raw.readline()
-        try:
-            if first.decode(encoding).replace("\r\n", "\n") != header:
-                return None
-        except UnicodeDecodeError:
-            return None
-        body = raw.tell()
         size = os.fstat(raw.fileno()).st_size
         # each row takes 4 bytes or more ("0 0\n"), the last 3; a shorter
         # body is refused before n rows are allocated
@@ -415,12 +407,12 @@ def _parse_text_runs(path, encoding: str, header: str, n: int):
     if len(edges) < 3:
         return None
     spans = list(zip(edges[:-1], edges[1:]))
-    with _forked(lambda start, stop, out: out.write(_parse_rows(path, encoding, start, stop)),
+    with _forked(lambda start, stop, out: out.write(_parse_rows(path, start, stop)),
                  spans[:-1]) as outs:
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                tail = _parse_rows(path, encoding, edges[-2])
+                tail = _parse_rows(path, edges[-2])
         except (ValueError, OSError, Warning):
             return None
         if tail.shape[0] > n:
@@ -449,10 +441,12 @@ def load_profile(path, fmt: str = "text") -> TransverseProfile:
     row-major order (y rows, x fastest); the extent is (nx*dx, ny*dy).
     Text: a line "nx ny dx dy", then one line "re im" per sample; the
     ``repr`` floats ``save_profile`` writes read back exactly, signed zeros
-    included.  Binary: little-endian int64 nx, int64 ny, float64 dx, float64
-    dy, then complex128 samples.  A header with a size below 1 or a spacing
-    that is not finite and > 0, or a body of the wrong length, raises
-    ValueError naming the file.
+    included.  A text file is read as bytes: the header line is decoded as
+    ASCII and the body's bytes go to ``np.loadtxt`` as they are, so lines
+    may end in LF or CRLF.  Binary: little-endian int64 nx, int64 ny,
+    float64 dx, float64 dy, then complex128 samples.  A header with a size
+    below 1 or a spacing that is not finite and > 0, or a body of the wrong
+    length, raises ValueError naming the file.
 
     A text body is parsed in contiguous runs of lines, one per CPU in the
     process's affinity mask (``os.sched_getaffinity``): forked children
@@ -465,9 +459,8 @@ def load_profile(path, fmt: str = "text") -> TransverseProfile:
     body is split.  No child outlives the call, also when it raises.
     """
     if fmt == "text":
-        with open(path, "r") as fh:
-            line = fh.readline()
-            header = line.split()
+        with open(path, "rb") as fh:
+            header = fh.readline().decode("ascii", "replace").split()
             if len(header) != 4:
                 raise ValueError(f"profile {path}: header has {len(header)} fields, not 4")
             try:
@@ -476,7 +469,7 @@ def load_profile(path, fmt: str = "text") -> TransverseProfile:
                 raise ValueError(f"profile {path}: header {' '.join(header)!r} is not "
                                  "two integers and two floats") from None
             _check_header(path, nx, ny, dx, dy)
-            flat = _parse_text_runs(path, fh.encoding, line, nx * ny)
+            flat = _parse_text_runs(path, fh.tell(), nx * ny)
             if flat is None:
                 flat = np.loadtxt(fh, dtype=float, ndmin=2)
         if flat.shape != (nx * ny, 2):

@@ -39,6 +39,11 @@ import numpy as np
 
 from .core_model import FieldConfig, ModelParams, toc_determinant, xi_set
 from .velocity_integrals import (
+    G1_SPEC,
+    G2_SPEC,
+    G3_SPEC,
+    G4_SPEC,
+    G5_SPEC,
     QuadratureGrid,
     _doubled,
     _doubling_check,
@@ -309,12 +314,14 @@ def _approx_terms_on_mesh(params, fields, detunings, v_par, v_res, w):
     gvcc = params.gamma_vcc
     toc = 1j * params.b * params.branching_A * params.gamma_sp * fields.v1 * np.conj(fields.v2)
     kernel = _PoleMoments(params, fields, detunings, v_par, v_res, w)
-    avg, xi = kernel.average, kernel.xi
-    x34 = xi.xi3 * xi.xi4
-    # G1 = <xi2 xi3 xi4/d>, G2 = <xi3 xi4/d>, G3 = <xi2 xi4/(xi5 d)>, G4 = <xi1 xi3 xi4/d>,
-    # G5 = <xi3/d>
-    g = np.array([avg(xi.xi2 * x34), avg(x34), avg(xi.xi2 * xi.xi4, over_xi5=True),
-                  avg(xi.xi1 * x34), avg(xi.xi3)])
+    g = []
+    for spec in (G1_SPEC, G2_SPEC, G3_SPEC, G4_SPEC, G5_SPEC):
+        # each numerator multiplied from its last factor, xi2 (xi3 xi4) for G1;
+        # another order rounds apart
+        *rest, num = (getattr(kernel.xi, f"xi{k}") for k in spec.numerator)
+        for x in reversed(rest):
+            num = x * num
+        g.append(kernel.average(num, over_xi5=5 in spec.denominator))
     _name_bad_detuning("factored solve: non-finite velocity average (xi_d vanishes "
                        "at a node)", detunings, np.isfinite(g).all(axis=0))
     g1, g2, g3, g4, g5 = g

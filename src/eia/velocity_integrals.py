@@ -229,15 +229,12 @@ class _PoleMoments:
     row.  ``average`` then reads any average whose numerator is a polynomial
     in the xi's of degree <= ``degree`` as a coefficient-moment sum.
 
-    (v_par, v_res, w) is ``velocity_mesh``'s product form; a flat node list
-    (1-D w) is taken as one row when v_res is v_par or a single value, and
-    otherwise as one row per node.  ``pump`` is the bare average <1/xi5>.
+    (v_par, v_res, w) is ``velocity_mesh``'s product form, the only form
+    taken: w is (r, n), v_res is v_par itself (collinear, dq_vth != 0) or
+    one value per row.  ``pump`` is the bare average <1/xi5>.
     """
 
     def __init__(self, params, fields, detunings, v_par, v_res, w):
-        if w.ndim == 1 and v_res is not v_par and np.size(v_res) > 1:
-            v_par, v_res, w = v_par[:, None], v_res[:, None], w[:, None]
-        w = np.atleast_2d(w)
         r, n = w.shape
         rows = _V if v_res is v_par else np.reshape(v_res, (r, 1, 1))
         self.xi = xi_set(params, fields, _V, rows, deltap=detunings[None, :, None])
@@ -260,18 +257,16 @@ class _PoleMoments:
         buf = np.empty((r, -(-m // chunks), n), dtype=complex)
         self._mom = np.empty((r, m, table.shape[-1]), dtype=complex)
         for a, b in zip(cuts, cuts[1:]):
-            x = self.xi_d_on_mesh(a, b, out=buf[:, :b - a])
+            x = self.xi_d_on_mesh(a, b, buf[:, :b - a])
             np.reciprocal(x, out=x)
             if b - a == 1:  # one detuning in all: a matmul would be a gemv
                 np.einsum("rmn,rnk->rmk", x, table, out=self._mom[:, a:b])
             else:
                 np.matmul(x, table, out=self._mom[:, a:b])
 
-    def xi_d_on_mesh(self, a, b, out=None):
-        """xi_d at the mesh nodes of detunings a..b-1, (r, b - a, n), by Horner's rule."""
+    def xi_d_on_mesh(self, a, b, out):
+        """xi_d at the mesh nodes of detunings a..b-1, by Horner's rule, into out (r, b - a, n)."""
         c = [x[:, a:b] if np.ndim(x) else x for x in self._xi_d]
-        if out is None:
-            out = np.empty((self._v.shape[0], b - a, self._v.shape[2]), dtype=complex)
         np.multiply(c[-1], self._v, out=out)
         out += c[-2]
         for ck in c[-3::-1]:
@@ -292,10 +287,11 @@ class _Kernel(NamedTuple):
     """Which xi factors sit over which: 1..5 name xi1..xi5, 'd' the determinant xi_d.
 
     The eight named kernels below write out what ``g_integral`` averages by
-    Gauss-Hermite (GH).  They are the written definition and the GH
-    reference of criteria 2-4 and the oracle tests; the solvers read the
-    same averages from the moment kernel ``_PoleMoments``, and the Ramsey
-    kernels are closed forms.
+    Gauss-Hermite (GH), the reference of criteria 2-4 and the oracle tests.
+    The factored solver reads ``G1_SPEC``..``G5_SPEC`` through the moment
+    kernel ``_PoleMoments``, multiplying each numerator from its last
+    factor (xi2 (xi3 xi4) for G1); the exact route's averages are its own,
+    and the Ramsey kernels are closed forms.
     """
 
     numerator: tuple

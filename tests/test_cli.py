@@ -216,6 +216,21 @@ class TestMainRuns:
         prof = load_profile(str(out) + ".profile.txt", fmt="text")
         assert prof.samples.shape == (128, 128)
 
+    def test_beam_filter_binary_output_is_named_bin(self, tmp_path):
+        out = tmp_path / "beam"
+        rc = main(["beam_filter", "--set", "gamma_pcc=5", "--set", "gamma_vcc=0.025",
+                   "--set", "gamma_g=0.001", "--set", "n_par=400",
+                   "--set", "profile_format=binary", "--set", "check_convergence=false",
+                   "--out", str(out)])
+        assert rc == 0
+        path = str(out) + ".profile.bin"
+        assert read_manifest(out)["out_files"] == [path]
+        assert not Path(str(out) + ".profile.txt").exists()
+        prof = load_profile(path, fmt="binary")
+        assert prof.samples.shape == (128, 128)
+        assert prof.power() == pytest.approx(read_manifest(out)["report"]["power_out"],
+                                             rel=1e-12)
+
     def test_ramsey_outputs(self, tmp_path):
         out = tmp_path / "rms"
         rc = main(["ramsey", "--set", "gamma_pcc=5", "--set", "gamma_vcc=0.025",

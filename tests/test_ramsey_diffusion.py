@@ -16,6 +16,7 @@ from eia.ramsey_diffusion import (
     ramsey_spectrum,
     uniform_response,
 )
+from eia.spectrum_solver import solve_exact
 from eia.velocity_integrals import make_grid, one_photon_response
 
 P = ModelParams(gamma_pcc=5.0, gamma_vcc=0.025, gamma_g=0.001)
@@ -175,6 +176,25 @@ class TestLimits:
         gap50 = abs(build_solution(config(5e-2), 0.0).response - u)
         assert gap5 / abs(u) < 0.02
         assert gap50 < 0.15 * gap5
+
+    # The plane-sheet absorption against the exact route's at line center, as
+    # Im(uniform) / Im(exact) - 1, measured on 6000 nodes doubled to 12000:
+    # -2.779%, -1.308%, -2.515% and -0.230%.  Each must stay within 0.5
+    # percentage points of its measurement.  At (1, 0.1) the exact route
+    # converges slowly along q_p (doubling moves it by 2.5e-3; 10000 nodes
+    # read -2.496%), so its doubling tolerance is 5e-3.
+    @pytest.mark.parametrize("gpcc, gvcc, measured", [
+        (5.0, 0.025, -0.02779), (10.0, 0.025, -0.01308), (1.0, 0.1, -0.02515),
+        (5.0, 0.25, -0.00230)])
+    def test_plane_sheet_tracks_the_exact_route_at_line_center(self, gpcc, gvcc, measured):
+        # gamma_g > 0: the sheet refuses gamma_g = 0 at deltap = 0
+        p = ModelParams(gamma_pcc=gpcc, gamma_vcc=gvcc, gamma_g=0.001)
+        cfg = RamseyConfig(params=p, fields=FieldConfig(dq_vth=0.0, dq_direction="collinear"),
+                           half_width_a=5e-3)
+        exact, _ = solve_exact(p, cfg.effective_fields(0.0), make_grid(6000, 1), [0.0],
+                               conv_rtol=5e-3)
+        gap = uniform_response(cfg, 0.0).imag / exact.absorption[0] - 1.0
+        assert abs(gap - measured) <= 0.005
 
     def test_narrow_beam_responds_less(self):
         wide = build_solution(config(5e-3), 0.0).response.imag

@@ -504,6 +504,18 @@ class TestSplitTextCodec:
         # one and never the whole body
         assert len(forks) == 2 and len(parses) == 1
 
+    def test_crlf_file_reads_as_its_lf_twin(self, split, tmp_path, rng, monkeypatch):
+        split(2)
+        prof = self.profile_with_specials_at_run_edges((2, 700), rng)
+        lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
+        save_profile(prof, lf, fmt="text")
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        forks = self.spy_on_parent(monkeypatch, os, "fork")
+        back = load_profile(crlf, fmt="text")
+        assert len(forks) == 1  # two runs, the first in a child
+        assert back.samples.tobytes() == load_profile(lf, fmt="text").samples.tobytes()
+        assert back.samples.tobytes() == prof.samples.tobytes()
+
     def test_failed_children_leave_the_serial_bytes(self, split, tmp_path, rng, monkeypatch):
         split(4)
         prof = self.profile_with_specials_at_run_edges((129, 131), rng)

@@ -202,7 +202,10 @@ class TestExactElimination:
         w = rng.uniform(0.1, 1.0, n)
         w /= w.sum()
         dgrid = np.sort(rng.uniform(-3.0, 3.0, 31))
-        got, got_cond = _exact_response_on_mesh(p, f, dgrid, v_par, v_res, w)
+        # the route takes the product form: one row, or one row per node
+        mesh = ((v_par, v_par, w[None, :]) if geometry == "collinear"
+                else (v_par[:, None], v_res[:, None], w[:, None]))
+        got, got_cond = _exact_response_on_mesh(p, f, dgrid, *mesh)
         want, want_cond = lapack_response_on_mesh(p, f, dgrid, v_par, v_res, w)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         assert np.abs(got_cond - want_cond).max() <= 1e-12 * want_cond.max()
@@ -334,7 +337,8 @@ def test_moment_kernel_builds_xi_d_on_the_mesh(gpcc, gvcc, gg, b, pumps, delta1,
                               where)
     v_par, v_res, w = velocity_mesh(f, make_grid(n_par, n_res))
     kernel = _PoleMoments(p, f, dgrid, v_par, v_res, w)
-    got = kernel.xi_d_on_mesh(0, dgrid.size).transpose(1, 0, 2)
+    out = np.empty((w.shape[0], dgrid.size, w.shape[1]), dtype=complex)
+    got = kernel.xi_d_on_mesh(0, dgrid.size, out).transpose(1, 0, 2)
     xi = xi_set(p, f, v_par, v_res, deltap=dgrid[:, None, None])
     want = toc_determinant(xi, p, f)
     assert got.shape == np.broadcast(want, w).shape
