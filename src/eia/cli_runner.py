@@ -98,8 +98,7 @@ def _nonneg(v):
 
 
 KEYS: Dict[str, _Key] = {
-    # model rates (units of gamma_sp)
-    "gamma_sp": _Key(float, 1.0, _pos, "> 0"),
+    # model rates, in units of the spontaneous rate (the unit, so no key)
     "gamma_pcc": _Key(float, 0.0, _nonneg, ">= 0"),
     "gamma_vcc": _Key(float, 0.0, _nonneg, ">= 0"),
     "gamma_g": _Key(float, 0.0, _nonneg, ">= 0"),
@@ -132,6 +131,7 @@ KEYS: Dict[str, _Key] = {
     "deltap_hom_factor": _Key(float, None, None, nullable=True),
     "optical_depth_scale": _Key(float, 1.0, None),
     "slice_length": _Key(float, 0.0, _nonneg, ">= 0 (meters)"),
+    # probe wave number q_p, for the beam filter and the sheet's SI bridge
     "qp_physical": _Key(float, DEFAULT_QP_PHYSICAL, _pos, "> 0 (1/meter)"),
     "force_unitary": _Key(bool, False, None),
     "profile_in": _Key(str, "", None),
@@ -141,7 +141,6 @@ KEYS: Dict[str, _Key] = {
     # stepwise-sheet geometry (SI bridge)
     "half_width_a": _Key(float, 2.5e-3, _pos, "> 0 (meters)"),
     "temperature": _Key(float, 300.0, _pos, "> 0 (kelvin)"),
-    "wavelength": _Key(float, 780e-9, _pos, "> 0 (meters)"),
     "mass": _Key(float, MASS_RB85, _pos, "> 0 (kg)"),
     "gamma_sp_si": _Key(float, 2.0 * np.pi * 6e6, _pos, "> 0 (rad/s)"),
     "ramsey_span": _Key(float, 0.02, _pos, "> 0"),
@@ -171,9 +170,8 @@ class ScenarioConfig:
 
     def model_params(self) -> ModelParams:
         v = self.values
-        return ModelParams(gamma_sp=v["gamma_sp"], gamma_pcc=v["gamma_pcc"],
-                           gamma_vcc=v["gamma_vcc"], gamma_g=v["gamma_g"],
-                           b=v["b"], branching_A=v["branching_a"])
+        return ModelParams(gamma_pcc=v["gamma_pcc"], gamma_vcc=v["gamma_vcc"],
+                           gamma_g=v["gamma_g"], b=v["b"], branching_A=v["branching_a"])
 
     def field_config(self) -> FieldConfig:
         v = self.values
@@ -349,7 +347,7 @@ def _run_ramsey(cfg: ScenarioConfig):
     v = cfg.values
     rcfg = RamseyConfig(params=cfg.model_params(), fields=cfg.field_config(),
                         half_width_a=v["half_width_a"], temperature=v["temperature"],
-                        wavelength=v["wavelength"], mass=v["mass"],
+                        qp_physical=v["qp_physical"], mass=v["mass"],
                         gamma_sp_si=v["gamma_sp_si"])
     spectrum = ramsey_spectrum(rcfg, _ramsey_detuning_grid(cfg))
     path = _emit_spectrum(cfg, spectrum, cfg.out)

@@ -3,7 +3,9 @@
 Conventions used across the package:
 
 * every rate and detuning is dimensionless, in units of the spontaneous
-  emission rate ``gamma_sp`` (so ``gamma_sp`` itself is normally 1.0);
+  emission rate Gamma.  Gamma is the unit, not a parameter: it enters the
+  formulas as the literal 1 (the 1/2 of ``gamma_tilde``, the 1 of xi3's
+  width, the coherence-transfer coefficient i b A v1 conj(v2));
 * velocities are in units of the thermal speed v_th, and the only coupling
   between the frequency and velocity scales is the pair of Doppler parameters
   ``qp_vth`` (probe wavevector times v_th) and ``dq_vth`` (pump-probe
@@ -43,17 +45,17 @@ def _require_finite(obj, names) -> None:
 class ModelParams:
     """Atomic and collisional rates plus the coherence-transfer switch.
 
-    gamma_sp    spontaneous emission rate (the frequency unit; > 0)
     gamma_pcc   pressure broadening from phase-changing collisions
     gamma_vcc   velocity-thermalization rate (strong-collision model)
     gamma_g     decoherence of the ground (and bare excited) coherence
     b           transfer-of-coherence switch, exactly 0 or 1
     branching_A branching amplitude A in (0, 1); A**2 is the branching ratio
 
-    Responses are per unit atom density (module docstring), so no field holds it.
+    Every rate is in units of the spontaneous rate Gamma, which is therefore
+    1 and no field; responses are per unit atom density (module docstring),
+    so no field holds that either.
     """
 
-    gamma_sp: float = 1.0
     gamma_pcc: float = 0.0
     gamma_vcc: float = 0.0
     gamma_g: float = 0.0
@@ -61,10 +63,7 @@ class ModelParams:
     branching_A: float = 0.816
 
     def __post_init__(self):
-        _require_finite(self, ("gamma_sp", "gamma_pcc", "gamma_vcc", "gamma_g",
-                               "branching_A"))
-        if not self.gamma_sp > 0:
-            raise ValueError(f"gamma_sp must be > 0, got {self.gamma_sp}")
+        _require_finite(self, ("gamma_pcc", "gamma_vcc", "gamma_g", "branching_A"))
         for name in ("gamma_pcc", "gamma_vcc", "gamma_g"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
@@ -77,8 +76,8 @@ class ModelParams:
 
     @property
     def gamma_tilde(self) -> float:
-        # optical transverse decay: gamma_sp/2 + gamma_pcc + gamma_g
-        return 0.5 * self.gamma_sp + self.gamma_pcc + self.gamma_g
+        # optical transverse decay: 1/2 + gamma_pcc + gamma_g
+        return 0.5 + self.gamma_pcc + self.gamma_g
 
 
 _DQ_DIRECTIONS = ("transverse", "collinear")
@@ -148,7 +147,7 @@ def xi_set(params: ModelParams, fields: FieldConfig, v_par, v_res, deltap=None) 
 
     xi1 = (dp - d1) - dq.v + i(gamma_g + gamma_vcc)
     xi2 = dp - qp.v + i(gamma_tilde + gamma_vcc)
-    xi3 = (dp - d2) - dq.v + i(gamma_sp + gamma_g + gamma_vcc)
+    xi3 = (dp - d2) - dq.v + i(1 + gamma_g + gamma_vcc)
     xi4 = (dp - d1 - d2) - (qp - q1 - q2).v + i(gamma_tilde + gamma_vcc)
     xi5 = -d2 + q2.v + i(gamma_tilde + gamma_vcc)
 
@@ -166,7 +165,6 @@ def xi_set(params: ModelParams, fields: FieldConfig, v_par, v_res, deltap=None) 
     on each row of the product mesh, from these same formulas.
     """
     dp = fields.deltap if deltap is None else deltap
-    g = params.gamma_sp
     gvcc = params.gamma_vcc
     gt = params.gamma_tilde
 
@@ -175,7 +173,7 @@ def xi_set(params: ModelParams, fields: FieldConfig, v_par, v_res, deltap=None) 
 
     xi1 = ((dp - fields.delta1) + 1j * (params.gamma_g + gvcc)) - dq_v
     xi2 = (dp + 1j * (gt + gvcc)) - qp_v
-    xi3 = ((dp - fields.delta2) + 1j * (g + params.gamma_g + gvcc)) - dq_v
+    xi3 = ((dp - fields.delta2) + 1j * (1.0 + params.gamma_g + gvcc)) - dq_v
     xi4 = ((dp - fields.delta1 - fields.delta2) + 1j * (gt + gvcc)) + (qp_v - 2.0 * dq_v)
     xi5 = (-fields.delta2 + 1j * (gt + gvcc)) + (qp_v - dq_v)
     return XiSet(xi1=xi1, xi2=xi2, xi3=xi3, xi4=xi4, xi5=xi5)
@@ -185,7 +183,7 @@ def toc_determinant(xi: XiSet, params: ModelParams, fields: FieldConfig):
     """Determinant of the probe-sector system, including the coherence-transfer term.
 
     xi_d = xi1 xi2 xi3 xi4 - xi3 (xi2 |v2|^2 + xi4 |v1|^2)
-           + i b A gamma_sp v1 conj(v2) (xi2 + xi4)
+           + i b A v1 conj(v2) (xi2 + xi4)
 
     The first two terms carry power broadening; the last one the spontaneous
     transfer of excited-state coherence to the ground state (switch b).  For
@@ -194,7 +192,7 @@ def toc_determinant(xi: XiSet, params: ModelParams, fields: FieldConfig):
 
     It is evaluated as
         xi4 (xi2 (xi1 xi3) - (|v1|^2 xi3 - toc)) + xi2 (toc - |v2|^2 xi3)
-    with toc = i b A gamma_sp v1 conj(v2).  That order of products no longer
+    with toc = i b A v1 conj(v2).  That order of products no longer
     serves a broadcast over the product mesh; it stays because it keeps the
     rounding of ``at_rest_spectrum`` and of the Gauss-Hermite reference
     (``velocity_integrals.g_integral``) bit-identical.  Given xi's that are
@@ -204,6 +202,6 @@ def toc_determinant(xi: XiSet, params: ModelParams, fields: FieldConfig):
     """
     v1sq = abs(fields.v1) ** 2
     v2sq = abs(fields.v2) ** 2
-    toc = 1j * params.b * params.branching_A * params.gamma_sp * fields.v1 * np.conj(fields.v2)
+    toc = 1j * params.b * params.branching_A * fields.v1 * np.conj(fields.v2)
     return (xi.xi4 * (xi.xi2 * (xi.xi1 * xi.xi3) - (v1sq * xi.xi3 - toc))
             + xi.xi2 * (toc - v2sq * xi.xi3))

@@ -12,8 +12,9 @@ R_e1e2 are
 
 and the piecewise solution is cosh modes inside, decaying exponentials
 outside, matched continuously in value and slope at |x| = a.  Units: rates
-and Rabi amplitudes stay in spontaneous-rate units; lengths are meters, so D
-is m^2 per unit of scaled time and the alphas and k's are 1/m.
+and Rabi amplitudes stay in spontaneous-rate units (so Gamma above is 1);
+lengths are meters, so D is m^2 per unit of scaled time and the alphas and
+k's are 1/m.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .core_model import FieldConfig, ModelParams
+from .spatial_filter import DEFAULT_QP_PHYSICAL
 from .spectrum_solver import Spectrum
 from .velocity_integrals import _strong_collision, pole_average
 
@@ -64,18 +66,22 @@ class RamseyConfig:
     """Stepwise-sheet geometry plus the SI bridge for lengths.
 
     The model parameters stay in spontaneous-rate units; half_width_a,
-    temperature, wavelength, and mass fix the meter scale.  fields.qp_vth = 0
-    (the constructor default) means "use the bridged value" derived from the
-    thermal speed and the optical wave number.  The one-photon kernels are
-    closed-form thermal averages (see ramsey_coefficients), so the
-    configuration holds no quadrature settings.
+    temperature, mass, the probe wave number qp_physical (1/m, the same
+    setting as the beam filter's) and the spontaneous rate gamma_sp_si
+    (rad/s, the one place the rate unit has a value) fix the meter and
+    second scales.  fields.qp_vth = 0 (the constructor default) means "use
+    the bridged value" qp_physical v_th / gamma_sp_si; a given qp_vth sets
+    the one-photon kernels only, since diffusion_d takes v_th from the SI
+    bridge either way.  The one-photon kernels are closed-form thermal
+    averages (see ramsey_coefficients), so the configuration holds no
+    quadrature settings.
     """
 
     params: ModelParams
     fields: FieldConfig
     half_width_a: float
     temperature: float = 300.0
-    wavelength: float = 780e-9
+    qp_physical: float = DEFAULT_QP_PHYSICAL
     mass: float = MASS_RB85
     gamma_sp_si: float = 2.0 * np.pi * 6e6
 
@@ -89,7 +95,7 @@ class RamseyConfig:
             raise ValueError("stepwise-sheet solution requires delta1 = delta2 = 0")
         if not self.params.gamma_vcc > 0:
             raise ValueError("diffusion requires gamma_vcc > 0")
-        for name, val in (("temperature", self.temperature), ("wavelength", self.wavelength),
+        for name, val in (("temperature", self.temperature), ("qp_physical", self.qp_physical),
                           ("mass", self.mass), ("gamma_sp_si", self.gamma_sp_si)):
             if not 0 < val < np.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {val}")
@@ -99,18 +105,15 @@ class RamseyConfig:
         return float(np.sqrt(K_BOLTZMANN * self.temperature / self.mass))
 
     @property
-    def qp_si(self) -> float:
-        return 2.0 * np.pi / self.wavelength
-
-    @property
     def qp_vth_bridge(self) -> float:
         # Doppler scale of the probe in spontaneous-rate units
-        return self.qp_si * self.v_th_si / self.gamma_sp_si
+        return self.qp_physical * self.v_th_si / self.gamma_sp_si
 
     @property
     def diffusion_d(self) -> float:
-        # m^2 per unit of scaled time (time measured in 1/gamma_sp), so the
-        # SI coefficient v_th^2/gamma_vcc_si picks up one more 1/gamma_sp_si
+        # m^2 per unit of scaled time (time measured in 1/Gamma, Gamma =
+        # gamma_sp_si in rad/s), so the SI coefficient v_th^2/gamma_vcc_si
+        # picks up one more 1/gamma_sp_si
         return (self.v_th_si / self.gamma_sp_si) ** 2 / self.params.gamma_vcc
 
     @property
@@ -183,8 +186,7 @@ def ramsey_coefficients(cfg: RamseyConfig, deltap: Optional[float] = None) -> Ra
     d_hat = cfg.diffusion_d
     gvcc = p.gamma_vcc
     gam = p.gamma_g
-    big_g = p.gamma_sp
-    ba = p.b * p.branching_A * big_g
+    ba = p.b * p.branching_A
     v1, v2, vp = f.v1, f.v2, f.vp
 
     if gam == 0 and dp == 0:
@@ -199,7 +201,7 @@ def ramsey_coefficients(cfg: RamseyConfig, deltap: Optional[float] = None) -> Ra
     k_pump = _strong_collision(pole_average(0.0, q, width), gvcc)
 
     alpha3_sq = (-1j * dp + gam) / d_hat
-    alpha2_sq = alpha3_sq + big_g / d_hat
+    alpha2_sq = alpha3_sq + 1.0 / d_hat
     alpha1_sq = (-1j * dp + gam
                  + k_1p * abs(v1) ** 2 + k_1p * abs(v2) ** 2) / d_hat
     beta1 = np.conj(v1) * vp * k_1p
@@ -455,7 +457,7 @@ def diffusion_operator_check(cfg: RamseyConfig, rg_fn=None) -> DiffusionResidual
     p = solution.cfg.params
     a = solution.cfg.half_width_a
     d_hat = solution.cfg.diffusion_d
-    ba = p.b * p.branching_A * p.gamma_sp
+    ba = p.b * p.branching_A
     gvcc = p.gamma_vcc
 
     kmax = max(abs(co.k1), abs(co.k2), abs(co.alpha2), abs(co.alpha3), 1e-10)

@@ -81,7 +81,8 @@ def filter_params_from_model(params: ModelParams, fields: FieldConfig,
     if not params.gamma_vcc > 0:
         raise ValueError("the diffusion coefficient requires gamma_vcc > 0")
     kern = 1j * g_integral(G_1P, params, replace(fields, deltap=deltap), grid, rtol=rtol)
-    gamma_hom = params.gamma_g + np.real(kern * abs(fields.v2) ** 2)
+    gamma_p = kern * abs(fields.v2) ** 2
+    gamma_hom = params.gamma_g + np.real(gamma_p)
     if abs(deltap) > gamma_hom > 0:
         warnings.warn(
             f"|deltap| = {abs(deltap):.3g} exceeds the homogeneous width "
@@ -92,7 +93,6 @@ def filter_params_from_model(params: ModelParams, fields: FieldConfig,
         eta = 1.0  # no pumps at all: power_broadening = 0 makes eta inert
     else:
         raise ValueError("eta undefined for V2 = 0 with V1 != 0")
-    gamma_p = kern * abs(fields.v2) ** 2
     d_hat = fields.qp_vth ** 2 / params.gamma_vcc
     return FilterParams(eta=eta, power_broadening=complex(gamma_p),
                         diffusion_D=d_hat, probe_kernel=complex(kern))

@@ -227,7 +227,7 @@ def _exact_response_on_mesh(params, fields, detunings, v_par, v_res, w):
     gvcc = params.gamma_vcc
     v1, v2, vp = fields.v1, fields.v2, fields.vp
     cv1, cv2 = np.conj(v1), np.conj(v2)
-    toc = 1j * params.b * params.branching_A * params.gamma_sp
+    toc = 1j * params.b * params.branching_A
 
     kernel = _PoleMoments(params, fields, detunings, v_par, v_res, w)
     avg = kernel.average
@@ -312,7 +312,7 @@ def solve_exact(params: ModelParams, fields: FieldConfig, grid: QuadratureGrid,
 
 def _approx_terms_on_mesh(params, fields, detunings, v_par, v_res, w):
     gvcc = params.gamma_vcc
-    toc = 1j * params.b * params.branching_A * params.gamma_sp * fields.v1 * np.conj(fields.v2)
+    toc = 1j * params.b * params.branching_A * fields.v1 * np.conj(fields.v2)
     kernel = _PoleMoments(params, fields, detunings, v_par, v_res, w)
     g = []
     for spec in (G1_SPEC, G2_SPEC, G3_SPEC, G4_SPEC, G5_SPEC):
@@ -341,9 +341,9 @@ def solve_approximate(params: ModelParams, fields: FieldConfig, grid: Quadrature
     mesh, which takes one reciprocal of xi_d per node.  The response splits into the
     one-photon background -G4, the pump-broadened pedestal |v2|^2 G5 and the
     collision-fed sharp peak toc i G2 G3 gamma_vcc / (1 - i G1 gamma_vcc),
-    with toc = i b A gamma_sp v1 conj(v2).
+    with toc = i b A v1 conj(v2).
 
-    Valid for gamma_vcc below the homogeneous width Gamma_pcc + Gamma/2; a
+    Valid for gamma_vcc below the homogeneous width gamma_pcc + 1/2; a
     warning (not an error) is emitted outside that regime.  Returns
     (Spectrum with components, SolveReport).  With check_convergence the
     spectrum is recomputed on a node-doubled grid and the finer result is
@@ -352,9 +352,9 @@ def solve_approximate(params: ModelParams, fields: FieldConfig, grid: Quadrature
     IllConditionedError naming the first such detuning.  A mirror-symmetric
     grid is halved as in ``solve_exact``, and each component reflected too.
     """
-    if params.gamma_vcc >= params.gamma_pcc + 0.5 * params.gamma_sp:
+    if params.gamma_vcc >= params.gamma_pcc + 0.5:
         warnings.warn(
-            "gamma_vcc is not small against gamma_pcc + gamma_sp/2; the factored "
+            "gamma_vcc is not small against gamma_pcc + 1/2; the factored "
             "response is outside its validity regime", stacklevel=2)
 
     detunings, runs, report = _solve(
@@ -381,8 +381,7 @@ def at_rest_spectrum(params: ModelParams, fields: FieldConfig, detuning_grid) ->
     xd = toc_determinant(xi, params0, fields)
     _name_bad_detuning("at-rest spectrum: xi_d vanishes or underflows", detunings,
                        np.abs(xd) >= np.finfo(float).tiny)
-    toc = 1j * params0.b * params0.branching_A * params0.gamma_sp \
-        * fields.v1 * np.conj(fields.v2)
+    toc = 1j * params0.b * params0.branching_A * fields.v1 * np.conj(fields.v2)
     bg = (-xi.xi1 * xi.xi3 * xi.xi4 + toc * (xi.xi4 - xi.xi5) / xi.xi5) / xd
     ped = abs(fields.v2) ** 2 * xi.xi3 / xd
     zero = np.zeros_like(bg)

@@ -41,7 +41,7 @@ class TestParseConfig:
         cfg = parse_config("at_rest", {"gamma_pcc": 1.0}, {"gamma_pcc": 2.5})
         assert cfg.values["gamma_pcc"] == 2.5
 
-    @pytest.mark.parametrize("key", ["gamma_zz", "n0"])
+    @pytest.mark.parametrize("key", ["gamma_zz", "n0", "gamma_sp", "wavelength"])
     def test_unknown_key(self, key):
         with pytest.raises(ValueError, match="unknown config key"):
             parse_config("at_rest", {key: 1.0})
@@ -292,6 +292,54 @@ class TestMainRuns:
             [solved[dq] for dq in (0.0, 0.01, 0.02)]
         assert all(r["method"] == "approximate" and r["n_par"] == 300
                    for r in report["reports"])
+
+    FILTER_SETS = ["--set", "gamma_pcc=10", "--set", "gamma_vcc=0.025",
+                   "--set", "gamma_g=0.001", "--set", "n_par=500", "--set", "n_k=17",
+                   "--set", "check_convergence=false"]
+
+    def test_filter_curve_at_a_multiple_of_the_homogeneous_width(self, tmp_path):
+        out = tmp_path / "flt"
+        assert main(["filter_curve", *self.FILTER_SETS, "--set", "deltap_hom_factor=1",
+                     "--out", str(out)]) == 0
+        manifest = read_manifest(out)
+        report = manifest["report"]
+        # gamma_hom = gamma_g + Re(power_broadening), both read back from the manifest
+        assert report["deltap"] == (manifest["resolved"]["gamma_g"]
+                                    + report["power_broadening"][0])
+
+    def test_filter_curve_json_holds_the_csv_numbers(self, tmp_path):
+        for fmt in ("csv", "json"):
+            assert main(["filter_curve", *self.FILTER_SETS, "--format", fmt,
+                         "--out", str(tmp_path / fmt)]) == 0
+        header, rows = read_csv(str(tmp_path / "csv") + ".csv")
+        doc = json.loads((tmp_path / "json.json").read_text())
+        assert sorted(doc) == sorted(header)
+        assert [[doc[name][i] for name in header] for i in range(len(rows))] == rows
+
+    def test_fwhm_scan_json_holds_the_csv_numbers(self, tmp_path):
+        sets = ["--set", "gamma_pcc=1", "--set", "gamma_vcc=0.1", "--set", "gamma_g=0.001",
+                "--set", "dq_ladder=[0, 0.01]", "--set", "n_par=300", "--set", "n_res=1",
+                "--set", "check_convergence=false"]
+        for fmt in ("csv", "json"):
+            assert main(["fwhm_scan", *sets, "--format", fmt,
+                         "--out", str(tmp_path / fmt)]) == 0
+        header, rows = read_csv(str(tmp_path / "csv") + ".csv")
+        doc = json.loads((tmp_path / "json.json").read_text())
+        assert [[r[name] for name in header] for r in doc["rows"]] == rows
+        assert [r["pedestal_fwhm"] for r in doc["rows"]] == \
+            read_manifest(tmp_path / "json")["report"]["pedestal_fwhm"]
+
+    def test_qp_physical_sets_the_ramsey_bridge(self, tmp_path):
+        # one key sets q_p for beam_filter and for the sheet's SI bridge
+        bridges = []
+        for qp in (2.0 * np.pi / 780e-9, 2.0 * np.pi / 795e-9):
+            out = tmp_path / f"rms{len(bridges)}"
+            assert main(["ramsey", "--set", "gamma_vcc=0.025", "--set", "gamma_g=0.001",
+                         "--set", "ramsey_n=3", "--set", f"qp_physical={qp!r}",
+                         "--out", str(out)]) == 0
+            bridges.append(read_manifest(out)["report"]["qp_vth_bridge"])
+        assert bridges[0] == pytest.approx(36.622490032397494, rel=1e-12)
+        assert bridges[1] == pytest.approx(bridges[0] * 780.0 / 795.0, rel=1e-12)
 
 
 class TestMainErrors:

@@ -13,8 +13,6 @@ def test_gamma_tilde_composition():
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"gamma_sp": 0.0},
-    {"gamma_sp": -1.0},
     {"gamma_pcc": -0.1},
     {"gamma_vcc": -1e-9},
     {"gamma_g": -0.5},
@@ -29,8 +27,7 @@ def test_model_params_rejects_bad_values(kwargs):
         ModelParams(**kwargs)
 
 
-@pytest.mark.parametrize("name", ["gamma_sp", "gamma_pcc", "gamma_vcc", "gamma_g",
-                                  "branching_A"])
+@pytest.mark.parametrize("name", ["gamma_pcc", "gamma_vcc", "gamma_g", "branching_A"])
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_model_params_rejects_non_finite_values(name, bad):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
@@ -73,7 +70,7 @@ class TestXiSet:
 
     def test_imaginary_parts_are_the_decay_rates(self):
         # at any velocity: Im xi1 = gamma_g + gamma_vcc, Im xi2/4/5 = gamma_tilde
-        # + gamma_vcc, Im xi3 = gamma_sp + gamma_g + gamma_vcc
+        # + gamma_vcc, Im xi3 = 1 + gamma_g + gamma_vcc
         xi = xi_set(self.P, self.F, 0.37, -1.2)
         assert np.imag(xi.xi1) == pytest.approx(0.026)
         assert np.imag(xi.xi2) == pytest.approx(5.526)
@@ -165,7 +162,7 @@ def test_determinant_polynomial_identity(v1r, v1i, v2r, v2i, b, dp, vpar):
                     deltap=dp, qp_vth=7.0, dq_vth=0.1)
     xi = xi_set(p, f, vpar, 0.5)
     x1, x2, x3, x4 = xi.xi1, xi.xi2, xi.xi3, xi.xi4
-    toc = 1j * b * p.branching_A * p.gamma_sp * f.v1 * np.conj(f.v2)
+    toc = 1j * b * p.branching_A * f.v1 * np.conj(f.v2)
     expected = (x1 * x2 * x3 * x4
                 - x3 * x2 * abs(f.v2) ** 2 - x3 * x4 * abs(f.v1) ** 2
                 + toc * x2 + toc * x4)
@@ -218,11 +215,11 @@ def test_exact_table_identities(gpcc, gvcc, gg, d1, d2, dp, v_par, v_res, qp, dq
     xi = xi_set(p, f, v_par, v_res, deltap=dp)
     # magnitude of the operands xi_set adds; each identity is good to a few ulps of it
     scale = (np.abs(dp) + abs(d1) + abs(d2) + qp * np.abs(v_par) + 2.0 * dq * np.abs(v_res)
-             + p.gamma_sp + p.gamma_tilde + gvcc)
+             + 1.0 + p.gamma_tilde + gvcc)
     tol = 4.0 * np.finfo(float).eps * scale
     s = xi.xi2 + xi.xi4 - 2.0 * xi.xi1
     u = xi.xi4 - xi.xi5 - xi.xi1
-    assert np.all(np.abs(s - ((d1 - d2) + 1j * (p.gamma_sp + 2.0 * gpcc))) <= tol)
+    assert np.all(np.abs(s - ((d1 - d2) + 1j * (1.0 + 2.0 * gpcc))) <= tol)
     assert np.all(np.abs(u - (-1j * (gg + gvcc))) <= tol)
 
 
@@ -232,7 +229,7 @@ def docstring_xi(p, f, v_par, v_res, dp):
     gt, gvcc = p.gamma_tilde, p.gamma_vcc
     return ((dp - f.delta1) - dq_v + 1j * (p.gamma_g + gvcc),
             dp - qp_v + 1j * (gt + gvcc),
-            (dp - f.delta2) - dq_v + 1j * (p.gamma_sp + p.gamma_g + gvcc),
+            (dp - f.delta2) - dq_v + 1j * (1.0 + p.gamma_g + gvcc),
             (dp - f.delta1 - f.delta2) + qp_v - 2.0 * dq_v + 1j * (gt + gvcc),
             -f.delta2 + qp_v - dq_v + 1j * (gt + gvcc))
 
@@ -263,5 +260,5 @@ def test_xi_set_rounds_as_its_docstring(gpcc, gvcc, gg, d1, d2, dp, v_par, v_res
                 assert g.tobytes() == w.tobytes(), name
             else:
                 scale = (np.abs(want_dp) + abs(d1) + abs(d2) + qp * np.abs(v_par)
-                         + 2.0 * dq * np.abs(v_res) + p.gamma_sp + p.gamma_tilde + gvcc)
+                         + 2.0 * dq * np.abs(v_res) + 1.0 + p.gamma_tilde + gvcc)
                 assert np.all(np.abs(g - w) <= 2.0 * np.spacing(scale)), name

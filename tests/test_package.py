@@ -1,6 +1,7 @@
 """Package surface: every exported name resolves, the benchmark's calls bind, no
 function takes a parameter it never reads, no dataclass or NamedTuple stores a
-field that nothing reads, and start-up does not load scipy.optimize."""
+field that nothing reads, the CLI reads every config key it accepts, and
+start-up does not load scipy.optimize."""
 
 import ast
 import importlib
@@ -150,3 +151,23 @@ def test_every_dataclass_field_is_read():
     unread = [f for p, src in sources.items() if p.parent == root
               for f in _dataclass_fields(src) if f[1] not in read]
     assert unread == []
+
+
+def _unread_keys(source: str, keys):
+    """Each of keys that no string subscript (``v["key"]``) in source reads."""
+    read = {n.slice.value for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Subscript) and isinstance(n.slice, ast.Constant)}
+    return [k for k in keys if k not in read]
+
+
+def test_unread_key_guard_flags_a_dead_key():
+    src = "KEYS = {'a': 1, 'b': 2}\n\ndef f(v):\n    return v['a'] + KEYS[v]\n"
+    assert _unread_keys(src, ["a", "b"]) == ["b"]
+
+
+def test_every_config_key_is_read():
+    # a key that no runner reads is an option that changes nothing
+    from eia import cli_runner
+
+    source = pathlib.Path(cli_runner.__file__).read_text()
+    assert _unread_keys(source, cli_runner.KEYS) == []

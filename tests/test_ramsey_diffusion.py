@@ -17,7 +17,7 @@ from eia.ramsey_diffusion import (
     uniform_response,
 )
 from eia.spectrum_solver import solve_exact
-from eia.velocity_integrals import make_grid, one_photon_response
+from eia.velocity_integrals import make_grid, one_photon_response, pole_average
 
 P = ModelParams(gamma_pcc=5.0, gamma_vcc=0.025, gamma_g=0.001)
 F = FieldConfig(v1=0.0816, v2=0.1, vp=0.001, qp_vth=36.5, dq_vth=0.0,
@@ -63,7 +63,7 @@ class TestConfig:
         with pytest.raises(ValueError, match="temperature"):
             config(temperature=-10.0)
 
-    @pytest.mark.parametrize("field", ["half_width_a", "temperature", "wavelength",
+    @pytest.mark.parametrize("field", ["half_width_a", "temperature", "qp_physical",
                                        "mass", "gamma_sp_si"])
     def test_rejects_infinite_si_input(self, field):
         # past this check an infinite input fails with another field's name, a
@@ -195,6 +195,29 @@ class TestLimits:
                                conv_rtol=5e-3)
         gap = uniform_response(cfg, 0.0).imag / exact.absorption[0] - 1.0
         assert abs(gap - measured) <= 0.005
+
+    # The same gap at deltap = +-gamma_hom/2 and +-gamma_hom, with gamma_hom =
+    # gamma_g + Re(K)|v2|^2 and K = i<1/xi2> at deltap = 0 (the filter's
+    # homogeneous width), measured on 6000 nodes doubled to 12000 (doubling
+    # moved the exact route by 1.7e-10 and 1.4e-13): -2.967% and -3.220% at
+    # (5, 0.025), -1.386% and -1.493% at (10, 0.025), the same at either sign.
+    # Each must stay within 0.5 percentage points of its measurement.
+    @pytest.mark.parametrize("gpcc, gvcc, measured", [
+        (5.0, 0.025, {0.5: -0.02967, 1.0: -0.03220}),
+        (10.0, 0.025, {0.5: -0.01386, 1.0: -0.01493})])
+    def test_plane_sheet_tracks_the_exact_route_within_the_homogeneous_width(
+            self, gpcc, gvcc, measured):
+        p = ModelParams(gamma_pcc=gpcc, gamma_vcc=gvcc, gamma_g=0.001)
+        cfg = RamseyConfig(params=p, fields=FieldConfig(dq_vth=0.0, dq_direction="collinear"),
+                           half_width_a=5e-3)
+        fields = cfg.effective_fields(0.0)
+        k = 1j * pole_average(0.0, fields.qp_vth, p.gamma_tilde + gvcc)
+        gamma_hom = p.gamma_g + (k * abs(fields.v2) ** 2).real
+        factors = np.array([-1.0, -0.5, 0.5, 1.0])
+        exact, _ = solve_exact(p, fields, make_grid(6000, 1), factors * gamma_hom)
+        for factor, dp, absorption in zip(factors, factors * gamma_hom, exact.absorption):
+            gap = uniform_response(cfg, dp).imag / absorption - 1.0
+            assert abs(gap - measured[abs(factor)]) <= 0.005, factor
 
     def test_narrow_beam_responds_less(self):
         wide = build_solution(config(5e-3), 0.0).response.imag

@@ -150,7 +150,7 @@ def lapack_response_on_mesh(params, fields, detunings, v_par, v_res, w):
     solve the whole stack with batched LAPACK."""
     gvcc, n0 = params.gamma_vcc, 1.0
     v1, v2, vp = fields.v1, fields.v2, fields.vp
-    toc = 1j * params.b * params.branching_A * params.gamma_sp
+    toc = 1j * params.b * params.branching_A
     xi0 = xi_set(params, fields, v_par, v_res)
     gp = np.sum(w / xi0.xi5)
     r5 = np.conj(v2) * n0 * gp / (1.0 - 1j * gvcc * gp)
@@ -318,7 +318,7 @@ def test_moment_kernel_routes_match_the_per_node_oracles(gpcc, gvcc, gg, b, pump
     g = np.array([[g_integral(spec, p, replace(f, deltap=dp), grid, rtol=None)
                    for dp in dgrid]
                   for spec in (G1_SPEC, G2_SPEC, G3_SPEC, G4_SPEC, G5_SPEC)])
-    toc = 1j * b * p.branching_A * p.gamma_sp * f.v1 * np.conj(f.v2)
+    toc = 1j * b * p.branching_A * f.v1 * np.conj(f.v2)
     want = (-g[3], abs(f.v2) ** 2 * g[4],
             toc * 1j * g[1] * g[2] * gvcc / (1.0 - 1j * g[0] * gvcc))
     for got_part, want_part in zip(parts, want):
@@ -347,7 +347,7 @@ def test_moment_kernel_builds_xi_d_on_the_mesh(gpcc, gvcc, gg, b, pumps, delta1,
                   deltap=dgrid[:, None, None])
     s1, s2, s3, s4 = (np.abs(getattr(rest, k)) + np.abs(getattr(xi, k) - getattr(rest, k))
                       for k in ("xi1", "xi2", "xi3", "xi4"))
-    toc = abs(p.b * p.branching_A * p.gamma_sp * f.v1 * f.v2)
+    toc = abs(p.b * p.branching_A * f.v1 * f.v2)
     terms = s1 * s2 * s3 * s4 + s3 * (abs(f.v1) ** 2 * s4 + abs(f.v2) ** 2 * s2) \
         + toc * (s2 + s4)
     assert np.all(np.abs(got - want) <= 32 * np.finfo(float).eps * terms)
@@ -367,7 +367,7 @@ class TestExactSolver:
         sp, rep = solve_exact(p, f, make_grid(60, 1), dgrid, check_convergence=False)
         xi = xi_set(p, f, 0.0, 0.0, deltap=dgrid)
         xd = toc_determinant(xi, p, f)
-        toc = 1j * p.b * p.branching_A * p.gamma_sp * f.v1 * np.conj(f.v2)
+        toc = 1j * p.b * p.branching_A * f.v1 * np.conj(f.v2)
         closed = (xi.xi3 * (abs(f.v2) ** 2 - xi.xi1 * xi.xi4)
                   + toc * (xi.xi4 - xi.xi5) / xi.xi5) / xd
         assert np.abs(sp.response - closed).max() < 1e-6 * np.abs(closed).max()
@@ -529,7 +529,7 @@ class TestFactoredSolver:
         dgrid = np.linspace(-3.0, 3.0, 2 * (_CHUNK_ELEMENTS // nodes) + 5)
         sp, _ = solve_approximate(p, f, grid, dgrid, check_convergence=False)
 
-        toc = 1j * b * p.branching_A * p.gamma_sp * v1 * np.conj(v2)
+        toc = 1j * b * p.branching_A * v1 * np.conj(v2)
         g = np.array([[g_integral(spec, p, replace(f, deltap=dp), grid, rtol=None)
                        for dp in dgrid]
                       for spec in (G1_SPEC, G2_SPEC, G3_SPEC, G4_SPEC, G5_SPEC)])
