@@ -22,10 +22,11 @@ import numpy as np
 from . import __version__
 from .core_model import FieldConfig, ModelParams
 from .lineshape_analysis import PEDESTAL_CONVENTION, scan_delta_q
-from .ramsey_diffusion import MASS_RB85, RamseyConfig, ramsey_spectrum
+from .ramsey_diffusion import RamseyConfig, ramsey_spectrum
 from .spatial_filter import (
     DEFAULT_QP_PHYSICAL,
     TransverseProfile,
+    _homogeneous_width,
     apply_filter,
     filter_params_from_model,
     filter_response,
@@ -51,13 +52,11 @@ class _Key:
     default: object
     check: Optional[Callable[[object], bool]] = None
     allowed: str = ""
-    nullable: bool = False
 
     def coerce(self, name: str, value):
-        if self.nullable and (value is None or (isinstance(value, str)
-                                                and value.lower() in ("none", "null"))):
-            return None
         try:
+            if isinstance(value, bool) and self.typ is not bool:
+                raise ValueError  # a JSON true is not the number 1
             if self.typ is bool and isinstance(value, str):
                 if value.lower() in ("true", "1", "yes"):
                     value = True
@@ -68,6 +67,8 @@ class _Key:
             elif self.typ is list:
                 if isinstance(value, str):
                     value = json.loads(value)
+                if any(isinstance(v, bool) for v in value):
+                    raise ValueError
                 value = [float(v) for v in value]
             elif self.typ is bool:
                 value = bool(value)
@@ -123,12 +124,14 @@ KEYS: Dict[str, _Key] = {
     "refine": _Key(bool, True, None),
     "check_convergence": _Key(bool, True, None),
     # delta-q scan
-    "dq_ladder": _Key(list, [0.0, 0.1, 0.2, 0.3, 0.4, 0.5], None),
+    "dq_ladder": _Key(list, [0.0, 0.1, 0.2, 0.3, 0.4, 0.5],
+                      lambda v: len(v) > 0 and all(b > a for a, b in zip(v, v[1:])),
+                      "nonempty and strictly ascending"),
     # spatial filter
     "k_max": _Key(float, 8e-4, _pos, "> 0 (units of q_p)"),
     "n_k": _Key(int, 241, lambda v: v >= 2, ">= 2"),
-    # None: use deltap as given; a number means deltap = factor * gamma_hom
-    "deltap_hom_factor": _Key(float, None, None, nullable=True),
+    # the filter runs at deltap + deltap_hom_factor * gamma_hom
+    "deltap_hom_factor": _Key(float, 0.0, None),
     "optical_depth_scale": _Key(float, 1.0, None),
     "slice_length": _Key(float, 0.0, _nonneg, ">= 0 (meters)"),
     # probe wave number q_p, for the beam filter and the sheet's SI bridge
@@ -140,9 +143,9 @@ KEYS: Dict[str, _Key] = {
                            "text or binary"),
     # stepwise-sheet geometry (SI bridge)
     "half_width_a": _Key(float, 2.5e-3, _pos, "> 0 (meters)"),
-    "temperature": _Key(float, 300.0, _pos, "> 0 (kelvin)"),
-    "mass": _Key(float, MASS_RB85, _pos, "> 0 (kg)"),
-    "gamma_sp_si": _Key(float, 2.0 * np.pi * 6e6, _pos, "> 0 (rad/s)"),
+    "temperature": _Key(float, RamseyConfig.temperature, _pos, "> 0 (kelvin)"),
+    "mass": _Key(float, RamseyConfig.mass, _pos, "> 0 (kg)"),
+    "gamma_sp_si": _Key(float, RamseyConfig.gamma_sp_si, _pos, "> 0 (rad/s)"),
     "ramsey_span": _Key(float, 0.02, _pos, "> 0"),
     "ramsey_n": _Key(int, 301, lambda v: v >= 2, ">= 2"),
 }
@@ -162,11 +165,6 @@ class ScenarioConfig:
         missing = [k for k in KEYS if k not in self.values]
         if missing:
             raise ValueError(f"unresolved config keys: {missing}")
-        if self.scenario == "fwhm_scan":
-            ladder = self.values["dq_ladder"]
-            if len(ladder) == 0 or any(b <= a for a, b in zip(ladder, ladder[1:])):
-                raise ValueError("config key 'dq_ladder': must be nonempty and "
-                                 "strictly ascending")
 
     def model_params(self) -> ModelParams:
         v = self.values
@@ -176,7 +174,7 @@ class ScenarioConfig:
     def field_config(self) -> FieldConfig:
         v = self.values
         return FieldConfig(v1=v["v1"], v2=v["v2"], vp=v["vp"], delta1=v["delta1"],
-                           delta2=v["delta2"], deltap=v["deltap"], qp_vth=v["qp_vth"],
+                           delta2=v["delta2"], qp_vth=v["qp_vth"],
                            dq_vth=v["dq_vth"], dq_direction=v["dq_direction"])
 
     def quad_grid(self):
@@ -208,43 +206,37 @@ def serialize_config(cfg: ScenarioConfig) -> dict:
     return doc
 
 
-def _write_csv(path: str, header: List[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(v)) for v in row])
-
-
 def _write_json(path: str, doc: dict) -> None:
     with open(path, "w", newline="\n") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _spectrum_rows(spectrum):
-    return zip(spectrum.detunings, spectrum.response.real, spectrum.response.imag)
+def _emit(cfg: ScenarioConfig, columns: Dict[str, object], extra: dict) -> str:
+    """Write a table to cfg.out plus ".csv" or ".json"; returns the path.
 
-
-def _emit_spectrum(cfg: ScenarioConfig, spectrum, base: str) -> str:
+    CSV: a header of the column names, then one row per index, each value
+    written as its float ``repr``.  JSON: one list per column, plus the
+    entries of extra, which have no place in a CSV table.
+    """
+    path = f"{cfg.out}.{cfg.fmt}"
     if cfg.fmt == "csv":
-        path = base + ".csv"
-        _write_csv(path, ["deltap", "re_response", "im_response"], _spectrum_rows(spectrum))
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(columns)
+            writer.writerows([repr(float(v)) for v in row] for row in zip(*columns.values()))
     else:
-        path = base + ".json"
-        doc = {
-            "deltap": list(spectrum.detunings),
-            "re_response": list(spectrum.response.real),
-            "im_response": list(spectrum.response.imag),
-        }
-        if spectrum.components is not None:
-            doc["components"] = {
-                name: {"re": list(arr.real), "im": list(arr.imag)}
-                for name, arr in zip(("background", "pedestal", "sharp_peak"),
-                                     spectrum.components)
-            }
-        _write_json(path, doc)
+        _write_json(path, {**{name: list(col) for name, col in columns.items()}, **extra})
     return path
+
+
+def _emit_spectrum(cfg: ScenarioConfig, spectrum) -> str:
+    extra = {}
+    if spectrum.components is not None:
+        extra["components"] = {name: {"re": list(part.real), "im": list(part.imag)}
+                               for name, part in spectrum.components._asdict().items()}
+    return _emit(cfg, {"deltap": spectrum.detunings, "re_response": spectrum.response.real,
+                       "im_response": spectrum.response.imag}, extra)
 
 
 def _run_spectrum(cfg: ScenarioConfig, exact: bool):
@@ -252,13 +244,13 @@ def _run_spectrum(cfg: ScenarioConfig, exact: bool):
     spectrum, report = solver(cfg.model_params(), cfg.field_config(), cfg.quad_grid(),
                               cfg.detuning_grid(),
                               check_convergence=cfg.values["check_convergence"])
-    path = _emit_spectrum(cfg, spectrum, cfg.out)
+    path = _emit_spectrum(cfg, spectrum)
     return [path], asdict(report)
 
 
 def _run_at_rest(cfg: ScenarioConfig):
     spectrum = at_rest_spectrum(cfg.model_params(), cfg.field_config(), cfg.detuning_grid())
-    path = _emit_spectrum(cfg, spectrum, cfg.out)
+    path = _emit_spectrum(cfg, spectrum)
     return [path], {"method": "at_rest", "n_detunings": int(spectrum.detunings.size)}
 
 
@@ -266,44 +258,34 @@ def _run_fwhm_scan(cfg: ScenarioConfig):
     rows = scan_delta_q(cfg.model_params(), cfg.field_config(), cfg.quad_grid(),
                         cfg.values["dq_ladder"],
                         check_convergence=cfg.values["check_convergence"])
-    path = cfg.out + (".csv" if cfg.fmt == "csv" else ".json")
-    if cfg.fmt == "csv":
-        _write_csv(path, ["dq_vth", "fwhm", "peak_abs"],
-                   [(r.dq_vth, r.fwhm, r.peak_absorption) for r in rows])
-    else:
-        _write_json(path, {"rows": [{"dq_vth": r.dq_vth, "fwhm": r.fwhm,
-                                     "peak_abs": r.peak_absorption,
-                                     "pedestal_fwhm": r.pedestal_fwhm} for r in rows]})
+    pedestal = [r.pedestal_fwhm for r in rows]
+    path = _emit(cfg, {"dq_vth": [r.dq_vth for r in rows], "fwhm": [r.fwhm for r in rows],
+                       "peak_abs": [r.peak_absorption for r in rows]},
+                 {"pedestal_fwhm": pedestal})
     meta = {"method": "fwhm_scan", "pedestal_convention": PEDESTAL_CONVENTION,
-            "pedestal_fwhm": [r.pedestal_fwhm for r in rows],
+            "pedestal_fwhm": pedestal,
             "reports": [asdict(r.report) for r in rows]}
     return [path], meta
 
 
 def _filter_setup(cfg: ScenarioConfig):
     """(params, fp, deltap) of a filter scenario: the filter is built at
-    deltap = 0, and applied at deltap as given or, with deltap_hom_factor
-    set, at that factor times gamma_hom = gamma_g + Re(power_broadening)."""
+    deltap = 0 and applied at deltap + deltap_hom_factor * gamma_hom, with
+    gamma_hom = gamma_g + Re(power_broadening) the homogeneous width."""
+    v = cfg.values
     params = cfg.model_params()
     fp = filter_params_from_model(params, cfg.field_config(), cfg.quad_grid(), deltap=0.0,
-                                  rtol=1e-7 if cfg.values["check_convergence"] else None)
-    factor = cfg.values["deltap_hom_factor"]
-    if factor is None:
-        return params, fp, cfg.values["deltap"]
-    return params, fp, factor * (cfg.values["gamma_g"] + float(np.real(fp.power_broadening)))
+                                  rtol=1e-7 if v["check_convergence"] else None)
+    gamma_hom = _homogeneous_width(params, fp.power_broadening)
+    return params, fp, v["deltap"] + v["deltap_hom_factor"] * gamma_hom
 
 
 def _run_filter_curve(cfg: ScenarioConfig):
     params, fp, deltap = _filter_setup(cfg)
     k = np.linspace(0.0, cfg.values["k_max"], cfg.values["n_k"])
     ell = filter_response(fp, params, deltap, k)
-    path = cfg.out + (".csv" if cfg.fmt == "csv" else ".json")
-    if cfg.fmt == "csv":
-        _write_csv(path, ["k_over_qp", "re_l", "im_l", "abs_l"],
-                   zip(k, ell.real, ell.imag, np.abs(ell)))
-    else:
-        _write_json(path, {"k_over_qp": list(k), "re_l": list(ell.real),
-                           "im_l": list(ell.imag), "abs_l": list(np.abs(ell))})
+    path = _emit(cfg, {"k_over_qp": k, "re_l": ell.real, "im_l": ell.imag,
+                       "abs_l": np.abs(ell)}, {})
     meta = {"method": "filter_curve", "deltap": deltap, "eta": fp.eta,
             "power_broadening": [fp.power_broadening.real, fp.power_broadening.imag],
             "diffusion_D": fp.diffusion_D}
@@ -350,7 +332,7 @@ def _run_ramsey(cfg: ScenarioConfig):
                         qp_physical=v["qp_physical"], mass=v["mass"],
                         gamma_sp_si=v["gamma_sp_si"])
     spectrum = ramsey_spectrum(rcfg, _ramsey_detuning_grid(cfg))
-    path = _emit_spectrum(cfg, spectrum, cfg.out)
+    path = _emit_spectrum(cfg, spectrum)
     meta = {"method": "ramsey", "half_width_a": v["half_width_a"],
             "qp_vth_bridge": rcfg.qp_vth_bridge, "diffusion_d": rcfg.diffusion_d,
             "v_th_si": rcfg.v_th_si}

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -69,12 +69,14 @@ class RamseyConfig:
     temperature, mass, the probe wave number qp_physical (1/m, the same
     setting as the beam filter's) and the spontaneous rate gamma_sp_si
     (rad/s, the one place the rate unit has a value) fix the meter and
-    second scales.  fields.qp_vth = 0 (the constructor default) means "use
-    the bridged value" qp_physical v_th / gamma_sp_si; a given qp_vth sets
-    the one-photon kernels only, since diffusion_d takes v_th from the SI
-    bridge either way.  The one-photon kernels are closed-form thermal
-    averages (see ramsey_coefficients), so the configuration holds no
-    quadrature settings.
+    second scales.  kernel_qp_vth, the one-photon kernels' Doppler scale,
+    is fields.qp_vth, or where that is 0 (the constructor default) the
+    bridged qp_physical v_th / gamma_sp_si; diffusion_d takes v_th from the
+    SI bridge either way.  The kernels are closed-form thermal averages (see
+    ramsey_coefficients), so the configuration holds no quadrature
+    settings.  The sheet's functions take the detuning as an argument;
+    only diffusion_operator_check reads fields.deltap.  vp = 0 is refused:
+    the response is per unit probe amplitude.
     """
 
     params: ModelParams
@@ -95,6 +97,9 @@ class RamseyConfig:
             raise ValueError("stepwise-sheet solution requires delta1 = delta2 = 0")
         if not self.params.gamma_vcc > 0:
             raise ValueError("diffusion requires gamma_vcc > 0")
+        if self.fields.vp == 0:
+            raise ValueError("vp must be != 0: the sheet's response is per unit "
+                             "probe amplitude")
         for name, val in (("temperature", self.temperature), ("qp_physical", self.qp_physical),
                           ("mass", self.mass), ("gamma_sp_si", self.gamma_sp_si)):
             if not 0 < val < np.inf:
@@ -122,9 +127,9 @@ class RamseyConfig:
             return float(np.sqrt(self.diffusion_d / self.params.gamma_g))
         return np.inf
 
-    def effective_fields(self, deltap: float) -> FieldConfig:
-        qp = self.fields.qp_vth if self.fields.qp_vth > 0 else self.qp_vth_bridge
-        return replace(self.fields, deltap=float(deltap), qp_vth=qp)
+    @property
+    def kernel_qp_vth(self) -> float:
+        return self.fields.qp_vth if self.fields.qp_vth > 0 else self.qp_vth_bridge
 
 
 def _decay_root(z: complex) -> complex:
@@ -167,22 +172,23 @@ def _mode_vector(d_hat, alpha2_sq, beta2, k_sq):
     return (gv / nm, ev / nm)
 
 
-def ramsey_coefficients(cfg: RamseyConfig, deltap: Optional[float] = None) -> RamseyCoefficients:
+def ramsey_coefficients(cfg: RamseyConfig, deltap: float) -> RamseyCoefficients:
     """Kernels, decay constants, sources, and coupled-mode wave numbers at one detuning.
 
-    cfg sets every rate, the kernels' included.  The three strong-collision
-    one-photon kernels K = iG/(1 - i gamma_vcc G) are taken in closed form:
-    with dq = delta1 = delta2 = 0 each bare average G has one pole linear in
-    velocity, of width gamma_tilde + gamma_vcc, so it is one pole_average.
-    xi4 has the pole of xi2 mirrored in v, so the three-photon kernel equals
-    k_1p; xi5 carries no detuning, so k_pump is the same closure at zero
-    detuning.  The two interior wave numbers come from the quadratic in k^2
-    produced by inserting exp(kx) into the coupled system; the discriminant
-    is guarded against catastrophic cancellation.
+    deltap is the probe detuning; cfg sets every rate and the kernels'
+    Doppler scale, kernel_qp_vth, and its fields.deltap is not read.  The
+    three strong-collision one-photon kernels K = iG/(1 - i gamma_vcc G) are
+    taken in closed form: with dq = delta1 = delta2 = 0 each bare average G
+    has one pole linear in velocity, of width gamma_tilde + gamma_vcc, so it
+    is one pole_average.  xi4 has the pole of xi2 mirrored in v, so the
+    three-photon kernel equals k_1p; xi5 carries no detuning, so k_pump is
+    the same closure at zero detuning.  The two interior wave numbers come
+    from the quadratic in k^2 produced by inserting exp(kx) into the coupled
+    system; the discriminant is guarded against catastrophic cancellation.
     """
     p = cfg.params
     f = cfg.fields
-    dp = cfg.fields.deltap if deltap is None else float(deltap)
+    dp = float(deltap)
     d_hat = cfg.diffusion_d
     gvcc = p.gamma_vcc
     gam = p.gamma_g
@@ -195,7 +201,7 @@ def ramsey_coefficients(cfg: RamseyConfig, deltap: Optional[float] = None) -> Ra
         raise ValueError("the sheet's exterior ground coherence does not decay at "
                          "gamma_g = 0 and deltap = 0; set gamma_g > 0 or leave "
                          "deltap = 0 off the detuning grid")
-    q = cfg.effective_fields(dp).qp_vth
+    q = cfg.kernel_qp_vth
     width = p.gamma_tilde + gvcc
     k_1p = _strong_collision(pole_average(dp, q, width), gvcc)
     k_pump = _strong_collision(pole_average(0.0, q, width), gvcc)
@@ -378,11 +384,10 @@ class RamseySolution:
         return self._piecewise(x, inner, outer)
 
 
-def build_solution(cfg: RamseyConfig, deltap: Optional[float] = None) -> RamseySolution:
-    """Coefficients, continuity solve, and beam-averaged response."""
-    dp = cfg.fields.deltap if deltap is None else float(deltap)
+def build_solution(cfg: RamseyConfig, deltap: float) -> RamseySolution:
+    """Coefficients, continuity solve, and beam-averaged response at detuning deltap."""
     fields = cfg.fields
-    co = ramsey_coefficients(cfg, deltap=dp)
+    co = ramsey_coefficients(cfg, deltap)
 
     trigger = None
     if abs(co.k1 - co.k2) < 1e-8 * (abs(co.k1) + abs(co.k2)):
@@ -396,7 +401,7 @@ def build_solution(cfg: RamseyConfig, deltap: Optional[float] = None) -> RamseyS
         warnings.warn(f"{trigger}; perturbing gamma_vcc by 1e-9 relative", stacklevel=2)
         cfg = replace(cfg, params=replace(cfg.params,
                                           gamma_vcc=cfg.params.gamma_vcc * (1 + 1e-9)))
-        co = ramsey_coefficients(cfg, deltap=dp)
+        co = ramsey_coefficients(cfg, deltap)
         c, resid = solve_continuity(cfg, co)
 
     a = cfg.half_width_a
@@ -416,7 +421,7 @@ def build_solution(cfg: RamseyConfig, deltap: Optional[float] = None) -> RamseyS
 def uniform_response(cfg: RamseyConfig, deltap: float) -> complex:
     """Plane-illumination limit: gradient-free solution of the coupled system."""
     fields = cfg.fields
-    co = ramsey_coefficients(cfg, deltap=deltap)
+    co = ramsey_coefficients(cfg, deltap)
     return complex(1j * co.k_1p * (fields.v1 * co.g0 + fields.vp) / fields.vp)
 
 
@@ -437,10 +442,10 @@ class DiffusionResidualReport:
 def diffusion_operator_check(cfg: RamseyConfig, rg_fn=None) -> DiffusionResidualReport:
     """Finite-difference residual of the coupled diffusion equations.
 
-    The solution checked is ``build_solution(cfg)`` at the configured deltap,
-    and its cfg, the one it was solved at, gives the rates and a.  rg_fn,
-    if given, replaces its ground coherence (a test can pass a wrong
-    profile).  Second derivatives are taken with a three-point stencil at
+    The solution checked is ``build_solution(cfg, cfg.fields.deltap)``:
+    this is the one reader of the configured detuning.  The solution's cfg,
+    the one it was solved at, gives the rates and a.  rg_fn, if given,
+    replaces its ground coherence (a test can pass a wrong profile).  Second derivatives are taken with a three-point stencil at
     spacings h and h/2 and Richardson-extrapolated, so the stencil's own
     O(h^2) error cancels and the reported residual reflects the solution, not
     the stencil.  h = min(0.01/k_max, 0.05 a), with k_max the largest decay
@@ -449,7 +454,7 @@ def diffusion_operator_check(cfg: RamseyConfig, rg_fn=None) -> DiffusionResidual
     smooth).  Residuals are relative to the largest single term of each
     equation; an all-zero configuration reports zero.
     """
-    solution = build_solution(cfg)
+    solution = build_solution(cfg, cfg.fields.deltap)
     co = solution.coefficients
     rg = rg_fn if rg_fn is not None else solution.rg
     re = solution.re_excited

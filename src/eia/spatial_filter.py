@@ -67,6 +67,18 @@ class FilterParams:
             raise ValueError("diffusion_D must be > 0")
 
 
+def _homogeneous_width(params: ModelParams, power_broadening: complex) -> float:
+    """gamma_hom = gamma_g + Re(K)|V2|^2, the width within which the filter holds."""
+    return params.gamma_g + np.real(power_broadening)
+
+
+def _warn_beyond(deltap: float, gamma_hom: float, consequence: str) -> None:
+    # attributed to the caller of the public function that checks
+    if abs(deltap) > gamma_hom > 0:
+        warnings.warn(f"|deltap| = {abs(deltap):.3g} exceeds the homogeneous width "
+                      f"{gamma_hom:.3g}; {consequence}", stacklevel=3)
+
+
 def filter_params_from_model(params: ModelParams, fields: FieldConfig,
                              grid: QuadratureGrid, deltap: float = 0.0,
                              rtol: float | None = 1e-7) -> FilterParams:
@@ -82,11 +94,8 @@ def filter_params_from_model(params: ModelParams, fields: FieldConfig,
         raise ValueError("the diffusion coefficient requires gamma_vcc > 0")
     kern = 1j * g_integral(G_1P, params, replace(fields, deltap=deltap), grid, rtol=rtol)
     gamma_p = kern * abs(fields.v2) ** 2
-    gamma_hom = params.gamma_g + np.real(gamma_p)
-    if abs(deltap) > gamma_hom > 0:
-        warnings.warn(
-            f"|deltap| = {abs(deltap):.3g} exceeds the homogeneous width "
-            f"{gamma_hom:.3g}; the single-kernel approximation degrades", stacklevel=2)
+    _warn_beyond(deltap, _homogeneous_width(params, gamma_p),
+                 "the single-kernel approximation degrades")
     if fields.v2 != 0:
         eta = abs(fields.v1 / fields.v2)
     elif fields.v1 == 0:
@@ -109,11 +118,8 @@ def filter_response(fp: FilterParams, params: ModelParams, deltap: float, k):
     out.  A warning fires when |deltap| exceeds the homogeneous width
     gamma + Re(Gamma_p), outside the response's validity.
     """
-    gamma_hom = params.gamma_g + np.real(fp.power_broadening)
-    if abs(deltap) > gamma_hom > 0:
-        warnings.warn(
-            f"|deltap| = {abs(deltap):.3g} exceeds the homogeneous width "
-            f"{gamma_hom:.3g}; filter response outside validity", stacklevel=2)
+    _warn_beyond(deltap, _homogeneous_width(params, fp.power_broadening),
+                 "filter response outside validity")
     ba = params.b * params.branching_A
     eta = fp.eta
     num = eta * (2.0 * ba - eta) * fp.power_broadening
@@ -141,8 +147,9 @@ class TransverseProfile:
 
     def __post_init__(self):
         s = np.asarray(self.samples)
-        if s.ndim != 2:
-            raise ValueError("samples must be a 2-D array")
+        if s.ndim != 2 or 0 in s.shape:
+            raise ValueError(f"samples must be a 2-D array with both axes nonempty, "
+                             f"got shape {s.shape}")
         if not np.isfinite(s).all():
             raise ValueError("profile power must be finite")
         if not (0 < self.extent[0] < np.inf and 0 < self.extent[1] < np.inf):

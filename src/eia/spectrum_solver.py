@@ -294,8 +294,11 @@ def solve_exact(params: ModelParams, fields: FieldConfig, grid: QuadratureGrid,
     n_detunings counts the solved half, and IllConditionedError names a
     detuning >= 0.  The largest condition estimate of the density systems is
     reported as max_condition; above 1e8 it warns, above 1e12 it raises
-    IllConditionedError.
+    IllConditionedError.  vp = 0 raises ValueError before any solve: the
+    response is per unit probe amplitude.
     """
+    if fields.vp == 0:
+        raise ValueError("vp must be != 0: the exact response is per unit probe amplitude")
     detunings, runs, report = _solve(
         _exact_response_on_mesh, "exact", "exact solve", params, fields, grid,
         detuning_grid, check_convergence, conv_rtol)

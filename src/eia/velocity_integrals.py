@@ -125,14 +125,15 @@ def _doubling_check(what, solve_on, fields, grid, response, rtol):
 
     ``solve_on(grid)`` returns ``(response, extra)``, with response a complex
     scalar or array.  Returns the doubled grid's result and the report note;
-    a relative change above rtol raises NonConvergenceError, whose message
-    starts with ``what``.  rtol has passed ``_require_tolerance``.
+    a relative change that is not <= rtol, NaN included, raises
+    NonConvergenceError, whose message starts with ``what``.  rtol has
+    passed ``_require_tolerance``.
     """
     spans = _spans_residual_axis(fields)
     fine = solve_on(_doubled(grid, spans))
     scale = max(np.abs(fine[0]).max(initial=0.0), np.finfo(float).tiny)
     rel = np.abs(fine[0] - response).max(initial=0.0) / scale
-    if rel > rtol:
+    if not rel <= rtol:
         raise NonConvergenceError(
             f"{what} not converged: doubling {grid.n_par}x{grid.n_res if spans else 1} nodes "
             f"moved the result by {rel:.3e} (> rtol {rtol:.1e})"

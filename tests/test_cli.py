@@ -35,7 +35,7 @@ class TestParseConfig:
         assert cfg.out == "at_rest"
         assert cfg.values["qp_vth"] == 36.5
         assert cfg.values["gamma_pcc"] == 0.0
-        assert cfg.values["deltap_hom_factor"] is None
+        assert cfg.values["deltap_hom_factor"] == 0.0
 
     def test_later_source_wins(self):
         cfg = parse_config("at_rest", {"gamma_pcc": 1.0}, {"gamma_pcc": 2.5})
@@ -65,12 +65,21 @@ class TestParseConfig:
         cfg = parse_config("fwhm_scan", {"dq_ladder": "[0, 0.1]"})
         assert cfg.values["dq_ladder"] == [0.0, 0.1]
 
-    def test_nullable_sentinel(self):
+    def test_null_is_refused(self):
+        # no key has a null mode: the filter runs at deltap + factor * gamma_hom
         for raw in (None, "none", "NULL"):
-            assert parse_config("filter_curve",
-                                {"deltap_hom_factor": raw}).values["deltap_hom_factor"] is None
+            with pytest.raises(ValueError, match="'deltap_hom_factor': cannot read"):
+                parse_config("filter_curve", {"deltap_hom_factor": raw})
         cfg = parse_config("filter_curve", {"deltap_hom_factor": 1.5})
         assert cfg.values["deltap_hom_factor"] == 1.5
+
+    @pytest.mark.parametrize("key, raw", [("gamma_pcc", True), ("n_par", True),
+                                          ("dq_ladder", [True, 2]), ("dq_ladder", "[0, false]"),
+                                          ("profile_in", False)])
+    def test_bool_is_not_a_number(self, key, raw):
+        # a JSON true read as 1 gave gamma_pcc = 1.0 and a one-node grid
+        with pytest.raises(ValueError, match=f"config key {key!r}: cannot read"):
+            parse_config("at_rest", {key: raw})
 
     def test_scan_ladder_must_ascend(self):
         with pytest.raises(ValueError, match="ascending"):
@@ -325,9 +334,8 @@ class TestMainRuns:
                          "--out", str(tmp_path / fmt)]) == 0
         header, rows = read_csv(str(tmp_path / "csv") + ".csv")
         doc = json.loads((tmp_path / "json.json").read_text())
-        assert [[r[name] for name in header] for r in doc["rows"]] == rows
-        assert [r["pedestal_fwhm"] for r in doc["rows"]] == \
-            read_manifest(tmp_path / "json")["report"]["pedestal_fwhm"]
+        assert [[doc[name][i] for name in header] for i in range(len(rows))] == rows
+        assert doc["pedestal_fwhm"] == read_manifest(tmp_path / "json")["report"]["pedestal_fwhm"]
 
     def test_qp_physical_sets_the_ramsey_bridge(self, tmp_path):
         # one key sets q_p for beam_filter and for the sheet's SI bridge
@@ -401,6 +409,15 @@ class TestMainErrors:
         err = capsys.readouterr().err
         assert str(bad) in err and "must be finite and > 0" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["inf.profile.txt"]
+
+    def test_zero_probe_amplitude_fails_the_exact_scenario(self, tmp_path, capsys):
+        # the exact response is per unit probe amplitude: vp = 0 wrote NaN rows
+        assert main(["spectrum_exact", "--set", "vp=0", "--set", "gamma_pcc=5",
+                     "--set", "gamma_vcc=0.025", "--set", "gamma_g=0.001",
+                     "--set", "n_par=300", "--set", "detuning_n=21",
+                     "--out", str(tmp_path / "sp")]) == 1
+        assert "error: vp must be != 0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_config_file_must_be_object(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

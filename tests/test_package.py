@@ -1,7 +1,7 @@
 """Package surface: every exported name resolves, the benchmark's calls bind, no
 function takes a parameter it never reads, no dataclass or NamedTuple stores a
-field that nothing reads, the CLI reads every config key it accepts, and
-start-up does not load scipy.optimize."""
+field that nothing reads, the CLI reads every config key it accepts and
+accepts every default it has, and start-up does not load scipy.optimize."""
 
 import ast
 import importlib
@@ -171,3 +171,31 @@ def test_every_config_key_is_read():
 
     source = pathlib.Path(cli_runner.__file__).read_text()
     assert _unread_keys(source, cli_runner.KEYS) == []
+
+
+def _defaults_refused(keys):
+    """Each key whose default does not come back unchanged from its own coerce."""
+    refused = []
+    for name, key in keys.items():
+        try:
+            if key.coerce(name, key.default) != key.default:
+                refused.append(name)
+        except ValueError:
+            refused.append(name)
+    return refused
+
+
+def test_default_guard_flags_a_default_its_key_refuses():
+    from eia.cli_runner import _Key
+
+    keys = {"ok": _Key(float, 1.0, lambda v: v > 0, "> 0"),
+            "out_of_range": _Key(float, -1.0, lambda v: v > 0, "> 0"),
+            "unreadable": _Key(int, 2.5), "changed": _Key(str, 3)}
+    assert _defaults_refused(keys) == ["out_of_range", "unreadable", "changed"]
+
+
+def test_every_config_default_passes_its_own_key():
+    # defaults never pass through coerce, so one its key refuses would reach users
+    from eia import cli_runner
+
+    assert _defaults_refused(cli_runner.KEYS) == []

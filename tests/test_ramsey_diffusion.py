@@ -62,6 +62,9 @@ class TestConfig:
                          half_width_a=5e-3)
         with pytest.raises(ValueError, match="temperature"):
             config(temperature=-10.0)
+        # the response is per unit probe amplitude: at vp = 0 it was 0/0
+        with pytest.raises(ValueError, match="^vp must be != 0"):
+            RamseyConfig(params=P, fields=replace(F, vp=0.0), half_width_a=5e-3)
 
     @pytest.mark.parametrize("field", ["half_width_a", "temperature", "qp_physical",
                                        "mass", "gamma_sp_si"])
@@ -75,9 +78,8 @@ class TestConfig:
     def test_zero_qp_uses_the_bridge(self):
         cfg = RamseyConfig(params=P, fields=replace(F, qp_vth=0.0),
                            half_width_a=5e-3)
-        assert cfg.effective_fields(0.1).qp_vth == pytest.approx(
-            cfg.qp_vth_bridge)
-        assert config().effective_fields(0.1).qp_vth == 36.5
+        assert cfg.kernel_qp_vth == pytest.approx(cfg.qp_vth_bridge)
+        assert config().kernel_qp_vth == 36.5
 
 
 class TestGoldenSolution:
@@ -117,7 +119,8 @@ class TestGoldenSolution:
 
 
 class TestClosedFormKernels:
-    """The closed-form kernels against the Gauss-Hermite one_photon_response."""
+    """The closed-form kernels, and the sources built from them, against the
+    Gauss-Hermite one_photon_response K_n (n the denominator)."""
 
     @pytest.mark.parametrize("params", [
         P, ModelParams(gamma_pcc=3.0, gamma_vcc=0.5, gamma_g=0.01)])
@@ -126,12 +129,18 @@ class TestClosedFormKernels:
         cfg = RamseyConfig(params=params, fields=replace(F, qp_vth=qp_vth),
                            half_width_a=5e-3)
         grid = make_grid(8000, 1)
+        f = cfg.fields
         for dp in (0.0, 0.003, -2.0, 7.5):
             co = ramsey_coefficients(cfg, dp)
-            fields = cfg.effective_fields(dp)
-            for got, denominator in ((co.k_1p, 2), (co.k_1p, 4), (co.k_pump, 5)):
-                ref = one_photon_response(params, fields, grid, denominator=denominator)
-                assert got == pytest.approx(ref, rel=1e-9), (dp, denominator)
+            fields = replace(f, deltap=dp, qp_vth=cfg.kernel_qp_vth)
+            k2, k4, k5 = (one_photon_response(params, fields, grid, denominator=n)
+                          for n in (2, 4, 5))
+            for name, got, ref in (("k_1p", co.k_1p, k2), ("k_1p", co.k_1p, k4),
+                                   ("k_pump", co.k_pump, k5),
+                                   ("beta1", co.beta1, np.conj(f.v1) * f.vp * k2),
+                                   ("beta2", co.beta2, 2.0 * f.v1 * np.conj(f.v2) * k2),
+                                   ("beta3", co.beta3, np.conj(f.v2) * f.vp * (k2 + k5))):
+                assert got == pytest.approx(ref, rel=1e-9), (dp, name)
 
 
 class TestSolutionStructure:
@@ -191,7 +200,8 @@ class TestLimits:
         p = ModelParams(gamma_pcc=gpcc, gamma_vcc=gvcc, gamma_g=0.001)
         cfg = RamseyConfig(params=p, fields=FieldConfig(dq_vth=0.0, dq_direction="collinear"),
                            half_width_a=5e-3)
-        exact, _ = solve_exact(p, cfg.effective_fields(0.0), make_grid(6000, 1), [0.0],
+        fields = replace(cfg.fields, deltap=0.0, qp_vth=cfg.kernel_qp_vth)
+        exact, _ = solve_exact(p, fields, make_grid(6000, 1), [0.0],
                                conv_rtol=5e-3)
         gap = uniform_response(cfg, 0.0).imag / exact.absorption[0] - 1.0
         assert abs(gap - measured) <= 0.005
@@ -210,7 +220,7 @@ class TestLimits:
         p = ModelParams(gamma_pcc=gpcc, gamma_vcc=gvcc, gamma_g=0.001)
         cfg = RamseyConfig(params=p, fields=FieldConfig(dq_vth=0.0, dq_direction="collinear"),
                            half_width_a=5e-3)
-        fields = cfg.effective_fields(0.0)
+        fields = replace(cfg.fields, deltap=0.0, qp_vth=cfg.kernel_qp_vth)
         k = 1j * pole_average(0.0, fields.qp_vth, p.gamma_tilde + gvcc)
         gamma_hom = p.gamma_g + (k * abs(fields.v2) ** 2).real
         factors = np.array([-1.0, -0.5, 0.5, 1.0])

@@ -305,6 +305,9 @@ class TestProfileIO:
                               extent=(1.0, 1.0))
         with pytest.raises(ValueError, match="extent"):
             TransverseProfile(samples=np.ones((2, 2), complex), extent=(1.0, 0.0))
+        for shape in ((0, 4), (4, 0)):  # power() divided by the empty axis's size
+            with pytest.raises(ValueError, match="^samples must .* nonempty"):
+                TransverseProfile(samples=np.ones(shape, complex), extent=(1.0, 1.0))
 
     def test_power_of_known_profile(self):
         prof = TransverseProfile(samples=np.full((4, 5), 3.0j), extent=(1.0, 2.0))

@@ -388,6 +388,13 @@ class TestExactSolver:
                              for dp in dgrid])
             assert np.abs(sp.response - want).max() < 1e-12 * np.abs(want).max()
 
+    def test_zero_probe_amplitude_is_refused(self, fig2_params, fig2_fields):
+        # the response is per unit probe amplitude: at vp = 0 every detuning
+        # was 0/0, and the NaN spectrum passed the doubling check
+        from dataclasses import replace
+        with pytest.raises(ValueError, match="^vp must be != 0"):
+            solve_exact(fig2_params, replace(fig2_fields, vp=0.0), make_grid(300, 1), [0.0])
+
     def test_doubling_gate_flags_underresolved_grid(self, fig2_params, fig2_fields):
         dgrid = np.array([-0.01, 0.0, 0.01])
         with pytest.raises(NonConvergenceError, match="exact solve"):

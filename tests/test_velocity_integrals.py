@@ -10,6 +10,7 @@ from eia.velocity_integrals import (
     MAX_NODES,
     NonConvergenceError,
     _Kernel,
+    _doubling_check,
     _spans_residual_axis,
     make_grid,
     velocity_mesh,
@@ -186,6 +187,13 @@ class TestGIntegral:
         f = FieldConfig(qp_vth=36.5, dq_vth=0.0)
         with pytest.raises(NonConvergenceError, match="doubling"):
             g_integral(G_1P, p, f, make_grid(80, 1))
+
+    def test_doubling_check_fails_a_change_that_is_nan(self):
+        # NaN > rtol is false: a NaN change passed as converged
+        f = FieldConfig(qp_vth=36.5, dq_vth=0.0)
+        with pytest.raises(NonConvergenceError, match="^probe not converged.* nan "):
+            _doubling_check("probe", lambda g: (np.array([np.nan]), None), f,
+                            make_grid(10, 1), np.array([1.0]), 1e-6)
 
     def test_rtol_none_skips_the_check(self):
         p = ModelParams(gamma_pcc=5.0, gamma_vcc=0.025, gamma_g=0.001)
