@@ -111,7 +111,6 @@ KEYS: Dict[str, _Key] = {
     "vp": _Key(float, 0.001, None),
     "delta1": _Key(float, 0.0, None),
     "delta2": _Key(float, 0.0, None),
-    "deltap": _Key(float, 0.0, None),
     "qp_vth": _Key(float, 36.5, _nonneg, ">= 0"),
     "dq_vth": _Key(float, 0.0, _nonneg, ">= 0"),
     "dq_direction": _Key(str, "collinear", lambda v: v in ("collinear", "transverse"),
@@ -130,7 +129,9 @@ KEYS: Dict[str, _Key] = {
     # spatial filter
     "k_max": _Key(float, 8e-4, _pos, "> 0 (units of q_p)"),
     "n_k": _Key(int, 241, lambda v: v >= 2, ">= 2"),
-    # the filter runs at deltap + deltap_hom_factor * gamma_hom
+    # the filter runs at deltap + deltap_hom_factor * gamma_hom; every other
+    # scenario scans its own detuning grid and refuses a nonzero deltap
+    "deltap": _Key(float, 0.0, None),
     "deltap_hom_factor": _Key(float, 0.0, None),
     "optical_depth_scale": _Key(float, 1.0, None),
     "slice_length": _Key(float, 0.0, _nonneg, ">= 0 (meters)"),
@@ -354,6 +355,8 @@ SCENARIOS = tuple(_RUNNERS)
 # scenarios whose filter or sheet needs the diffusion coefficient, which
 # divides by gamma_vcc
 _DIFFUSION_SCENARIOS = ("filter_curve", "beam_filter", "ramsey")
+# the scenarios that read the deltap key
+_FILTER_SCENARIOS = ("filter_curve", "beam_filter")
 
 
 def run_scenario(cfg: ScenarioConfig) -> List[str]:
@@ -362,6 +365,9 @@ def run_scenario(cfg: ScenarioConfig) -> List[str]:
         raise ValueError(f"config key 'gamma_vcc': scenario {cfg.scenario!r} needs "
                          f"gamma_vcc > 0 for its diffusion coefficient, got "
                          f"{cfg.values['gamma_vcc']!r}")
+    if cfg.scenario not in _FILTER_SCENARIOS and cfg.values["deltap"] != 0:
+        raise ValueError(f"config key 'deltap': scenario {cfg.scenario!r} scans its own "
+                         f"detuning grid and reads no deltap, got {cfg.values['deltap']!r}")
     start = time.perf_counter()
     files, meta = _RUNNERS[cfg.scenario](cfg)
     manifest = {

@@ -90,7 +90,7 @@ class FieldConfig:
     v1, v2      pump Rabi frequencies (complex allowed)
     vp          probe Rabi frequency; must stay well below the pumps for the
                 first-order-in-probe treatment to hold (warned, not enforced)
-    delta1, delta2, deltap   one-photon detunings
+    delta1, delta2  pump one-photon detunings (the probe's is an argument)
     qp_vth      one-photon Doppler scale q_p * v_th
     dq_vth      residual Doppler scale |dq| * v_th, dq = q_p - q_pump
     dq_direction  'transverse' (angular mismatch, dq perpendicular to q_p) or
@@ -102,14 +102,12 @@ class FieldConfig:
     vp: complex = 0.001
     delta1: float = 0.0
     delta2: float = 0.0
-    deltap: float = 0.0
     qp_vth: float = 0.0
     dq_vth: float = 0.0
     dq_direction: str = "transverse"
 
     def __post_init__(self):
-        _require_finite(self, ("v1", "v2", "vp", "delta1", "delta2", "deltap",
-                               "qp_vth", "dq_vth"))
+        _require_finite(self, ("v1", "v2", "vp", "delta1", "delta2", "qp_vth", "dq_vth"))
         if self.qp_vth < 0 or self.dq_vth < 0:
             raise ValueError("qp_vth and dq_vth must be >= 0")
         if self.dq_direction not in _DQ_DIRECTIONS:
@@ -137,13 +135,13 @@ class XiSet:
     xi5: complex
 
 
-def xi_set(params: ModelParams, fields: FieldConfig, v_par, v_res, deltap=None) -> XiSet:
-    """Evaluate xi1..xi5 at velocity components (v_par, v_res).
+def xi_set(params: ModelParams, fields: FieldConfig, v_par, v_res, deltap) -> XiSet:
+    """Evaluate xi1..xi5 at velocity components (v_par, v_res) and probe detuning deltap.
 
     v_par is the projection on q_p, v_res the projection on dq; in the
-    collinear geometry the caller passes the same variable for both.  Inputs
-    broadcast, so scalar and array velocities (and an optional detuning array
-    via ``deltap``) are all fine.
+    collinear geometry the caller passes the same variable for both; deltap
+    (dp below) is required, as no field holds it.  Inputs broadcast, so
+    scalar and array velocities and detunings are all fine.
 
     xi1 = (dp - d1) - dq.v + i(gamma_g + gamma_vcc)
     xi2 = dp - qp.v + i(gamma_tilde + gamma_vcc)
@@ -164,17 +162,16 @@ def xi_set(params: ModelParams, fields: FieldConfig, v_par, v_res, deltap=None) 
     (``velocity_integrals._Poly``): each xi then comes out as its polynomial
     on each row of the product mesh, from these same formulas.
     """
-    dp = fields.deltap if deltap is None else deltap
     gvcc = params.gamma_vcc
     gt = params.gamma_tilde
 
     qp_v = fields.qp_vth * v_par
     dq_v = fields.dq_vth * v_res
 
-    xi1 = ((dp - fields.delta1) + 1j * (params.gamma_g + gvcc)) - dq_v
-    xi2 = (dp + 1j * (gt + gvcc)) - qp_v
-    xi3 = ((dp - fields.delta2) + 1j * (1.0 + params.gamma_g + gvcc)) - dq_v
-    xi4 = ((dp - fields.delta1 - fields.delta2) + 1j * (gt + gvcc)) + (qp_v - 2.0 * dq_v)
+    xi1 = ((deltap - fields.delta1) + 1j * (params.gamma_g + gvcc)) - dq_v
+    xi2 = (deltap + 1j * (gt + gvcc)) - qp_v
+    xi3 = ((deltap - fields.delta2) + 1j * (1.0 + params.gamma_g + gvcc)) - dq_v
+    xi4 = ((deltap - fields.delta1 - fields.delta2) + 1j * (gt + gvcc)) + (qp_v - 2.0 * dq_v)
     xi5 = (-fields.delta2 + 1j * (gt + gvcc)) + (qp_v - dq_v)
     return XiSet(xi1=xi1, xi2=xi2, xi3=xi3, xi4=xi4, xi5=xi5)
 

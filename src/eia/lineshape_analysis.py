@@ -8,7 +8,7 @@ closed-form model (see dicke_fwhm_model) against which scans are compared.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -45,6 +45,10 @@ class LorentzianFit:
     offset: float
     residual_norm: float
 
+    def __post_init__(self):
+        if not self.hwhm > 0:
+            raise ValueError("fitted hwhm must be > 0")
+
 
 @dataclass(frozen=True)
 class LineMetrics:
@@ -52,13 +56,10 @@ class LineMetrics:
     peak_value: float
     peak_position: float
     baseline: float
-    fit_params: Optional[LorentzianFit] = None
 
     def __post_init__(self):
         if not self.fwhm > 0:
             raise ValueError("fwhm must be > 0")
-        if self.fit_params is not None and not self.fit_params.hwhm > 0:
-            raise ValueError("fitted hwhm must be > 0")
 
 
 def _wings(y: np.ndarray) -> np.ndarray:
@@ -174,9 +175,10 @@ def _lorentz(p, x):
     return off + amp * w**2 / ((x - c) ** 2 + w**2)
 
 
-def fit_lorentzian(spectrum: Spectrum) -> LineMetrics:
+def fit_lorentzian(spectrum: Spectrum) -> LorentzianFit:
     """Least-squares Lorentzian fit offset + amp*w^2/((x-c)^2+w^2) to absorption.
 
+    Returns one record: center c, hwhm |w| > 0, amp, offset and residual norm.
     Uniform weights; initial guess from the wing baseline and half-maximum
     crossings.  Raises on flat input (no peak) and on failure to converge
     within the iteration budget.
@@ -208,11 +210,8 @@ def fit_lorentzian(spectrum: Spectrum) -> LineMetrics:
     if res.status == 0:
         raise RuntimeError("Lorentzian fit did not converge within 500 evaluations")
     c, w, amp, off = res.x
-    w = abs(float(w))
-    fit = LorentzianFit(center=float(c), hwhm=w, amplitude=float(amp),
-                        offset=float(off), residual_norm=float(np.linalg.norm(res.fun)))
-    return LineMetrics(fwhm=2.0 * w, peak_value=float(off + amp),
-                       peak_position=float(c), baseline=float(off), fit_params=fit)
+    return LorentzianFit(center=float(c), hwhm=abs(float(w)), amplitude=float(amp),
+                         offset=float(off), residual_norm=float(np.linalg.norm(res.fun)))
 
 
 @dataclass(frozen=True)

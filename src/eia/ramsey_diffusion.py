@@ -74,9 +74,8 @@ class RamseyConfig:
     bridged qp_physical v_th / gamma_sp_si; diffusion_d takes v_th from the
     SI bridge either way.  The kernels are closed-form thermal averages (see
     ramsey_coefficients), so the configuration holds no quadrature
-    settings.  The sheet's functions take the detuning as an argument;
-    only diffusion_operator_check reads fields.deltap.  vp = 0 is refused:
-    the response is per unit probe amplitude.
+    settings.  The sheet's functions take the detuning as an argument.
+    vp = 0 is refused: the response is per unit probe amplitude.
     """
 
     params: ModelParams
@@ -176,8 +175,7 @@ def ramsey_coefficients(cfg: RamseyConfig, deltap: float) -> RamseyCoefficients:
     """Kernels, decay constants, sources, and coupled-mode wave numbers at one detuning.
 
     deltap is the probe detuning; cfg sets every rate and the kernels'
-    Doppler scale, kernel_qp_vth, and its fields.deltap is not read.  The
-    three strong-collision one-photon kernels K = iG/(1 - i gamma_vcc G) are
+    Doppler scale, kernel_qp_vth.  The three strong-collision one-photon kernels K = iG/(1 - i gamma_vcc G) are
     taken in closed form: with dq = delta1 = delta2 = 0 each bare average G
     has one pole linear in velocity, of width gamma_tilde + gamma_vcc, so it
     is one pole_average.  xi4 has the pole of xi2 mirrored in v, so the
@@ -439,13 +437,13 @@ class DiffusionResidualReport:
     residual_excited: float
 
 
-def diffusion_operator_check(cfg: RamseyConfig, rg_fn=None) -> DiffusionResidualReport:
-    """Finite-difference residual of the coupled diffusion equations.
+def diffusion_operator_check(solution: RamseySolution, rg_fn=None) -> DiffusionResidualReport:
+    """Finite-difference residual of the coupled diffusion equations at a solution.
 
-    The solution checked is ``build_solution(cfg, cfg.fields.deltap)``:
-    this is the one reader of the configured detuning.  The solution's cfg,
-    the one it was solved at, gives the rates and a.  rg_fn, if given,
-    replaces its ground coherence (a test can pass a wrong profile).  Second derivatives are taken with a three-point stencil at
+    The solution (``build_solution``'s, at its own detuning) is checked as
+    given; its cfg, the one it was solved at, gives the rates and a.  rg_fn,
+    if given, replaces its ground coherence (a test can pass a wrong
+    profile).  Second derivatives are taken with a three-point stencil at
     spacings h and h/2 and Richardson-extrapolated, so the stencil's own
     O(h^2) error cancels and the reported residual reflects the solution, not
     the stencil.  h = min(0.01/k_max, 0.05 a), with k_max the largest decay
@@ -454,7 +452,6 @@ def diffusion_operator_check(cfg: RamseyConfig, rg_fn=None) -> DiffusionResidual
     smooth).  Residuals are relative to the largest single term of each
     equation; an all-zero configuration reports zero.
     """
-    solution = build_solution(cfg, cfg.fields.deltap)
     co = solution.coefficients
     rg = rg_fn if rg_fn is not None else solution.rg
     re = solution.re_excited

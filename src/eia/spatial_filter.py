@@ -17,7 +17,7 @@ import signal
 import struct
 import tempfile
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Tuple
 
@@ -89,19 +89,23 @@ def filter_params_from_model(params: ModelParams, fields: FieldConfig,
     of ``g_integral`` at rtol.  This single-kernel stand-in holds near zero
     probe detuning; a warning flags |deltap| beyond the homogeneous width
     gamma_g + Re(K)|V2|^2.  power_broadening is K|V2|^2, probe_kernel is K.
+    A pump ratio |v1/v2| outside (0, 1] is refused before the average.
     """
     if not params.gamma_vcc > 0:
         raise ValueError("the diffusion coefficient requires gamma_vcc > 0")
-    kern = 1j * g_integral(G_1P, params, replace(fields, deltap=deltap), grid, rtol=rtol)
-    gamma_p = kern * abs(fields.v2) ** 2
-    _warn_beyond(deltap, _homogeneous_width(params, gamma_p),
-                 "the single-kernel approximation degrades")
     if fields.v2 != 0:
         eta = abs(fields.v1 / fields.v2)
+        if not 0 < eta <= 1:
+            raise ValueError(f"the pump ratio |v1/v2| must be in (0, 1], got "
+                             f"v1 = {fields.v1!r}, v2 = {fields.v2!r}")
     elif fields.v1 == 0:
         eta = 1.0  # no pumps at all: power_broadening = 0 makes eta inert
     else:
         raise ValueError("eta undefined for V2 = 0 with V1 != 0")
+    kern = 1j * g_integral(G_1P, params, fields, grid, deltap, rtol=rtol)
+    gamma_p = kern * abs(fields.v2) ** 2
+    _warn_beyond(deltap, _homogeneous_width(params, gamma_p),
+                 "the single-kernel approximation degrades")
     d_hat = fields.qp_vth ** 2 / params.gamma_vcc
     return FilterParams(eta=eta, power_broadening=complex(gamma_p),
                         diffusion_D=d_hat, probe_kernel=complex(kern))

@@ -244,7 +244,8 @@ class _PoleMoments:
         self.degree = len(_coef(self.xi.xi1 * self.xi.xi2 * self.xi.xi4)) - 1
 
         v = np.broadcast_to(v_par, w.shape)
-        inv_xi5 = 1.0 / xi_set(params, fields, v_par, v_res).xi5
+        # xi5 carries no detuning, so any deltap gives the same table
+        inv_xi5 = 1.0 / xi_set(params, fields, v_par, v_res, 0.0).xi5
         cols = [w]
         for _ in range(self.degree):
             cols.append(cols[-1] * v)
@@ -318,9 +319,9 @@ def _factor(key, xi, params, fields):
     return getattr(xi, f"xi{key}")
 
 
-def _eval_on_grid(spec, params, fields, grid):
+def _eval_on_grid(spec, params, fields, grid, deltap):
     v_par, v_res, w = velocity_mesh(fields, grid)
-    xi = xi_set(params, fields, v_par, v_res)
+    xi = xi_set(params, fields, v_par, v_res, deltap)
     val = w.astype(complex)
     for k in spec.numerator:
         val = val * _factor(k, xi, params, fields)
@@ -330,8 +331,8 @@ def _eval_on_grid(spec, params, fields, grid):
 
 
 def g_integral(spec: _Kernel, params: ModelParams, fields: FieldConfig,
-               grid: QuadratureGrid, rtol: float | None = 1e-7) -> complex:
-    """Velocity average of prod(xi_num)/prod(xi_den) against the thermal Gaussian.
+               grid: QuadratureGrid, deltap: float, rtol: float | None = 1e-7) -> complex:
+    """Thermal velocity average of prod(xi_num)/prod(xi_den) at probe detuning deltap.
 
     This is the Gauss-Hermite (GH) reference of criteria 2-4 and the oracle
     tests, which hold the fused solver averages and the closed forms
@@ -346,11 +347,11 @@ def g_integral(spec: _Kernel, params: ModelParams, fields: FieldConfig,
     if not any(spec is k for k in _KERNELS):
         raise ValueError(f"spec must be one of the eight named kernels, got {spec!r}")
     if rtol is None:
-        return _eval_on_grid(spec, params, fields, grid)
+        return _eval_on_grid(spec, params, fields, grid, deltap)
     _require_tolerance("quadrature", "rtol", rtol)
-    coarse = _eval_on_grid(spec, params, fields, grid)
+    coarse = _eval_on_grid(spec, params, fields, grid, deltap)
     (fine, _), _ = _doubling_check(
-        "quadrature", lambda g: (_eval_on_grid(spec, params, fields, g), None),
+        "quadrature", lambda g: (_eval_on_grid(spec, params, fields, g, deltap), None),
         fields, grid, coarse, rtol)
     return fine
 
@@ -389,19 +390,21 @@ _ONE_PHOTON_SPECS = {2: G_1P, 4: G_3P, 5: G_PUMP}
 
 
 def one_photon_response(params: ModelParams, fields: FieldConfig, grid: QuadratureGrid,
-                        denominator: int = 2, rtol: float | None = 1e-7) -> complex:
+                        deltap: float, denominator: int = 2,
+                        rtol: float | None = 1e-7) -> complex:
     """Strong-collision one-photon kernel K = iG/(1 - i gamma_vcc G), by Gauss-Hermite.
 
-    G is the bare thermal average of 1/xi_denominator; denominator 2 gives the
-    probe kernel (G_1P), 4 the three-photon variant (G_3P), 5 the pump-dipole
-    absorption kernel (G_PUMP).  In the motionless limit the gamma_vcc
-    contributions cancel algebraically and K -> i/(deltap + i*gamma_tilde)
-    for the probe case.  No program path calls this: it is the Gauss-Hermite
-    (GH) reference of criteria 2-4 and the oracle tests, which hold against
-    it the closed-form kernels of ramsey_diffusion.ramsey_coefficients (one
-    ``pole_average`` each) and the exact solve with the pumps off.
+    G is the bare thermal average of 1/xi_denominator at probe detuning
+    deltap; denominator 2 gives the probe kernel (G_1P), 4 the three-photon
+    variant (G_3P), 5 the pump-dipole absorption kernel (G_PUMP).  In the
+    motionless limit the gamma_vcc contributions cancel algebraically and
+    K -> i/(deltap + i*gamma_tilde) for the probe case.  No program path
+    calls this: it is the Gauss-Hermite (GH) reference of criteria 2-4 and
+    the oracle tests, which hold against it the closed-form kernels of
+    ramsey_diffusion.ramsey_coefficients (one ``pole_average`` each) and the
+    exact solve with the pumps off.
     """
     if denominator not in _ONE_PHOTON_SPECS:
         raise ValueError(f"denominator must be one of {sorted(_ONE_PHOTON_SPECS)}, got {denominator}")
-    g = g_integral(_ONE_PHOTON_SPECS[denominator], params, fields, grid, rtol=rtol)
+    g = g_integral(_ONE_PHOTON_SPECS[denominator], params, fields, grid, deltap, rtol=rtol)
     return _strong_collision(g, params.gamma_vcc)

@@ -60,8 +60,7 @@ def test_criterion_2(fig2_fields):
         params = ModelParams(gamma_pcc=5.0, gamma_vcc=gvcc, gamma_g=0.001)
         exact, _ = solve_exact(params, fields, grid, detunings,
                                check_convergence=False)
-        kern = np.array([one_photon_response(params, replace(fields, deltap=dp),
-                                             grid, rtol=None)
+        kern = np.array([one_photon_response(params, fields, grid, dp, rtol=None)
                          for dp in detunings])
         np.testing.assert_allclose(exact.response, 1j * kern, rtol=1e-8,
                                    err_msg=f"gamma_vcc={gvcc}")
@@ -83,13 +82,13 @@ def test_criterion_3(rng):
         fields = FieldConfig(v1=0.05, v2=0.1, vp=0.001, qp_vth=qp,
                              dq_vth=0.0, dq_direction="collinear",
                              delta1=float(rng.uniform(-3.0, 3.0)),
-                             delta2=float(rng.uniform(-3.0, 3.0)),
-                             deltap=float(rng.uniform(-3.0, 3.0)))
-        cases = ((G_1P, fields.deltap),
-                 (G_3P, fields.deltap - fields.delta1 - fields.delta2),
+                             delta2=float(rng.uniform(-3.0, 3.0)))
+        dp = float(rng.uniform(-3.0, 3.0))
+        cases = ((G_1P, dp),
+                 (G_3P, dp - fields.delta1 - fields.delta2),
                  (G_PUMP, -fields.delta2))
         for spec, x in cases:
-            quad = g_integral(spec, params, fields, grid, rtol=None)
+            quad = g_integral(spec, params, fields, grid, dp, rtol=None)
             assert quad == pytest.approx(pole_average(x, qp, width),
                                          rel=1e-8), (spec, params, fields)
     assert time.monotonic() - t0 < 5.0
@@ -112,8 +111,7 @@ def test_criterion_4(fig2_params, fig2_fields):
     assert int(np.argmax(exact.absorption)) == i0
     assert int(np.argmax(approx.absorption)) == i0
 
-    k0 = one_photon_response(fig2_params, replace(fig2_fields, deltap=0.0),
-                             grid, rtol=None)
+    k0 = one_photon_response(fig2_params, fig2_fields, grid, 0.0, rtol=None)
     one_photon_level = float(np.imag(1j * k0))
     assert exact.absorption[i0] > one_photon_level
 
@@ -242,7 +240,7 @@ def test_criterion_9(fig2_params, fig2_fields):
     cfg = RamseyConfig(params=fig2_params, fields=fig2_fields,
                        half_width_a=5e-3)
     # the assembled solution satisfies the diffusion operator pointwise
-    rep = diffusion_operator_check(cfg)
+    rep = diffusion_operator_check(build_solution(cfg, deltap=0.0))
     assert rep.max_residual < 1e-6
 
     # wide beam (10 mm): spectrum indistinguishable from a Lorentzian
@@ -250,7 +248,7 @@ def test_criterion_9(fig2_params, fig2_fields):
     dg = np.concatenate([-np.geomspace(span, span * 1e-4, 40), [0.0],
                          np.geomspace(span * 1e-4, span, 40)])
     sp_wide = ramsey_spectrum(cfg, dg)
-    fit = fit_lorentzian(sp_wide).fit_params
+    fit = fit_lorentzian(sp_wide)
     lor = fit.offset + fit.amplitude / (1 + ((dg - fit.center) / fit.hwhm) ** 2)
     resid = float(np.max(np.abs(sp_wide.absorption - lor)))
     peak_range = float(sp_wide.absorption.max() - sp_wide.absorption.min())
@@ -260,7 +258,7 @@ def test_criterion_9(fig2_params, fig2_fields):
     cfg_narrow = RamseyConfig(params=fig2_params, fields=fig2_fields,
                               half_width_a=50e-6)
     sp_narrow = ramsey_spectrum(cfg_narrow, dg)
-    fitn = fit_lorentzian(sp_narrow).fit_params
+    fitn = fit_lorentzian(sp_narrow)
     lorn = fitn.offset + fitn.amplitude / (1 + ((dg - fitn.center) / fitn.hwhm) ** 2)
     i0 = int(np.argmin(np.abs(dg)))
     assert sp_narrow.absorption[i0] - lorn[i0] > 0

@@ -361,6 +361,29 @@ class TestMainErrors:
         assert "error: config key 'gamma_vcc':" in err and "gamma_vcc > 0" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("scenario, sets", [
+        ("at_rest", ["--set", "detuning_n=101"]),
+        ("ramsey", ["--set", "gamma_vcc=0.025", "--set", "gamma_g=0.001",
+                    "--set", "ramsey_n=3"])])
+    def test_deltap_is_refused_where_no_filter_reads_it(self, scenario, sets, tmp_path,
+                                                        capsys):
+        # these scan their own detuning grids; 0, the default a manifest's
+        # resolved block spells out, stays accepted
+        assert main([scenario, *sets, "--set", "deltap=0.3",
+                     "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert f"error: config key 'deltap': scenario {scenario!r}" in err and "0.3" in err
+        assert list(tmp_path.iterdir()) == []
+        assert main([scenario, *sets, "--set", "deltap=0",
+                     "--out", str(tmp_path / "zero")]) == 0
+
+    def test_filter_pump_ratio_names_the_pumps(self, tmp_path, capsys):
+        assert main(["filter_curve", "--set", "gamma_vcc=0.025", "--set", "v1=0.2",
+                     "--out", str(tmp_path / "flt")]) == 1
+        err = capsys.readouterr().err
+        assert "|v1/v2| must be in (0, 1], got v1 = 0.2, v2 = 0.1" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_ramsey_without_ground_decay_names_the_inputs(self, tmp_path, capsys):
         # the default gamma_g is 0, and the Ramsey grid always holds deltap = 0
         assert main(["ramsey", "--set", "gamma_vcc=0.025", "--set", "ramsey_n=3",

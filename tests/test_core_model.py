@@ -35,7 +35,7 @@ def test_model_params_rejects_non_finite_values(name, bad):
 
 
 @pytest.mark.parametrize("name, bad", [
-    *((n, b) for n in ("v1", "v2", "vp", "delta1", "delta2", "deltap", "qp_vth", "dq_vth")
+    *((n, b) for n in ("v1", "v2", "vp", "delta1", "delta2", "qp_vth", "dq_vth")
       for b in (float("nan"), float("inf"))),
     ("v1", complex(0.1, float("nan"))),
     ("v2", complex(-float("inf"), 0.1)),
@@ -71,7 +71,7 @@ class TestXiSet:
     def test_imaginary_parts_are_the_decay_rates(self):
         # at any velocity: Im xi1 = gamma_g + gamma_vcc, Im xi2/4/5 = gamma_tilde
         # + gamma_vcc, Im xi3 = 1 + gamma_g + gamma_vcc
-        xi = xi_set(self.P, self.F, 0.37, -1.2)
+        xi = xi_set(self.P, self.F, 0.37, -1.2, 0.0)
         assert np.imag(xi.xi1) == pytest.approx(0.026)
         assert np.imag(xi.xi2) == pytest.approx(5.526)
         assert np.imag(xi.xi3) == pytest.approx(1.026)
@@ -79,15 +79,15 @@ class TestXiSet:
         assert np.imag(xi.xi5) == pytest.approx(5.526)
 
     def test_probe_doppler_shift_enters_xi2(self):
-        xi = xi_set(self.P, self.F, 1.0, 1.0)
+        xi = xi_set(self.P, self.F, 1.0, 1.0, 0.0)
         assert np.real(xi.xi2) == pytest.approx(-36.5)
         xi0 = xi_set(self.P, self.F, 0.0, 0.0, deltap=0.2)
         assert np.real(xi0.xi2) == pytest.approx(0.2)
 
     def test_matched_wavevectors_leave_slow_pair_velocity_free(self):
         # dq = 0: the Raman coherences see no Doppler shift at all
-        fast = xi_set(self.P, self.F, 2.0, -3.0)
-        rest = xi_set(self.P, self.F, 0.0, 0.0)
+        fast = xi_set(self.P, self.F, 2.0, -3.0, 0.0)
+        rest = xi_set(self.P, self.F, 0.0, 0.0, 0.0)
         assert fast.xi1 == rest.xi1
         assert fast.xi3 == rest.xi3
 
@@ -102,9 +102,9 @@ class TestXiSet:
     def test_frozen_oracle_value(self):
         # determinant pinned against a 50-digit arbitrary-precision evaluation
         # of the same polynomial (independent arithmetic path)
-        f = FieldConfig(v1=0.0816, v2=0.1, vp=0.001, deltap=0.05, qp_vth=36.5,
+        f = FieldConfig(v1=0.0816, v2=0.1, vp=0.001, qp_vth=36.5,
                         dq_vth=0.0, dq_direction="collinear")
-        det = toc_determinant(xi_set(self.P, f, 0.0, 0.0), self.P, f)
+        det = toc_determinant(xi_set(self.P, f, 0.0, 0.0, deltap=0.05), self.P, f)
         assert det == pytest.approx(GOLDEN_XID, rel=1e-13)
 
 
@@ -124,13 +124,13 @@ def test_toc_combination_is_one_photon_doppler_free(gpcc, gvcc, gg, d1, d2,
                                                     dp, vpar, vres):
     """xi2 + xi4 must not depend on the velocity projection along q_p."""
     p = ModelParams(gamma_pcc=gpcc, gamma_vcc=gvcc, gamma_g=gg)
-    f = FieldConfig(delta1=d1, delta2=d2, deltap=dp, qp_vth=36.5, dq_vth=0.3)
-    moving = xi_set(p, f, vpar, vres)
-    rest = xi_set(p, f, 0.0, vres)
+    f = FieldConfig(delta1=d1, delta2=d2, qp_vth=36.5, dq_vth=0.3)
+    moving = xi_set(p, f, vpar, vres, dp)
+    rest = xi_set(p, f, 0.0, vres, dp)
     assert complex(moving.xi2 + moving.xi4) == pytest.approx(
         complex(rest.xi2 + rest.xi4), abs=1e-10)
     # and the residual shift it does carry is -2 dq.v_res
-    shifted = xi_set(p, f, vpar, 0.0)
+    shifted = xi_set(p, f, vpar, 0.0, dp)
     assert complex(moving.xi2 + moving.xi4) - complex(shifted.xi2 + shifted.xi4) \
         == pytest.approx(-2.0 * f.dq_vth * vres, abs=1e-10)
 
@@ -141,10 +141,10 @@ def test_toc_combination_is_one_photon_doppler_free(gpcc, gvcc, gg, d1, d2,
 def test_reflection_antisymmetry(gpcc, gvcc, gg, d1, d2, dp, vpar, vres):
     """Negating every detuning and velocity maps each xi to -conj(xi)."""
     p = ModelParams(gamma_pcc=gpcc, gamma_vcc=gvcc, gamma_g=gg)
-    f = FieldConfig(delta1=d1, delta2=d2, deltap=dp, qp_vth=12.0, dq_vth=0.7)
-    fm = FieldConfig(delta1=-d1, delta2=-d2, deltap=-dp, qp_vth=12.0, dq_vth=0.7)
-    a = xi_set(p, f, vpar, vres)
-    b = xi_set(p, fm, -vpar, -vres)
+    f = FieldConfig(delta1=d1, delta2=d2, qp_vth=12.0, dq_vth=0.7)
+    fm = FieldConfig(delta1=-d1, delta2=-d2, qp_vth=12.0, dq_vth=0.7)
+    a = xi_set(p, f, vpar, vres, dp)
+    b = xi_set(p, fm, -vpar, -vres, -dp)
     for name in ("xi1", "xi2", "xi3", "xi4", "xi5"):
         assert complex(getattr(b, name)) == pytest.approx(
             -np.conj(complex(getattr(a, name))), abs=1e-10)
@@ -159,8 +159,8 @@ def test_determinant_polynomial_identity(v1r, v1i, v2r, v2i, b, dp, vpar):
     # independent spelling of the same polynomial, kept deliberately naive
     p = ModelParams(gamma_pcc=1.3, gamma_vcc=0.4, gamma_g=0.02, b=b)
     f = FieldConfig(v1=complex(v1r, v1i), v2=complex(v2r, v2i), vp=1e-6,
-                    deltap=dp, qp_vth=7.0, dq_vth=0.1)
-    xi = xi_set(p, f, vpar, 0.5)
+                    qp_vth=7.0, dq_vth=0.1)
+    xi = xi_set(p, f, vpar, 0.5, dp)
     x1, x2, x3, x4 = xi.xi1, xi.xi2, xi.xi3, xi.xi4
     toc = 1j * b * p.branching_A * f.v1 * np.conj(f.v2)
     expected = (x1 * x2 * x3 * x4
@@ -173,8 +173,8 @@ def test_determinant_polynomial_identity(v1r, v1i, v2r, v2i, b, dp, vpar):
 def test_pump_off_determinant_factorizes():
     # no pumps: the system is diagonal and xi_d is the plain product
     p = ModelParams(gamma_pcc=2.0, gamma_vcc=0.1)
-    f = FieldConfig(v1=0.0, v2=0.0, vp=0.001, deltap=0.3, qp_vth=5.0)
-    xi = xi_set(p, f, 0.2, 0.0)
+    f = FieldConfig(v1=0.0, v2=0.0, vp=0.001, qp_vth=5.0)
+    xi = xi_set(p, f, 0.2, 0.0, 0.3)
     det = toc_determinant(xi, p, f)
     assert complex(det) == pytest.approx(
         complex(xi.xi1 * xi.xi2 * xi.xi3 * xi.xi4), rel=1e-14)
@@ -184,9 +184,9 @@ def test_determinant_broadcasts_over_velocity_arrays():
     p = ModelParams(gamma_pcc=5.0, gamma_vcc=0.025, gamma_g=0.001)
     f = FieldConfig(qp_vth=36.5, dq_vth=0.2)
     v = np.linspace(-2, 2, 7)
-    det = toc_determinant(xi_set(p, f, v, v), p, f)
+    det = toc_determinant(xi_set(p, f, v, v, 0.0), p, f)
     assert det.shape == (7,)
-    one = toc_determinant(xi_set(p, f, v[2], v[2]), p, f)
+    one = toc_determinant(xi_set(p, f, v[2], v[2], 0.0), p, f)
     assert det[2] == pytest.approx(one)
 
 
@@ -241,17 +241,16 @@ def docstring_xi(p, f, v_par, v_res, dp):
 def test_xi_set_rounds_as_its_docstring(gpcc, gvcc, gg, d1, d2, dp, v_par, v_res, qp, dq,
                                         geometry):
     """xi_set adds its constants first.  At dq_vth = 0 that rounds bit for bit
-    as the docstring formulas read, on the product mesh and without detunings
-    (the pump-dipole call); otherwise within 2 ulps of the operands."""
+    as the docstring formulas read, on the product mesh and at one scalar
+    detuning (the pump-dipole call); otherwise within 2 ulps of the operands."""
     p = ModelParams(gamma_pcc=gpcc, gamma_vcc=gvcc, gamma_g=gg)
-    f = FieldConfig(delta1=d1, delta2=d2, deltap=float(dp[0, 0, 0]), qp_vth=qp, dq_vth=dq,
-                    dq_direction=geometry)
+    f = FieldConfig(delta1=d1, delta2=d2, qp_vth=qp, dq_vth=dq, dq_direction=geometry)
     if dq == 0.0:
         v_res = np.zeros(1)  # velocity_mesh's one residual node
     v_par, v_res = product_mesh_velocities(geometry, v_par, v_res)
-    for deltap, want_dp in ((dp, dp), (None, f.deltap)):
+    for deltap in (dp, float(dp[0, 0, 0])):
         got = xi_set(p, f, v_par, v_res, deltap=deltap)
-        want = docstring_xi(p, f, v_par, v_res, want_dp)
+        want = docstring_xi(p, f, v_par, v_res, deltap)
         for name, w in zip(("xi1", "xi2", "xi3", "xi4", "xi5"), want):
             g = np.asarray(getattr(got, name))
             w = np.asarray(w)
@@ -259,6 +258,6 @@ def test_xi_set_rounds_as_its_docstring(gpcc, gvcc, gg, d1, d2, dp, v_par, v_res
             if dq == 0.0:
                 assert g.tobytes() == w.tobytes(), name
             else:
-                scale = (np.abs(want_dp) + abs(d1) + abs(d2) + qp * np.abs(v_par)
+                scale = (np.abs(deltap) + abs(d1) + abs(d2) + qp * np.abs(v_par)
                          + 2.0 * dq * np.abs(v_res) + 1.0 + p.gamma_tilde + gvcc)
                 assert np.all(np.abs(g - w) <= 2.0 * np.spacing(scale)), name

@@ -14,6 +14,7 @@ from eia.spectrum_solver import Components, SolveReport, Spectrum, solve_approxi
 from eia import lineshape_analysis
 from eia.lineshape_analysis import (
     LineMetrics,
+    LorentzianFit,
     PEDESTAL_CONVENTION,
     _half_crossings,
     _scan_detuning_grid,
@@ -91,6 +92,8 @@ class TestExtractFwhm:
     def test_metrics_validation(self):
         with pytest.raises(ValueError):
             LineMetrics(fwhm=0.0, peak_value=1.0, peak_position=0.0, baseline=0.0)
+        with pytest.raises(ValueError, match="hwhm"):
+            LorentzianFit(center=0.0, hwhm=0.0, amplitude=1.0, offset=0.0, residual_norm=0.0)
 
 
 class TestHalfCrossings:
@@ -128,21 +131,19 @@ class TestFitLorentzian:
     def test_exact_data_recovered_to_rounding(self):
         x = np.linspace(-1.5, 1.5, 801)
         sp = synth(x, lorentz(x, 0.07, 0.12, 2.5, off=0.4))
-        m = fit_lorentzian(sp)
-        f = m.fit_params
+        f = fit_lorentzian(sp)
         assert f.center == pytest.approx(0.07, abs=1e-8)
         assert f.hwhm == pytest.approx(0.12, rel=1e-8)
         assert f.amplitude == pytest.approx(2.5, rel=1e-8)
         assert f.offset == pytest.approx(0.4, abs=1e-8)
         assert f.residual_norm < 1e-10
-        assert m.fwhm == pytest.approx(0.24, rel=1e-8)
 
     def test_contamination_shows_in_residual(self):
         x = np.linspace(-1.5, 1.5, 801)
         clean = lorentz(x, 0.0, 0.1, 1.0)
         bumped = clean + lorentz(x, 0.5, 0.05, 0.2)
-        assert fit_lorentzian(synth(x, bumped)).fit_params.residual_norm \
-            > 100 * fit_lorentzian(synth(x, clean)).fit_params.residual_norm
+        assert fit_lorentzian(synth(x, bumped)).residual_norm \
+            > 100 * fit_lorentzian(synth(x, clean)).residual_norm
 
     def test_flat_input_rejected(self):
         x = np.linspace(-1, 1, 51)
@@ -161,9 +162,9 @@ class TestFitLorentzian:
            amp=st.floats(0.1, 10.0), off=st.floats(0.0, 5.0))
     def test_random_lorentzians_recovered(self, c, w, amp, off):
         x = np.linspace(-2, 2, 1201)
-        m = fit_lorentzian(synth(x, lorentz(x, c, w, amp, off)))
-        assert m.fit_params.hwhm == pytest.approx(w, rel=1e-6)
-        assert m.fit_params.center == pytest.approx(c, abs=1e-6 * max(w, abs(c)))
+        f = fit_lorentzian(synth(x, lorentz(x, c, w, amp, off)))
+        assert f.hwhm == pytest.approx(w, rel=1e-6)
+        assert f.center == pytest.approx(c, abs=1e-6 * max(w, abs(c)))
 
 
 class TestDickeModel:

@@ -1,7 +1,8 @@
 """Package surface: every exported name resolves, the benchmark's calls bind, no
 function takes a parameter it never reads, no dataclass or NamedTuple stores a
 field that nothing reads, the CLI reads every config key it accepts and
-accepts every default it has, and start-up does not load scipy.optimize."""
+accepts every default it has, start-up does not load scipy.optimize, and the
+README's Python example runs."""
 
 import ast
 import importlib
@@ -9,6 +10,7 @@ import inspect
 import os
 import pathlib
 import pkgutil
+import re
 import subprocess
 import sys
 
@@ -64,6 +66,16 @@ def test_import_leaves_scipy_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": path})
     assert out.stdout.strip() == "False"
+
+
+def test_readme_python_example_runs():
+    # the README's fenced python code, run as written: a signature it calls
+    # that changes must fail here
+    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, flags=re.M | re.S)
+    assert blocks, "README.md holds no python example"
+    for code in blocks:
+        exec(compile(code, "README.md", "exec"), {})
 
 
 def test_benchmark_cli_surface():

@@ -132,8 +132,8 @@ class TestClosedFormKernels:
         f = cfg.fields
         for dp in (0.0, 0.003, -2.0, 7.5):
             co = ramsey_coefficients(cfg, dp)
-            fields = replace(f, deltap=dp, qp_vth=cfg.kernel_qp_vth)
-            k2, k4, k5 = (one_photon_response(params, fields, grid, denominator=n)
+            fields = replace(f, qp_vth=cfg.kernel_qp_vth)
+            k2, k4, k5 = (one_photon_response(params, fields, grid, dp, denominator=n)
                           for n in (2, 4, 5))
             for name, got, ref in (("k_1p", co.k_1p, k2), ("k_1p", co.k_1p, k4),
                                    ("k_pump", co.k_pump, k5),
@@ -200,7 +200,7 @@ class TestLimits:
         p = ModelParams(gamma_pcc=gpcc, gamma_vcc=gvcc, gamma_g=0.001)
         cfg = RamseyConfig(params=p, fields=FieldConfig(dq_vth=0.0, dq_direction="collinear"),
                            half_width_a=5e-3)
-        fields = replace(cfg.fields, deltap=0.0, qp_vth=cfg.kernel_qp_vth)
+        fields = replace(cfg.fields, qp_vth=cfg.kernel_qp_vth)
         exact, _ = solve_exact(p, fields, make_grid(6000, 1), [0.0],
                                conv_rtol=5e-3)
         gap = uniform_response(cfg, 0.0).imag / exact.absorption[0] - 1.0
@@ -220,7 +220,7 @@ class TestLimits:
         p = ModelParams(gamma_pcc=gpcc, gamma_vcc=gvcc, gamma_g=0.001)
         cfg = RamseyConfig(params=p, fields=FieldConfig(dq_vth=0.0, dq_direction="collinear"),
                            half_width_a=5e-3)
-        fields = replace(cfg.fields, deltap=0.0, qp_vth=cfg.kernel_qp_vth)
+        fields = replace(cfg.fields, qp_vth=cfg.kernel_qp_vth)
         k = 1j * pole_average(0.0, fields.qp_vth, p.gamma_tilde + gvcc)
         gamma_hom = p.gamma_g + (k * abs(fields.v2) ** 2).real
         factors = np.array([-1.0, -0.5, 0.5, 1.0])
@@ -281,8 +281,9 @@ class TestPerturbedRebuild:
 
 
 class TestOperatorResidual:
-    def test_solution_satisfies_the_coupled_equations(self):
-        rep = diffusion_operator_check(config())
+    @pytest.mark.parametrize("deltap", [0.0, 0.003])
+    def test_solution_satisfies_the_coupled_equations(self, deltap):
+        rep = diffusion_operator_check(build_solution(config(), deltap))
         assert rep.max_residual < 1e-8
         assert rep.residual_ground <= rep.max_residual
         assert rep.residual_excited <= rep.max_residual
@@ -291,7 +292,7 @@ class TestOperatorResidual:
         # doubling the curvature scale must blow the residual up by orders
         co = sol5mm.coefficients
         bad_rg = lambda x: sol5mm.rg(np.asarray(x) * 2.0)
-        rep = diffusion_operator_check(config(), rg_fn=bad_rg)
+        rep = diffusion_operator_check(sol5mm, rg_fn=bad_rg)
         assert rep.max_residual > 1e-3
 
 

@@ -12,7 +12,8 @@ import pytest
 
 from eia import spatial_filter
 from eia.core_model import ModelParams, FieldConfig
-from eia.velocity_integrals import G_1P, g_integral, make_grid, one_photon_response
+from eia.velocity_integrals import (G_1P, g_integral, make_grid, one_photon_response,
+                                    pole_average)
 from eia.spatial_filter import (
     _TEXT_BLOCK,
     DEFAULT_QP_PHYSICAL,
@@ -120,6 +121,28 @@ class TestFromModel:
         with pytest.raises(ValueError, match="eta undefined"):
             filter_params_from_model(P0, f, self.GRID, rtol=None)
 
+    @pytest.mark.parametrize("v1", [0.2, 0.0])
+    def test_pump_ratio_out_of_range_names_the_pumps(self, v1, monkeypatch):
+        # refused before the kernel is averaged, by the two settable pumps
+        monkeypatch.setattr(spatial_filter, "g_integral", None)
+        f = FieldConfig(v1=v1, v2=0.1, vp=0.001, qp_vth=36.5)
+        with pytest.raises(ValueError, match=rf"^the pump ratio \|v1/v2\| must be in "
+                                             rf"\(0, 1\], got v1 = {v1}, v2 = 0.1$"):
+            filter_params_from_model(P0, f, self.GRID, rtol=None)
+
+    @pytest.mark.parametrize("deltap", [0.0, 0.3, -2.0])
+    def test_kernel_is_taken_at_the_given_detuning(self, deltap):
+        # fig6 rates: K = i<1/xi2> at deltap is one closed-form pole average
+        p = ModelParams(gamma_pcc=10.0, gamma_vcc=0.025, gamma_g=0.001)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fp = filter_params_from_model(p, F0, make_grid(4000, 1), deltap=deltap)
+        want = 1j * pole_average(deltap, F0.qp_vth, p.gamma_tilde + p.gamma_vcc)
+        assert fp.probe_kernel == pytest.approx(want, rel=1e-10)
+        gamma_hom = p.gamma_g + fp.power_broadening.real
+        warned = sum("single-kernel" in str(w.message) for w in caught)
+        assert warned == (abs(deltap) > gamma_hom)
+
     def test_no_pumps_at_all_is_inert(self):
         f = FieldConfig(v1=0.0, v2=0.0, vp=0.001, qp_vth=36.5)
         fp = filter_params_from_model(P0, f, self.GRID, rtol=None)
@@ -133,7 +156,7 @@ class TestKernels:
         # all detunings zero, no mismatch: the three one-photon averages see
         # mirror-image velocity denominators, so they must agree exactly
         grid = make_grid(500, 1)
-        k_1p, k_3p, k_pump = (one_photon_response(P0, F0, grid, denominator=d, rtol=None)
+        k_1p, k_3p, k_pump = (one_photon_response(P0, F0, grid, 0.0, denominator=d, rtol=None)
                               for d in (2, 4, 5))
         assert k_1p == pytest.approx(k_3p, rel=1e-12)
         assert k_1p == pytest.approx(k_pump, rel=1e-12)
@@ -141,8 +164,9 @@ class TestKernels:
     def test_no_vcc_reduces_to_bare_average(self):
         p = ModelParams(gamma_pcc=5.0, gamma_vcc=0.0, gamma_g=0.001)
         grid = make_grid(500, 1)
-        k_1p = one_photon_response(p, F0, grid, denominator=2, rtol=None)
-        assert k_1p == pytest.approx(1j * g_integral(G_1P, p, F0, grid, rtol=None), rel=1e-12)
+        k_1p = one_photon_response(p, F0, grid, 0.0, denominator=2, rtol=None)
+        assert k_1p == pytest.approx(1j * g_integral(G_1P, p, F0, grid, 0.0, rtol=None),
+                                     rel=1e-12)
 
     def test_detuned_configuration_warns(self):
         with pytest.warns(UserWarning, match="single-kernel"):

@@ -158,7 +158,7 @@ def test_g_integral_rejects_a_kernel_it_does_not_name():
     p, f, grid = ModelParams(), FieldConfig(), make_grid(10, 1)
     for spec in (_Kernel((1,), ()), _Kernel((7,), ("d",)), _Kernel((), ("x",))):
         with pytest.raises(ValueError, match="named kernels"):
-            g_integral(spec, p, f, grid, rtol=None)
+            g_integral(spec, p, f, grid, 0.0, rtol=None)
 
 
 class TestGIntegral:
@@ -166,19 +166,19 @@ class TestGIntegral:
 
     def test_dual_route_against_faddeeva(self):
         """Quadrature and the w(z) closed form are fully independent paths."""
-        f = FieldConfig(v1=0.0816, v2=0.1, vp=0.001, deltap=0.7, qp_vth=5.0,
+        f = FieldConfig(v1=0.0816, v2=0.1, vp=0.001, qp_vth=5.0,
                         dq_vth=0.0, dq_direction="collinear")
         grid = make_grid(800, 1)
         gamma_eff = self.P.gamma_tilde + self.P.gamma_vcc
-        got = g_integral(G_1P, self.P, f, grid, rtol=None)
-        ref = pole_average(f.deltap, f.qp_vth, gamma_eff)
+        got = g_integral(G_1P, self.P, f, grid, 0.7, rtol=None)
+        ref = pole_average(0.7, f.qp_vth, gamma_eff)
         assert got == pytest.approx(ref, rel=1e-10)
         # the three-photon and pump denominators shift the pole position only
-        got3 = g_integral(G_3P, self.P, f, grid, rtol=None)
-        assert got3 == pytest.approx(pole_average(f.deltap, f.qp_vth, gamma_eff),
+        got3 = g_integral(G_3P, self.P, f, grid, 0.7, rtol=None)
+        assert got3 == pytest.approx(pole_average(0.7, f.qp_vth, gamma_eff),
                                      rel=1e-10)
         f2 = FieldConfig(delta2=0.4, qp_vth=5.0)
-        gotp = g_integral(G_PUMP, self.P, f2, make_grid(800, 1), rtol=None)
+        gotp = g_integral(G_PUMP, self.P, f2, make_grid(800, 1), 0.0, rtol=None)
         assert gotp == pytest.approx(pole_average(-0.4, 5.0, gamma_eff), rel=1e-10)
 
     def test_doubling_check_catches_underresolved_doppler(self):
@@ -186,7 +186,7 @@ class TestGIntegral:
         p = ModelParams(gamma_pcc=5.0, gamma_vcc=0.025, gamma_g=0.001)
         f = FieldConfig(qp_vth=36.5, dq_vth=0.0)
         with pytest.raises(NonConvergenceError, match="doubling"):
-            g_integral(G_1P, p, f, make_grid(80, 1))
+            g_integral(G_1P, p, f, make_grid(80, 1), 0.0)
 
     def test_doubling_check_fails_a_change_that_is_nan(self):
         # NaN > rtol is false: a NaN change passed as converged
@@ -198,7 +198,7 @@ class TestGIntegral:
     def test_rtol_none_skips_the_check(self):
         p = ModelParams(gamma_pcc=5.0, gamma_vcc=0.025, gamma_g=0.001)
         f = FieldConfig(qp_vth=36.5, dq_vth=0.0)
-        val = g_integral(G_1P, p, f, make_grid(80, 1), rtol=None)
+        val = g_integral(G_1P, p, f, make_grid(80, 1), 0.0, rtol=None)
         assert np.isfinite(val)
 
     @pytest.mark.parametrize("geometry, dq", [("transverse", 0.02), ("collinear", 0.02),
@@ -207,18 +207,19 @@ class TestGIntegral:
         # with rtol set the result is the doubled grid's own value, bit for
         # bit; only a live transverse residual axis doubles its nodes too
         p = ModelParams(gamma_pcc=1.0, gamma_vcc=0.1, gamma_g=0.001)
-        f = FieldConfig(v1=0.0816, v2=0.1, vp=0.001, deltap=0.15, qp_vth=2.0,
+        f = FieldConfig(v1=0.0816, v2=0.1, vp=0.001, qp_vth=2.0,
                         dq_vth=dq, dq_direction=geometry)
         n_res_fine = 12 if (dq > 0 and geometry == "transverse") else 6
         for spec in (G1_SPEC, G3_SPEC, G_1P):
-            checked = g_integral(spec, p, f, make_grid(60, 6), rtol=1e-2)
-            assert checked == g_integral(spec, p, f, make_grid(120, n_res_fine), rtol=None)
+            checked = g_integral(spec, p, f, make_grid(60, 6), 0.15, rtol=1e-2)
+            assert checked == g_integral(spec, p, f, make_grid(120, n_res_fine), 0.15,
+                                         rtol=None)
 
     def test_residual_axis_count_is_inert_when_dq_vanishes(self):
         p = ModelParams(gamma_pcc=5.0, gamma_vcc=0.025, gamma_g=0.001)
         f = FieldConfig(v1=0.0816, v2=0.1, vp=0.001, qp_vth=36.5, dq_vth=0.0)
-        a = g_integral(G1_SPEC, p, f, make_grid(300, 1), rtol=None)
-        b = g_integral(G1_SPEC, p, f, make_grid(300, 48), rtol=None)
+        a = g_integral(G1_SPEC, p, f, make_grid(300, 1), 0.0, rtol=None)
+        b = g_integral(G1_SPEC, p, f, make_grid(300, 48), 0.0, rtol=None)
         assert a == b
 
     def test_reflection_parity_of_every_kernel(self):
@@ -229,15 +230,13 @@ class TestGIntegral:
         counts the non-determinant factors of the kernel.
         """
         p = ModelParams(gamma_pcc=1.0, gamma_vcc=0.1, gamma_g=0.001)
-        fwd = FieldConfig(v1=0.0816, v2=0.1, vp=0.001, deltap=0.15, qp_vth=8.0,
-                          dq_vth=0.2, dq_direction="transverse")
-        bwd = FieldConfig(v1=0.0816, v2=0.1, vp=0.001, deltap=-0.15, qp_vth=8.0,
-                          dq_vth=0.2, dq_direction="transverse")
+        f = FieldConfig(v1=0.0816, v2=0.1, vp=0.001, qp_vth=8.0,
+                        dq_vth=0.2, dq_direction="transverse")
         grid = make_grid(150, 60)
         for spec in (G1_SPEC, G2_SPEC, G3_SPEC, G4_SPEC, G5_SPEC, G_1P):
             m = len(spec.numerator) + sum(1 for k in spec.denominator if k != "d")
-            a = g_integral(spec, p, fwd, grid, rtol=None)
-            b = g_integral(spec, p, bwd, grid, rtol=None)
+            a = g_integral(spec, p, f, grid, 0.15, rtol=None)
+            b = g_integral(spec, p, f, grid, -0.15, rtol=None)
             assert b == pytest.approx((-1.0) ** m * np.conj(a), rel=1e-12), spec
 
 
@@ -246,14 +245,14 @@ class TestOnePhotonResponse:
         # K -> i/(deltap + i gamma_tilde): the vcc in the pole and the vcc in
         # the resummation cancel exactly
         p = ModelParams(gamma_pcc=2.0, gamma_vcc=0.8, gamma_g=0.01)
-        f = FieldConfig(deltap=0.4, qp_vth=1e-9)
-        k = one_photon_response(p, f, make_grid(40, 1))
+        f = FieldConfig(qp_vth=1e-9)
+        k = one_photon_response(p, f, make_grid(40, 1), 0.4)
         assert k == pytest.approx(1j / (0.4 + 1j * p.gamma_tilde), rel=1e-8)
 
     def test_real_positive_on_resonance(self):
         p = ModelParams(gamma_pcc=5.0, gamma_vcc=0.025, gamma_g=0.001)
-        f = FieldConfig(deltap=0.0, qp_vth=36.5)
-        k = one_photon_response(p, f, make_grid(5000, 1))
+        f = FieldConfig(qp_vth=36.5)
+        k = one_photon_response(p, f, make_grid(5000, 1), 0.0)
         assert k.real > 0
         assert abs(k.imag) < 1e-12 * k.real
 
@@ -261,17 +260,17 @@ class TestOnePhotonResponse:
     def test_each_denominator_resums_its_named_kernel(self, denominator, spec):
         # detuned so that the three one-photon averages all differ
         p = ModelParams(gamma_pcc=2.0, gamma_vcc=0.3, gamma_g=0.01)
-        f = FieldConfig(deltap=0.4, delta1=0.1, delta2=-0.2, qp_vth=3.0)
+        f = FieldConfig(delta1=0.1, delta2=-0.2, qp_vth=3.0)
         grid = make_grid(200, 1)
-        g = g_integral(spec, p, f, grid, rtol=None)
-        k = one_photon_response(p, f, grid, denominator=denominator, rtol=None)
+        g = g_integral(spec, p, f, grid, 0.4, rtol=None)
+        k = one_photon_response(p, f, grid, 0.4, denominator=denominator, rtol=None)
         assert k == pytest.approx(1j * g / (1.0 - 1j * p.gamma_vcc * g), rel=1e-14)
 
     def test_denominator_selector_is_validated(self):
         p = ModelParams()
         f = FieldConfig()
         with pytest.raises(ValueError, match="denominator"):
-            one_photon_response(p, f, make_grid(10, 1), denominator=3)
+            one_photon_response(p, f, make_grid(10, 1), 0.0, denominator=3)
 
 
 @pytest.mark.parametrize("spec", [G1_SPEC, G2_SPEC, G3_SPEC, G4_SPEC, G5_SPEC, G_1P])
@@ -280,10 +279,10 @@ def test_g_integral_matches_the_flat_mesh_sum(spec):
     integrand node by node on the flat mesh of the same grid."""
     p = ModelParams(gamma_pcc=0.4, gamma_vcc=0.2, gamma_g=0.003)
     f = FieldConfig(v1=0.1 + 0.05j, v2=0.2 - 0.1j, delta1=0.05, delta2=-0.1,
-                    deltap=0.3, qp_vth=3.0, dq_vth=0.7, dq_direction="transverse")
+                    qp_vth=3.0, dq_vth=0.7, dq_direction="transverse")
     grid = make_grid(30, 8)
     v_par, v_res, w = flat_velocity_mesh(f, grid)
-    xi = xi_set(p, f, v_par, v_res)
+    xi = xi_set(p, f, v_par, v_res, 0.3)
     factor = {k: getattr(xi, f"xi{k}") for k in range(1, 6)}
     factor["d"] = toc_determinant(xi, p, f)
     val = w.astype(complex)
@@ -292,4 +291,4 @@ def test_g_integral_matches_the_flat_mesh_sum(spec):
     for k in spec.denominator:
         val = val / factor[k]
     want = val.sum()
-    assert g_integral(spec, p, f, grid, rtol=None) == pytest.approx(want, rel=1e-13)
+    assert g_integral(spec, p, f, grid, 0.3, rtol=None) == pytest.approx(want, rel=1e-13)
