@@ -18,7 +18,7 @@ import struct
 import tempfile
 import warnings
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Tuple
 
 import numpy as np
@@ -89,7 +89,10 @@ def filter_params_from_model(params: ModelParams, fields: FieldConfig,
     of ``g_integral`` at rtol.  This single-kernel stand-in holds near zero
     probe detuning; a warning flags |deltap| beyond the homogeneous width
     gamma_g + Re(K)|V2|^2.  power_broadening is K|V2|^2, probe_kernel is K.
-    A pump ratio |v1/v2| outside (0, 1] is refused before the average.
+    A pump ratio |v1/v2| outside (0, 1] is refused before the average, and
+    so are pumps out of phase: eta = |v1/v2| holds only for a product
+    v1*conj(v2) that is real and > 0 (to a relative phase of 1e-12, so a
+    phase common to both pumps passes through its rounding).
     """
     if not params.gamma_vcc > 0:
         raise ValueError("the diffusion coefficient requires gamma_vcc > 0")
@@ -97,6 +100,10 @@ def filter_params_from_model(params: ModelParams, fields: FieldConfig,
         eta = abs(fields.v1 / fields.v2)
         if not 0 < eta <= 1:
             raise ValueError(f"the pump ratio |v1/v2| must be in (0, 1], got "
+                             f"v1 = {fields.v1!r}, v2 = {fields.v2!r}")
+        product = complex(fields.v1 * np.conj(fields.v2))
+        if not abs(product.imag) <= 1e-12 * product.real:
+            raise ValueError(f"the pump product v1*conj(v2) must be real and > 0, got "
                              f"v1 = {fields.v1!r}, v2 = {fields.v2!r}")
     elif fields.v1 == 0:
         eta = 1.0  # no pumps at all: power_broadening = 0 makes eta inert
@@ -237,9 +244,11 @@ def apply_filter(profile: TransverseProfile, fp: FilterParams, params: ModelPara
 
 
 _BIN_HEADER = struct.Struct("<qqdd")
-_TEXT_BLOCK = 4096  # samples per text write
-# fewest samples in a text run: about 20 ms of repr against a few ms per fork
-_RUN_MIN = 4 * _TEXT_BLOCK
+_TEXT_BLOCK = 8192  # samples per text write, about 4 MiB of the kernel's temporaries
+# fewest samples in a text run.  On 2 vCPUs a fork costs about what
+# formatting 16384 samples does (10-15 ms): one run and two take the same
+# time near 32768 samples, and two runs save a tenth at 49152.
+_RUN_MIN = 3 * _TEXT_BLOCK
 
 
 def _text_runs(n: int):
@@ -288,8 +297,9 @@ def _forked(work, jobs):
                     out = temps.enter_context(tempfile.TemporaryFile())
                     with warnings.catch_warnings():
                         # Python >= 3.12 warns on forking while threads run (the
-                        # BLAS pool's).  The child only formats or parses text,
-                        # calls no BLAS or FFT, and leaves through os._exit.
+                        # BLAS pool's).  The child only formats or parses text:
+                        # numpy elementwise code and repr, no BLAS or FFT.  It
+                        # leaves through os._exit.
                         warnings.simplefilter("ignore", DeprecationWarning)
                         pid = os.fork()
                 except OSError:
@@ -314,19 +324,201 @@ def _forked(work, jobs):
                     os.waitpid(pid, 0)
 
 
+# repr's digits for a whole block of floats.  |x| in [1e-280, 1e280] is
+# scaled to y = |x| 10**(16-j) in [1e16, 1e17) as a double-double, by
+# Dekker's exact two-product against a double-double table of powers of ten
+# (Numer. Math. 18, 224 (1971)); its error is below 1e-14 in units of y's
+# last digit.  The 15-, 16- and 17-digit neighbours of y are tried in turn
+# against x's rounding interval, and the first level with one strictly
+# inside gives repr's digits, the nearer of two and the even one on an exact
+# tie (Gay's shortest round trip, AT&T Numerical Analysis Manuscript 90-10).
+# A decision closer to its edge than _REPR_EPS, and any other |x|, is left
+# to repr itself.
+_REPR_EPS = 2.0 ** -30  # in units of y's last place
+_REPR_J = np.arange(-281, 282)  # decades j of the tables
+_REPR_WIDTH = 24  # the longest repr, "-2.2250738585072014e-308"
+# bytes of a row of the digit source: 0-15 digits 2-17, 16 digit 1, 17 "-",
+# 18 ".", 19 "0", 20 exponent sign, 21-23 exponent, 24 "e", 25 NUL, 26 separator
+_REPR_SOURCE = 28
+_REPR_DIGIT = [16] + list(range(16))
+
+
+def _repr_layouts() -> np.ndarray:
+    """Source byte of each output byte, by (sign, form, digit count).
+
+    Form j + 4 for a decade j in [-4, 15] is repr's fixed notation; forms 20
+    and 21 are its exponent notation with two and three exponent digits.
+    The separator follows the text, and NULs pad the row.
+    """
+    out = np.full((2, 22, 18, _REPR_WIDTH + 1), 25, dtype=np.intp)
+    for neg, form, nd in np.ndindex(2, 22, 18):
+        row = [17] * neg
+        if form < 20:  # digits, with "0." before or zeros and ".0" after them
+            point = form - 3  # digits before the point
+            before, after = max(point, 1), max(nd - point, 1)
+            for k in range(-before, after + 1):
+                at = k + point - (k > 0)
+                row.append(18 if k == 0 else _REPR_DIGIT[at] if 0 <= at < nd else 19)
+        else:
+            row += [_REPR_DIGIT[0]] + ([18] + _REPR_DIGIT[1:nd]) * (nd > 1)
+            row += [24, 20] + [21, 22, 23][form == 20:]
+        out[neg, form, nd, :len(row) + 1] = row + [26]
+    return out.reshape(-1, _REPR_WIDTH + 1)
+
+
+@lru_cache(maxsize=1)
+def _repr_tables() -> dict:
+    """The kernel's tables, built on first use and shared read-only."""
+    from fractions import Fraction  # imported here, so that importing eia does not pay for it
+
+    ceil10, p_hi, p_lo = [], [], []
+    for j in _REPR_J.tolist():
+        ten = Fraction(10) ** j
+        c = float(ten)
+        ceil10.append(c if c >= ten else np.nextafter(c, np.inf))  # the least double >= 10**j
+        p = Fraction(10) ** (16 - j)
+        p_hi.append(float(p))
+        p_lo.append(float(p - Fraction(p_hi[-1])))
+    p_hi = np.array(p_hi)
+    split = p_hi * 134217729.0  # Dekker's split, 26 bits a half
+    p_hh = split - (split - p_hi)
+    # the decade of 2**e, for each biased exponent b = e + 1023
+    e = np.arange(2048) - 1023
+    j_low = [len(str(2 ** k)) - 1 if k >= 0 else len(str(5 ** -k)) - 1 + k for k in e.tolist()]
+    g = np.arange(10000)
+    ascii4 = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1) + 48
+    tz = (g % 10 == 0).astype(np.intp) + (g % 100 == 0) + (g % 1000 == 0)
+    tz[0] = 4
+    d = np.arange(-400, 400)
+    exp4 = np.stack([np.where(d < 0, 45, 43), abs(d) // 100 + 48,
+                     abs(d) // 10 % 10 + 48, abs(d) % 10 + 48], axis=1)
+    lead = np.array([[48 + k, 45, 46, 48] for k in range(10)])
+    tables = dict(
+        ceil10=np.array(ceil10), p_hi=p_hi, p_lo=np.array(p_lo), p_hh=p_hh, p_hl=p_hi - p_hh,
+        j_low=np.clip(j_low, _REPR_J[0], _REPR_J[-1] - 1) - _REPR_J[0],
+        half_ulp=np.ldexp(1.0, e - 53), tz=tz,
+        ascii4=ascii4.astype(np.uint8).view(np.uint32).ravel(),
+        exp4=exp4.astype(np.uint8).view(np.uint32).ravel(),
+        lead=lead.astype(np.uint8).view(np.uint32).ravel(),
+        tail=np.frombuffer(b"e\0 \0e\0\n\0", dtype=np.uint32),
+        layouts=_repr_layouts())
+    tables["width"] = (tables["layouts"] != 25).sum(axis=1)  # text and separator
+    for a in tables.values():
+        a.flags.writeable = False
+    return tables
+
+
+def _shortest_digits(a: np.ndarray, tab: dict):
+    """(m, j, undecided) with repr's digits of each a > 0 in [1e-280, 1e280].
+
+    m is the 17-digit integer of the digits padded with zeros, and a is
+    m * 10**(j-16) to the digits repr writes.  undecided marks the values
+    whose digits the arithmetic cannot settle.
+    """
+    bits = a.view(np.int64)
+    b = bits >> 52
+    ji = tab["j_low"][b]
+    ji += a >= tab["ceil10"][ji + 1]
+    j = ji + _REPR_J[0]
+    ph, bh, bl = tab["p_hi"][ji], tab["p_hh"][ji], tab["p_hl"][ji]
+    s = a * 134217729.0
+    ah = s - (s - a)
+    al = a - ah
+    hi = a * ph
+    lo = ((ah * bh - hi) + ah * bl + al * bh + al * bl) + a * tab["p_lo"][ji]
+    y_hi = hi + lo
+    y_lo = lo - (y_hi - hi)
+    floor = np.floor(y_lo)
+    frac = y_lo - floor
+    n = y_hi.astype(np.int64) + floor.astype(np.int64)  # y = n + frac
+    # half the gap to each neighbouring double, scaled as y; the gap below
+    # a power of two is half the gap above it
+    up = tab["half_ulp"][b] * ph
+    mant = bits & ((1 << 52) - 1)
+    down = np.where(mant == 0, 0.5 * up, up)
+    mant |= 1 << 52
+    mant &= -mant  # the lowest set bit: an exact tie has it at 2**(j + level - 17)
+    low_bit = b + (mant.astype(float).view(np.int64) >> 52) - 2098
+    m = np.zeros_like(n)
+    pending = np.ones(a.shape, dtype=bool)
+    undecided = np.zeros(a.shape, dtype=bool)
+    for level, step in ((2, 100), (1, 10), (0, 1)):
+        q = n // step
+        r = (n - q * step) + frac  # y less its neighbour below
+        gap_down, gap_up = r - down, (step - r) - up  # < 0: inside
+        nearer = 2 * r - step  # < 0: the neighbour below is nearer
+        in_down, in_up = gap_down < 0, gap_up < 0
+        both = in_down & in_up
+        tie = low_bit == j + level - 17
+        # doubt about one neighbour is moot where the other is surely inside and nearer
+        undecided |= pending & (
+            (abs(gap_down) <= _REPR_EPS) & ~((gap_up < -_REPR_EPS) & (nearer > _REPR_EPS))
+            | (abs(gap_up) <= _REPR_EPS) & ~((gap_down < -_REPR_EPS) & (nearer < -_REPR_EPS))
+            | both & ~tie & (abs(nearer) <= _REPR_EPS))
+        take_up = in_up & ~(both & np.where(tie, (q & 1) == 0, nearer < 0))
+        pick = pending & (in_down | in_up)
+        m = np.where(pick, (q + take_up) * step, m)
+        pending &= ~pick
+    undecided |= pending
+    carry = m == 10 ** 17
+    return np.where(carry, 10 ** 16, m), j + carry, undecided
+
+
+def _format_floats(x: np.ndarray, tab: dict) -> bytes:
+    """repr of each float of x (even in number), followed by " " and "\\n" by turns."""
+    ax = abs(x)
+    fast = (ax >= 1e-280) & (ax <= 1e280)
+    if fast.all():
+        m, j, undecided = _shortest_digits(ax, tab)
+    else:
+        m = np.zeros(x.shape, dtype=np.int64)  # 0.0 is the digit "0" at decade 0
+        j = np.zeros(x.shape, dtype=np.int64)
+        undecided = ~fast & (ax != 0.0)
+        m[fast], j[fast], undecided[fast] = _shortest_digits(ax[fast], tab)
+    g0 = m // 10 ** 16
+    rest = m - g0 * 10 ** 16
+    groups = []  # the other 16 digits, 4 at a time
+    for p in (12, 8, 4, 0):
+        groups.append(rest // 10 ** p)
+        rest -= groups[-1] * 10 ** p
+    g1, g2, g3, g4 = groups
+    tz = tab["tz"]
+    trailing = np.where(g4 > 0, tz[g4], 4 + np.where(g3 > 0, tz[g3], 4 + np.where(
+        g2 > 0, tz[g2], 4 + tz[g1])))
+    nd = np.maximum(17 - trailing, 1)  # digits written; 0.0 has one
+    src = np.empty((x.size, _REPR_SOURCE // 4), dtype=np.uint32)
+    for k, g in enumerate(groups):
+        src[:, k] = tab["ascii4"][g]
+    src[:, 4] = tab["lead"][g0]
+    src[:, 5] = tab["exp4"][j + 400]
+    src[:, 6] = tab["tail"][np.arange(x.size) & 1]
+    form = np.where((j >= -4) & (j <= 15), j + 4, 20 + (abs(j) >= 100))
+    key = (np.signbit(x) * 22 + form) * 18 + nd
+    # rows as wide as the block's longest text, a repr's in full
+    i = np.flatnonzero(undecided)
+    width = _REPR_WIDTH + 1 if i.size else tab["width"][key].max()
+    at = np.take(tab["layouts"][:, :width], key, axis=0)
+    at += np.arange(0, x.size * _REPR_SOURCE, _REPR_SOURCE)[:, None]
+    out = src.view(np.uint8).ravel()[at]
+    if i.size:
+        sep = np.where(i % 2, "\n", " ").tolist()
+        text = np.array([repr(v) + c for v, c in zip(x[i].tolist(), sep)], dtype=f"S{width}")
+        out[i] = text.view(np.uint8).reshape(i.size, width)
+    return out[out != 0].tobytes()
+
+
 def _write_text_run(flat, start: int, stop: int, out) -> None:
     """Samples [start, stop) of the interleaved floats flat to out, one "re im" line each."""
-    # one %-format and one write per block keeps the save close to the cost
-    # of repr itself; per-sample f-strings and writes do not
+    tab = _repr_tables()
     for a in range(2 * start, 2 * stop, 2 * _TEXT_BLOCK):
-        b = flat[a:min(a + 2 * _TEXT_BLOCK, 2 * stop)].tolist()
-        out.write(("%r %r\n" * (len(b) // 2) % tuple(b)).encode())
+        out.write(_format_floats(flat[a:min(a + 2 * _TEXT_BLOCK, 2 * stop)], tab))
 
 
 def _save_text(profile: TransverseProfile, data: np.ndarray, path) -> None:
     flat = data.view(float).ravel()
     first, *rest = _text_runs(flat.size // 2)
     write = partial(_write_text_run, flat)
+    _repr_tables()  # built before the fork, so no child builds its own
     with open(path, "wb") as fh:
         fh.write(f"{profile.nx} {profile.ny} {float(profile.dx)!r} "
                  f"{float(profile.dy)!r}\n".encode())
@@ -346,8 +538,11 @@ def save_profile(profile: TransverseProfile, path, fmt: str = "text") -> None:
     row-major order (y rows, x fastest).  Text: the header line
     "nx ny dx dy", then one line "re im" per sample, each float written as
     its ``repr``; that is the shortest exact round trip, signed zeros
-    included, and ``np.loadtxt`` parses it.  Binary: little-endian int64 nx,
-    int64 ny, float64 dx, float64 dy, then complex128 samples.
+    included, and ``np.loadtxt`` parses it.  A vectorised shortest-round-trip
+    writer gives ``repr``'s bytes a block of samples at a time, and calls
+    ``repr`` itself for the few values its arithmetic cannot decide.
+    Binary: little-endian int64 nx, int64 ny, float64 dx, float64 dy, then
+    complex128 samples.
 
     A text body is formatted in contiguous runs of samples, one per CPU in
     the process's affinity mask (``os.sched_getaffinity``): this process

@@ -384,6 +384,15 @@ class TestMainErrors:
         assert "|v1/v2| must be in (0, 1], got v1 = 0.2, v2 = 0.1" in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_filter_pumps_out_of_phase_name_the_pumps(self, tmp_path, capsys):
+        # the fig6 rates with the first pump's sign flipped: |v1/v2| is 0.816
+        assert main(["filter_curve", "--set", "gamma_pcc=10.0", "--set", "gamma_vcc=0.025",
+                     "--set", "gamma_g=0.001", "--set", "v1=-0.0816",
+                     "--out", str(tmp_path / "flt")]) == 1
+        err = capsys.readouterr().err
+        assert "v1*conj(v2) must be real and > 0, got v1 = -0.0816, v2 = 0.1" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_ramsey_without_ground_decay_names_the_inputs(self, tmp_path, capsys):
         # the default gamma_g is 0, and the Ramsey grid always holds deltap = 0
         assert main(["ramsey", "--set", "gamma_vcc=0.025", "--set", "ramsey_n=3",

@@ -9,6 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eia import spatial_filter
 from eia.core_model import ModelParams, FieldConfig
@@ -129,6 +130,22 @@ class TestFromModel:
         with pytest.raises(ValueError, match=rf"^the pump ratio \|v1/v2\| must be in "
                                              rf"\(0, 1\], got v1 = {v1}, v2 = 0.1$"):
             filter_params_from_model(P0, f, self.GRID, rtol=None)
+
+    @pytest.mark.parametrize("v1", [-0.0816, 0.0816j, 0.0816 * np.exp(0.1j), -0.1])
+    def test_pumps_out_of_phase_are_refused_naming_the_pumps(self, v1, monkeypatch):
+        # eta = |v1/v2| would pass; the relative phase would be dropped
+        monkeypatch.setattr(spatial_filter, "g_integral", None)
+        f = FieldConfig(v1=v1, v2=0.1, vp=0.001, qp_vth=36.5)
+        with pytest.raises(ValueError) as exc:
+            filter_params_from_model(P0, f, self.GRID, rtol=None)
+        assert str(exc.value) == ("the pump product v1*conj(v2) must be real and > 0, "
+                                  f"got v1 = {v1!r}, v2 = 0.1")
+
+    def test_pumps_in_phase_pass_with_any_common_phase(self):
+        phase = np.exp(0.7j)
+        f = FieldConfig(v1=0.0816 * phase, v2=0.1 * phase, vp=0.001, qp_vth=36.5)
+        fp = filter_params_from_model(P0, f, self.GRID, rtol=None)
+        assert fp.eta == pytest.approx(0.816, rel=1e-14)
 
     @pytest.mark.parametrize("deltap", [0.0, 0.3, -2.0])
     def test_kernel_is_taken_at_the_given_detuning(self, deltap):
@@ -680,3 +697,151 @@ class TestSplitTextCodec:
         path = tmp_path / "split.txt"
         save_profile(prof, path, fmt="text")
         assert path.read_bytes() == TestProfileIO.per_sample_text(prof)
+
+
+def repr_lines(values):
+    """The text body written one repr at a time: "re im" per pair of floats."""
+    v = [float(x) for x in np.asarray(values, dtype=float).ravel()]
+    return "".join(f"{a!r} {b!r}\n" for a, b in zip(v[::2], v[1::2])).encode()
+
+
+def kernel_lines(values):
+    """The same body from the block writer's kernel, a block at a time."""
+    x, step = np.array(values, dtype=float).ravel(), 2 * _TEXT_BLOCK
+    tables = spatial_filter._repr_tables()
+    return b"".join(spatial_filter._format_floats(x[a:a + step], tables)
+                    for a in range(0, x.size, step))
+
+
+def pairs(values):
+    """values as a flat float array of even length."""
+    x = np.asarray(values, dtype=float).ravel()
+    return np.append(x, 0.0) if x.size % 2 else x
+
+
+def ulp_steps(x, steps=(-2, -1, 0, 1, 2)):
+    """x and its neighbours `steps` doubles away, for each x."""
+    x = np.asarray(x, dtype=float)
+    out = []
+    for k in steps:
+        y = x.copy()
+        for _ in range(abs(k)):
+            y = np.nextafter(y, np.copysign(np.inf, k))
+        out.append(y)
+    return np.concatenate(out)
+
+
+def count_repr_calls(monkeypatch):
+    """Calls of repr made by the kernel from here on."""
+    calls = []
+
+    def spy(v):
+        calls.append(v)
+        return repr(v)
+    monkeypatch.setattr(spatial_filter, "repr", spy, raising=False)
+    return calls
+
+
+class TestReprKernel:
+    """The block writer's text is repr's, byte for byte."""
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_powers_of_two_and_ten_within_two_ulps(self, sign):
+        p2 = np.ldexp(1.0, np.arange(-931, 931))  # 2**-931 ~ 2e-280, 2**930 ~ 1e280
+        p10 = np.array([float(f"1e{k}") for k in range(-280, 281)])
+        x = pairs(sign * ulp_steps(np.concatenate([p2, p10])))
+        assert kernel_lines(x) == repr_lines(x)
+
+    def test_zeros_specials_and_the_ends_of_the_range(self):
+        big = np.finfo(float).max
+        x = pairs([0.0, -0.0, *SPECIAL, 5e-324, -5e-324, big, -big, np.inf, -np.inf, np.nan,
+                   2.2250738585072014e-308, 1e-280, 1e280, 9.999999999999999e-281,
+                   1.0000000000000001e280, 9.999999999999999e-09, 1e20])
+        assert kernel_lines(x) == repr_lines(x)
+
+    def test_integers_near_2_to_the_53_and_half_integers(self, rng):
+        near = 2.0 ** 53 + np.arange(-3000, 3000)
+        wide = np.concatenate([2.0 ** 54 + 4 * np.arange(-3000, 3000),
+                               2.0 ** 56 + 16 * np.arange(-3000, 3000)])
+        halves = np.floor(10.0 ** rng.uniform(14, 16, 20000)) + 0.5
+        x = pairs(np.concatenate([near, wide, halves]))
+        assert kernel_lines(x) == repr_lines(x)
+
+    @pytest.mark.parametrize("edge", [1e-5, 1e-4, 1e16])
+    def test_notation_boundaries(self, edge):
+        x = pairs(ulp_steps([edge, -edge], steps=range(-40, 41)))
+        assert kernel_lines(x) == repr_lines(x)
+
+    def test_random_bit_patterns(self, rng):
+        x = rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(float)
+        assert kernel_lines(x) == repr_lines(x)
+
+    def test_exact_decimal_ties_take_the_even_digit(self, rng):
+        # 17 digits at 1 + odd/2**17 and 16 digits at 8 + odd/2**16 are
+        # exactly halfway between two neighbours that both round-trip
+        ties = np.concatenate([1 + (2 * rng.integers(0, 2**16, 4000) + 1) / 2.0 ** 17,
+                               8 + (2 * rng.integers(0, 2**15, 4000) + 1) / 2.0 ** 16])
+        x = pairs(np.concatenate([ties, -ties]))
+        assert kernel_lines(x) == repr_lines(x)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    def test_any_floats(self, values):
+        x = pairs(values)
+        assert kernel_lines(x) == repr_lines(x)
+
+    @pytest.mark.parametrize("kind", ["zeros", "powers of two", "ties"])
+    def test_whole_blocks_stay_vectorised(self, kind, rng, monkeypatch):
+        # a real-valued, top-hat or dyadic profile costs no repr calls
+        n = 2 * _TEXT_BLOCK
+        x = {"zeros": np.where(rng.random(n) < 0.5, 0.0, -0.0),
+             "powers of two": np.ldexp(rng.choice([-1.0, 1.0], n), rng.integers(-900, 900, n)),
+             "ties": 1 + (2 * rng.integers(0, 2**16, n) + 1) / 2.0 ** 17}[kind]
+        want = repr_lines(x)
+        calls = count_repr_calls(monkeypatch)
+        assert kernel_lines(x) == want
+        assert calls == []
+
+    def test_undecidable_values_go_to_repr_in_one_batch(self, monkeypatch):
+        x = np.array([0.1, 5e-324, 1e-300, 2.5, 1e300, -np.finfo(float).max])
+        want = repr_lines(x)
+        calls = count_repr_calls(monkeypatch)
+        assert kernel_lines(x) == want
+        assert calls == [5e-324, 1e-300, 1e300, -np.finfo(float).max]
+
+    @pytest.mark.parametrize("kind", ["zeros", "powers of two", "ties"])
+    def test_profile_of_one_kind_matches_the_per_sample_writer(self, kind, tmp_path, rng):
+        shape = (3, _TEXT_BLOCK)
+        samples = {
+            "zeros": np.zeros(shape, complex) * rng.choice([1, -1], shape),
+            "powers of two": np.ldexp(1.0, rng.integers(-60, 60, shape))
+            + 1j * np.ldexp(-1.0, rng.integers(-60, 60, shape)),
+            "ties": (1 + (2 * rng.integers(0, 2**16, shape) + 1) / 2.0 ** 17)
+            + 1j * (8 + (2 * rng.integers(0, 2**15, shape) + 1) / 2.0 ** 16)}[kind]
+        prof = TransverseProfile(samples=samples, extent=(0.3, 7e-3))
+        path = tmp_path / "kind.txt"
+        save_profile(prof, path, fmt="text")
+        assert path.read_bytes() == TestProfileIO.per_sample_text(prof)
+
+    def test_tables_are_built_on_first_use(self):
+        import subprocess
+        import sys
+        code = ("import eia, eia.cli_runner; from eia import spatial_filter as s; "
+                "print(s._repr_tables.cache_info().currsize)")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True)
+        assert out.stdout.strip() == "0"
+
+    @pytest.mark.slow
+    def test_ten_million_values(self):
+        rng = np.random.default_rng(7)
+        for _ in range(40):  # 40 x 250_000 values
+            bits = rng.integers(0, 2**64, 125_000, dtype=np.uint64)
+            # exponents of the vectorised range, and the full range
+            fast = (bits & ~np.uint64(0x7FF << 52)) | (
+                rng.integers(1023 - 931, 1023 + 931, bits.size).astype(np.uint64) << np.uint64(52))
+            x = np.concatenate([fast.view(float), rng.normal(size=62_500),
+                                rng.integers(0, 2**64, 62_500, dtype=np.uint64).view(float)])
+            want = "\n".join(map(repr, x.tolist())) + "\n"
+            assert kernel_lines(x).replace(b" ", b"\n") == want.encode()
