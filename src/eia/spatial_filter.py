@@ -151,6 +151,8 @@ class TransverseProfile:
 
     samples[iy, ix] spans extent = (Lx, Ly) with spacings dx = Lx/nx,
     dy = Ly/ny.  Power-of-two sizes transform fastest but are not required.
+    Every sample must be finite; the first one that is not is named as
+    [iy, ix] in the ValueError.
     """
 
     samples: np.ndarray
@@ -161,8 +163,10 @@ class TransverseProfile:
         if s.ndim != 2 or 0 in s.shape:
             raise ValueError(f"samples must be a 2-D array with both axes nonempty, "
                              f"got shape {s.shape}")
-        if not np.isfinite(s).all():
-            raise ValueError("profile power must be finite")
+        finite = np.isfinite(s)
+        if not finite.all():
+            iy, ix = np.argwhere(~finite)[0]
+            raise ValueError(f"samples must be finite, got {s[iy, ix]} at [{iy}, {ix}]")
         if not (0 < self.extent[0] < np.inf and 0 < self.extent[1] < np.inf):
             raise ValueError(f"extent must be finite and positive per axis, got {self.extent}")
 
@@ -651,8 +655,10 @@ def load_profile(path, fmt: str = "text") -> TransverseProfile:
     ASCII and the body's bytes go to ``np.loadtxt`` as they are, so lines
     may end in LF or CRLF.  Binary: little-endian int64 nx, int64 ny,
     float64 dx, float64 dy, then complex128 samples.  A header with a size
-    below 1 or a spacing that is not finite and > 0, or a body of the wrong
-    length, raises ValueError naming the file.
+    below 1 or a spacing that is not finite and > 0, a body of the wrong
+    length, a text body that ``np.loadtxt`` cannot parse (its row and
+    column kept) or a sample that is not finite raises ValueError naming the
+    file; an empty text body warns nothing and fails by its length.
 
     A text body is parsed in contiguous runs of lines, one per CPU in the
     process's affinity mask (``os.sched_getaffinity``): forked children
@@ -677,7 +683,13 @@ def load_profile(path, fmt: str = "text") -> TransverseProfile:
             _check_header(path, nx, ny, dx, dy)
             flat = _parse_text_runs(path, fh.tell(), nx * ny)
             if flat is None:
-                flat = np.loadtxt(fh, dtype=float, ndmin=2)
+                try:
+                    with warnings.catch_warnings():
+                        # an empty body is refused below, by its shape
+                        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                        flat = np.loadtxt(fh, dtype=float, ndmin=2)
+                except ValueError as exc:
+                    raise ValueError(f"profile {path}: {exc}") from None
         if flat.shape != (nx * ny, 2):
             raise ValueError(f"profile {path}: body has shape {flat.shape}, expected ({nx * ny}, 2)")
         samples = flat.view(complex).reshape(ny, nx)
@@ -694,4 +706,7 @@ def load_profile(path, fmt: str = "text") -> TransverseProfile:
         samples = np.frombuffer(raw, dtype="<c16", offset=_BIN_HEADER.size).reshape(ny, nx).copy()
     else:
         raise ValueError(f"fmt must be 'text' or 'binary', got {fmt!r}")
-    return TransverseProfile(samples=samples, extent=(nx * dx, ny * dy))
+    try:
+        return TransverseProfile(samples=samples, extent=(nx * dx, ny * dy))
+    except ValueError as exc:
+        raise ValueError(f"profile {path}: {exc}") from None

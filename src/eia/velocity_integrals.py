@@ -205,14 +205,23 @@ class _Poly:
 _V = _Poly(0.0, 1.0)
 
 # Detunings x velocity nodes per chunk of the moment kernel (a 2 MB buffer).  Median
-# in-process pass times on 2 vCPUs, 3 rounds, 30k/60k/120k/240k: exact_fig2's solve
-# 15.1-15.7/14.7-15.9/14.0-15.0/14.0-14.2 ms, dicke_scan's rungs 101-104/94-103/92-94/
-# 93-100 ms.  At most 16 detunings, and never one alone: on OpenBLAS 0.3.31 (Haswell
-# kernels, OPENBLAS_NUM_THREADS=2) a complex matmul with more rows (from ~7e4
-# multiply-adds) or with one row (a gemv, from ~9e3) ran on two threads, for twice the
-# CPU time and no wall-time gain.
+# in-process pass times on 2 vCPUs with the matrix-product xi_d build, 3 rounds,
+# 30k/60k/120k/240k: exact_fig2's checked solve 11.4-13.2/10.5-15.1/10.1-13.1/10.4-10.7
+# ms, dicke_scan's three rungs 87-91/71-76/71-92/76-91 ms; at 120k, 8 and 32 rows gave
+# 10.5-14.8 and 9.9-11.9 ms, 70-91 and 71-85 ms.  None is better throughout.  At most 16
+# detunings, and never one alone: on OpenBLAS 0.3.31 (Haswell kernels,
+# OPENBLAS_NUM_THREADS=2) a complex matmul with more rows (from ~7e4 multiply-adds) or
+# with one row (a gemv, from ~9e3) ran on two threads, for twice the CPU time and no
+# wall-time gain.
 _CHUNK_ELEMENTS = 120_000
 _CHUNK_ROWS = 16
+# Float columns (two per node) of one real product in the xi_d build.  At
+# OPENBLAS_NUM_THREADS=2 the (15x6)@(6x12000) product of exact_fig2's doubled grid runs
+# on two threads: a median 0.07 ms, but 8.0 ms at p90 in two of four runs of 1000
+# calls.  No product of at most 6000 columns stalled, and in blocks of 6000 the checked
+# exact_fig2 solve took 9.4-10.8 ms against 10.6-13.2 ms in one product (medians of
+# 400-600 solves, 7 rounds each, 2 vCPUs).
+_XI_D_COLUMNS = 6000
 
 
 class _PoleMoments:
@@ -222,44 +231,65 @@ class _PoleMoments:
     is linear in v_par, so xi_d is a polynomial in v_par: degree 2, or 4 on
     a collinear mesh with dq_vth != 0, where v_res is v_par too.  ``xi``
     holds xi1..xi5 as ``_Poly`` rows, and xi_d their ``toc_determinant``,
-    with coefficient arrays (r, m, 1) for r rows and m detunings.  Per chunk
-    of detunings the kernel builds xi_d on the mesh by Horner's rule, takes
-    one reciprocal per node and contracts it, in one matrix product, with
-    the detuning-free table [w v^j, w v^j/xi5], j = 0..degree, for the
-    moments M_j = sum_v w v^j/xi_d and N_j = sum_v w v^j/(xi5 xi_d) of each
-    row.  ``average`` then reads any average whose numerator is a polynomial
-    in the xi's of degree <= ``degree`` as a coefficient-moment sum.
+    with coefficient arrays (r, m, 1) for r rows and m detunings.  The
+    powers v^k of the nodes are formed once, in one real table, which also
+    gives the moment table its w v^j.  Per chunk of detunings the kernel
+    builds xi_d on the mesh as a real matrix product of the chunk's
+    coefficients and that table (one product, or one per block of
+    ``_XI_D_COLUMNS`` columns on a long mesh), takes one reciprocal per node
+    and contracts it, in one complex matrix product, with the detuning-free
+    table [w v^j, w v^j/xi5], j = 0..degree, for the moments
+    M_j = sum_v w v^j/xi_d and N_j = sum_v w v^j/(xi5 xi_d) of each row.
+    ``average`` then reads any average whose numerator is a polynomial in
+    the xi's of degree <= ``degree`` as a coefficient-moment sum.
 
-    (v_par, v_res, w) is ``velocity_mesh``'s product form, the only form
-    taken: w is (r, n), v_res is v_par itself (collinear, dq_vth != 0) or
-    one value per row.  ``pump`` is the bare average <1/xi5>.
+    (v_par, v_res, w) is ``velocity_mesh``'s product form: w is (r, n),
+    v_par the (n,) nodes shared by every row, or one set per row, (r, n),
+    and v_res is v_par itself (collinear, dq_vth != 0) or one value per
+    row.  ``pump`` is the bare average <1/xi5>.
     """
 
     def __init__(self, params, fields, detunings, v_par, v_res, w):
         r, n = w.shape
+        m = detunings.size
         rows = _V if v_res is v_par else np.reshape(v_res, (r, 1, 1))
         self.xi = xi_set(params, fields, _V, rows, deltap=detunings[None, :, None])
-        self._xi_d = toc_determinant(self.xi, params, fields).coef
+        xi_d = toc_determinant(self.xi, params, fields).coef
         # the highest numerator either route averages: xi1 or xi3 times xi2 xi4
         self.degree = len(_coef(self.xi.xi1 * self.xi.xi2 * self.xi.xi4)) - 1
 
-        v = np.broadcast_to(v_par, w.shape)
+        # [Re c_k | Im c_k] of xi_d per row and detuning, and the powers of v_par
+        # interleaved so that (coefficients @ powers) is xi_d's complex values
+        # as float pairs: rows 0..p-1 hold v^k in the real columns, rows
+        # p..2p-1 the same in the imaginary ones
+        p = len(xi_d)
+        self._coef = np.empty((r, m, 2 * p))
+        for k, c in enumerate(xi_d):
+            self._coef[..., k:k + 1] = np.real(c)
+            self._coef[..., p + k:p + k + 1] = np.imag(c)
+        v = np.atleast_2d(v_par)
+        self._powers = np.zeros((v.shape[0], 2 * p, 2 * n))
+        powers = self._powers[:, :p, ::2]
+        powers[:, 0] = 1.0
+        for k in range(1, p):
+            np.multiply(powers[:, k - 1], v, out=powers[:, k])
+        self._powers[:, p:, 1::2] = powers
+
         # xi5 carries no detuning, so any deltap gives the same table
         inv_xi5 = 1.0 / xi_set(params, fields, v_par, v_res, 0.0).xi5
-        cols = [w]
-        for _ in range(self.degree):
-            cols.append(cols[-1] * v)
-        table = np.stack(cols + [c * inv_xi5 for c in cols], axis=-1)
-        self.pump = table[..., self.degree + 1].sum()
-        self._v = v[:, None, :]
+        q = self.degree + 1
+        table = np.empty((r, n, 2 * q), dtype=complex)
+        table[..., :q] = w[..., None] * powers[:, :q].transpose(0, 2, 1)
+        np.multiply(table[..., :q], inv_xi5[..., None], out=table[..., q:])
+        self.pump = table[..., q].sum()
 
-        m = detunings.size
         chunks = max(1, -(-m // max(2, min(_CHUNK_ELEMENTS // w.size, _CHUNK_ROWS))))
         cuts = [m * k // chunks for k in range(chunks + 1)]  # sizes differ by at most 1
-        buf = np.empty((r, -(-m // chunks), n), dtype=complex)
-        self._mom = np.empty((r, m, table.shape[-1]), dtype=complex)
+        buf = np.empty(r * -(-m // chunks) * n, dtype=complex)
+        self._mom = np.empty((r, m, 2 * q), dtype=complex)
         for a, b in zip(cuts, cuts[1:]):
-            x = self.xi_d_on_mesh(a, b, buf[:, :b - a])
+            # each chunk a contiguous (r, b - a, n) array, so its float view is the product's
+            x = self.xi_d_on_mesh(a, b, buf[:r * (b - a) * n].reshape(r, b - a, n))
             np.reciprocal(x, out=x)
             if b - a == 1:  # one detuning in all: a matmul would be a gemv
                 np.einsum("rmn,rnk->rmk", x, table, out=self._mom[:, a:b])
@@ -267,13 +297,14 @@ class _PoleMoments:
                 np.matmul(x, table, out=self._mom[:, a:b])
 
     def xi_d_on_mesh(self, a, b, out):
-        """xi_d at the mesh nodes of detunings a..b-1, by Horner's rule, into out (r, b - a, n)."""
-        c = [x[:, a:b] if np.ndim(x) else x for x in self._xi_d]
-        np.multiply(c[-1], self._v, out=out)
-        out += c[-2]
-        for ck in c[-3::-1]:
-            out *= self._v
-            out += ck
+        """xi_d at the mesh nodes of detunings a..b-1 into out, a C-contiguous
+        complex (r, b - a, n) array: each row's coefficients [Re c_k | Im c_k]
+        times the interleaved powers of v_par, one real matrix product per
+        block of at most ``_XI_D_COLUMNS`` float columns."""
+        coef, cols = self._coef[:, a:b], out.view(float)
+        for c in range(0, cols.shape[-1], _XI_D_COLUMNS):
+            block = slice(c, c + _XI_D_COLUMNS)
+            np.matmul(coef, self._powers[..., block], out=cols[..., block])
         return out
 
     def average(self, p, over_xi5=False):

@@ -481,6 +481,50 @@ class TestProfileIO:
             load_profile(path, fmt="text")
         assert str(path) in str(exc.value)
 
+    def test_text_body_token_names_the_file(self, tmp_path):
+        path = tmp_path / "body.txt"
+        path.write_text("2 1 0.1 0.1\n1.0 0.0\n1.0 x\n")
+        with pytest.raises(ValueError) as exc:
+            load_profile(path, fmt="text")
+        assert str(exc.value) == (f"profile {path}: could not convert string 'x' to "
+                                  "float64 at row 1, column 2.")
+
+    def test_empty_text_body_names_the_file_without_a_warning(self, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("2 2 0.1 0.1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"body has shape \(0, 1\), expected \(4, 2\)") \
+                    as exc:
+                load_profile(path, fmt="text")
+        assert str(exc.value).startswith(f"profile {path}: ")
+
+    @pytest.mark.parametrize("bad", ["nan", "1e999", "-inf"])
+    def test_non_finite_sample_names_the_file_and_the_sample(self, bad, tmp_path):
+        path = tmp_path / "nonfinite.txt"
+        path.write_text(f"2 2 0.1 0.1\n1.0 0.0\n0.0 0.0\n0.0 {bad}\n{bad} 0.0\n")
+        with pytest.raises(ValueError, match=r"samples must be finite, got .* at \[1, 0\]$") \
+                as exc:
+            load_profile(path, fmt="text")
+        assert str(exc.value).startswith(f"profile {path}: ")
+
+    def test_non_finite_binary_sample_names_the_file_and_the_sample(self, tmp_path):
+        path = tmp_path / "nonfinite.bin"
+        save_profile(TransverseProfile(samples=np.ones((2, 3), complex), extent=(1.0, 1.0)),
+                     path, fmt="binary")
+        raw = bytearray(path.read_bytes())
+        raw[32 + 16 * 5 + 8:32 + 16 * 6] = struct.pack("<d", np.nan)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=r"got \(1\+nanj\) at \[1, 2\]$") as exc:
+            load_profile(path, fmt="binary")
+        assert str(exc.value).startswith(f"profile {path}: ")
+
+    def test_profile_names_its_first_non_finite_sample(self):
+        s = np.zeros((3, 4), complex)
+        s[2, 0], s[1, 3] = np.inf, complex(0.0, np.nan)
+        with pytest.raises(ValueError, match=r"^samples must be finite, got nanj at \[1, 3\]$"):
+            TransverseProfile(samples=s, extent=(1.0, 1.0))
+
 
 class TestSplitTextCodec:
     """Text bodies split into runs across forked workers read and write as one."""

@@ -352,6 +352,113 @@ def test_moment_kernel_builds_xi_d_on_the_mesh(gpcc, gvcc, gg, b, pumps, delta1,
     assert np.all(np.abs(got - want) <= 32 * np.finfo(float).eps * terms)
 
 
+class TestXiDLayouts:
+    """The moment kernel builds xi_d with one real matrix product per chunk,
+    written through a float view of the chunk's buffer; each layout that
+    product meets is held to toc_determinant(xi_set(...)) within 32 ulps of
+    the terms it sums, as in test_moment_kernel_builds_xi_d_on_the_mesh."""
+
+    P = ModelParams(gamma_pcc=0.4, gamma_vcc=0.2, gamma_g=0.003)
+
+    @staticmethod
+    def fields(geometry):
+        return FieldConfig(v1=0.1 + 0.05j, v2=0.2 - 0.1j, vp=1e-4, delta1=0.05,
+                           delta2=-0.1, qp_vth=3.0, dq_vth=0.7, dq_direction=geometry)
+
+    @staticmethod
+    def assert_xi_d(got, p, f, dgrid, v_par, v_res):
+        """got (m, ...) against xi_d on the nodes (v_par, v_res), broadcast after the detuning axis."""
+        d = dgrid.reshape((-1,) + (1,) * (got.ndim - 1))
+        xi = xi_set(p, f, v_par, v_res, deltap=d)
+        rest = xi_set(p, f, 0.0, v_res if f.dq_direction == "transverse" else 0.0, deltap=d)
+        s1, s2, s3, s4 = (np.abs(getattr(rest, k)) + np.abs(getattr(xi, k) - getattr(rest, k))
+                          for k in ("xi1", "xi2", "xi3", "xi4"))
+        toc = abs(p.b * p.branching_A * f.v1 * f.v2)
+        terms = s1 * s2 * s3 * s4 + s3 * (abs(f.v1) ** 2 * s4 + abs(f.v2) ** 2 * s2) \
+            + toc * (s2 + s4)
+        want = toc_determinant(xi, p, f)
+        assert got.shape == np.broadcast(want, terms).shape
+        assert np.all(np.abs(got - want) <= 32 * np.finfo(float).eps * terms)
+
+    @staticmethod
+    def built(monkeypatch, *args):
+        """The kernel of args, and the xi_d its constructor built, as (r, m, n)."""
+        chunks, build = [], _PoleMoments.xi_d_on_mesh
+
+        def spy(self, a, b, out):
+            got = build(self, a, b, out)
+            assert got is out and out.flags.c_contiguous
+            chunks.append((a, b, got.copy()))
+            return got
+        with monkeypatch.context() as m:
+            m.setattr(_PoleMoments, "xi_d_on_mesh", spy)
+            kernel = _PoleMoments(*args)
+        assert [a for a, _, _ in chunks] == [0] + [b for _, b, _ in chunks[:-1]]
+        return kernel, chunks
+
+    def test_rows_with_chunks_shorter_than_the_buffer(self, monkeypatch):
+        p, f = self.P, self.fields("transverse")
+        v_par, v_res, w = velocity_mesh(f, make_grid(30, 8))
+        dgrid = np.linspace(-3.0, 3.0, 2 * (_CHUNK_ELEMENTS // w.size) + 5)
+        _, chunks = self.built(monkeypatch, p, f, dgrid, v_par, v_res, w)
+        sizes = [b - a for a, b, _ in chunks]
+        assert w.shape[0] > 1 and len(sizes) > 2 and min(sizes) < max(sizes)
+        got = np.concatenate([x for _, _, x in chunks], axis=1)
+        self.assert_xi_d(got.transpose(1, 0, 2), p, f, dgrid, v_par, v_res)
+
+    @pytest.mark.parametrize("geometry", ["transverse", "collinear"])
+    def test_chunks_of_one_detuning(self, geometry, monkeypatch):
+        p, f = self.P, self.fields(geometry)
+        v_par, v_res, w = velocity_mesh(f, make_grid(40, 6))
+        dgrid = np.linspace(-3.0, 3.0, 7)
+        one, chunks = self.built(monkeypatch, p, f, dgrid[3:4], v_par, v_res, w)
+        assert [(a, b) for a, b, _ in chunks] == [(0, 1)]
+        self.assert_xi_d(chunks[0][2].transpose(1, 0, 2), p, f, dgrid[3:4], v_par, v_res)
+        kernel = _PoleMoments(p, f, dgrid, v_par, v_res, w)
+        out = np.empty((w.shape[0], 1, w.shape[1]), dtype=complex)
+        got = np.concatenate([kernel.xi_d_on_mesh(k, k + 1, out).copy()
+                              for k in range(dgrid.size)], axis=1)
+        self.assert_xi_d(got.transpose(1, 0, 2), p, f, dgrid, v_par, v_res)
+        # the lone detuning's moments, by einsum, against the chunked matmul's
+        assert np.abs(one.average(1.0) - kernel.average(1.0)[3]) \
+            <= 1e-14 * abs(kernel.average(1.0)[3])
+
+    @pytest.mark.parametrize("geometry", ["transverse", "collinear"])
+    def test_v_par_per_row_matches_shared_v_par(self, geometry, monkeypatch):
+        """The flat mesh of test_matches_batched_lapack_on_random_meshes, as
+        r = n rows of one node each, against the same nodes under one shared
+        v_par: the diagonal of the transverse product mesh, or the one row
+        of the collinear one."""
+        p, f = self.P, self.fields(geometry)
+        rng = np.random.default_rng(34)
+        n = 50
+        v_par = rng.normal(size=n)
+        v_res = v_par if geometry == "collinear" else rng.normal(size=n)
+        w = rng.uniform(0.1, 1.0, n)
+        w /= w.sum()
+        dgrid = np.sort(rng.uniform(-3.0, 3.0, 31))
+        col = v_par[:, None]
+        per_row, chunks = self.built(monkeypatch, p, f, dgrid, col,
+                                     col if geometry == "collinear" else v_res[:, None],
+                                     w[:, None])
+        got = np.concatenate([x for _, _, x in chunks], axis=1)[:, :, 0].T
+        self.assert_xi_d(got, p, f, dgrid, v_par, v_res)
+        if geometry == "collinear":
+            shared, chunks = self.built(monkeypatch, p, f, dgrid, v_par, v_par, w[None, :])
+            on_nodes = np.concatenate([x for _, _, x in chunks], axis=1)[0]
+        else:
+            shared, chunks = self.built(monkeypatch, p, f, dgrid, v_par, v_res[:, None],
+                                        np.full((n, n), 1.0 / n**2))
+            on_nodes = np.concatenate([x for _, _, x in chunks], axis=1)[
+                np.arange(n), :, np.arange(n)].T
+        self.assert_xi_d(on_nodes, p, f, dgrid, v_par, v_res)
+        if geometry == "collinear":  # the same mesh: the moments agree too
+            for over_xi5 in (False, True):
+                a, b = (k.average(1.0, over_xi5) for k in (per_row, shared))
+                assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
+            assert abs(per_row.pump - shared.pump) <= 1e-14 * abs(shared.pump)
+
+
 class TestExactSolver:
     def test_matches_hand_elimination_of_the_motionless_system(self):
         """Independent route: eliminate the 4 coherences by hand at v = 0.
