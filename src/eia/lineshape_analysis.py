@@ -247,19 +247,19 @@ def _scan_rung(params: ModelParams, fields: FieldConfig, grid: QuadratureGrid,
     coarse bracket of each half-level crossing.  ``_half_crossings`` then
     reads the solved samples, mirrored: it finds the full grid's crossing
     segment as long as no unsolved point before it is below the level.
-    Falls back to one ``solve_approximate`` call on the whole grid, and says
-    why in the notes, when the mirror conditions fail or a solved off-center
-    sample reaches the line-center value; that call solves only the
-    detunings >= 0 when the mirror conditions hold.
+    Falls back to one ``solve_approximate`` call on the whole grid, with
+    the reason as the report's fallback, when the mirror conditions fail or
+    a solved off-center sample reaches the line-center value; that call
+    solves only the detunings >= 0 when the mirror conditions hold.  The
+    report's doubling_change is the largest of the calls the metrics read.
     """
 
     def fallback(why, spent=0):
         spectrum, report = solve_approximate(params, fields, grid, detunings,
                                              check_convergence=check_convergence)
-        notes = "; ".join(filter(None, (report.notes, f"fallback: {why}")))
         return (extract_fwhm(spectrum, feature="sharp_peak_component"),
                 extract_fwhm(spectrum, feature="pedestal_component"),
-                replace(report, n_detunings=report.n_detunings + spent, notes=notes))
+                replace(report, n_detunings=report.n_detunings + spent, fallback=why))
 
     if not _mirror_symmetric(fields, detunings):
         return fallback("mirror conditions fail")
@@ -305,10 +305,10 @@ def _scan_rung(params: ModelParams, fields: FieldConfig, grid: QuadratureGrid,
                         sum(r.n_detunings for r in reports))
     x = np.concatenate([-half[solved][:0:-1], half[solved]])
     metrics = [_line_metrics(x, mirrored(y[solved]), wing) for y, wing in zip(ys, wings)]
-    # the largest doubling-check change of the calls, in its own format
-    notes = max((r.notes for r in reports), key=lambda n: float(n.split()[-1]) if n else 0.0)
+    # the largest doubling-check change of the calls, None without the check
+    change = max(r.doubling_change for r in reports) if check_convergence else None
     return (*metrics, replace(reports[0], n_detunings=sum(r.n_detunings for r in reports),
-                              notes=notes))
+                              doubling_change=change))
 
 
 def scan_delta_q(params: ModelParams, fields: FieldConfig, grid: QuadratureGrid,
@@ -331,10 +331,11 @@ def scan_delta_q(params: ModelParams, fields: FieldConfig, grid: QuadratureGrid,
     points inside the two half-level brackets in a second: about 290 of
     its 1300 detunings >= 0.  It falls back to one solve of the whole grid,
     which solves all detunings >= 0, or every detuning when the mirror
-    conditions fail, and says why in the report's notes.  The report's
-    n_detunings counts every detuning the rung's calls solved.  With
-    check_convergence each call runs the doubling check on its own
-    detunings, and the note gives the largest change of those calls.
+    conditions fail, and gives the reason as the report's ``fallback``.  The
+    report's n_detunings counts every detuning the rung's calls solved.
+    With check_convergence each call runs the doubling check on its own
+    detunings, and the report's doubling_change is the largest change of
+    those calls.
     """
     ladder = [float(d) for d in dq_ladder]
     if len(ladder) == 0:

@@ -19,6 +19,7 @@ k's are 1/m.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import Tuple
@@ -183,10 +184,13 @@ def ramsey_coefficients(cfg: RamseyConfig, deltap: float) -> RamseyCoefficients:
     the same closure at zero detuning.  The two interior wave numbers come
     from the quadratic in k^2 produced by inserting exp(kx) into the coupled
     system; the discriminant is guarded against catastrophic cancellation.
+    A deltap that is not finite raises ValueError.
     """
+    dp = float(deltap)
+    if not math.isfinite(dp):
+        raise ValueError(f"deltap must be finite, got {deltap}")
     p = cfg.params
     f = cfg.fields
-    dp = float(deltap)
     d_hat = cfg.diffusion_d
     gvcc = p.gamma_vcc
     gam = p.gamma_g

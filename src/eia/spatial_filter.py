@@ -127,14 +127,20 @@ def filter_response(fp: FilterParams, params: ModelParams, deltap: float, k):
     like every response of the package.  k is in units of q_p (matching the
     dimensionless diffusion_D).  Scalar k in, scalar out; array in, array
     out.  A warning fires when |deltap| exceeds the homogeneous width
-    gamma + Re(Gamma_p), outside the response's validity.
+    gamma + Re(Gamma_p), outside the response's validity.  A deltap or k
+    that is not finite raises ValueError.
     """
+    if not np.isfinite(deltap):
+        raise ValueError(f"deltap must be finite, got {deltap}")
+    k = np.asarray(k, dtype=float)
+    # the extremes carry any NaN or inf, without a temporary the size of k
+    if not (np.isfinite(k.min(initial=0.0)) and np.isfinite(k.max(initial=0.0))):
+        raise ValueError("k must be finite")
     _warn_beyond(deltap, _homogeneous_width(params, fp.power_broadening),
                  "filter response outside validity")
     ba = params.b * params.branching_A
     eta = fp.eta
     num = eta * (2.0 * ba - eta) * fp.power_broadening
-    k = np.asarray(k, dtype=float)
     dk2 = np.square(k)
     dk2 *= fp.diffusion_D
     den = (-1j * deltap + params.gamma_g

@@ -45,10 +45,8 @@ from .velocity_integrals import (
     G4_SPEC,
     G5_SPEC,
     QuadratureGrid,
-    _doubled,
-    _doubling_check,
+    _doubling_runs,
     _PoleMoments,
-    _require_tolerance,
     _spans_residual_axis,
     _strong_collision,
     velocity_mesh,
@@ -120,12 +118,13 @@ class SolveReport:
     ``solve_exact`` and ``solve_approximate`` fill in by reflection it is the
     half with detuning >= 0, not the length of the returned grid, and for a
     ``scan_delta_q`` rung it is the sum over the rung's solver calls, about
-    290 of the 1300 detunings >= 0.  notes holds the doubling-check change
-    when the check ran, and a scan rung's fallback to all detunings >= 0.
-    n_par and n_res are the node counts of the velocity mesh behind the
-    returned spectrum: the node-doubled grid's when the check ran, the given
-    grid's otherwise.  n_res is 1 at dq_vth = 0 and on a collinear mesh,
-    whatever the grid holds.
+    290 of the 1300 detunings >= 0.  doubling_change is the node-doubling
+    check's relative change (None without the check; a scan rung's largest),
+    and fallback why a scan rung fell back to one solve of its whole grid;
+    ``converged`` and ``notes`` are derived from them.  n_par and n_res are
+    the node counts of the velocity mesh behind the returned spectrum: the
+    node-doubled grid's when the check ran, the given grid's otherwise.
+    n_res is 1 at dq_vth = 0 and on a collinear mesh, whatever the grid holds.
     """
 
     method: str
@@ -133,12 +132,23 @@ class SolveReport:
     n_res: int
     n_detunings: int
     max_condition: float
-    converged: Optional[bool] = None
-    notes: str = ""
+    doubling_change: Optional[float] = None
+    fallback: str = ""
 
     def __post_init__(self):
         if not np.isfinite(self.max_condition):
             raise ValueError("condition estimate must be finite")
+
+    @property
+    def converged(self) -> Optional[bool]:
+        return None if self.doubling_change is None else True  # a failed check raises
+
+    @property
+    def notes(self) -> str:
+        parts = [f"fallback: {self.fallback}"] if self.fallback else []
+        if self.doubling_change is not None:
+            parts.insert(0, f"doubling check rel change {self.doubling_change:.2e}")
+        return "; ".join(parts)
 
 
 def default_detuning_grid(params: ModelParams, span: float = 2.0, n: int = 2001,
@@ -149,6 +159,8 @@ def default_detuning_grid(params: ModelParams, span: float = 2.0, n: int = 2001,
     subnatural peak is resolved even when the base spacing is coarser than
     its width.
     """
+    if n % 1:  # also NaN and inf
+        raise ValueError(f"n must be an integer, got {n}")
     if not 0 < span < np.inf or n < 2:
         raise ValueError(f"span must be finite and > 0 and n >= 2, got span={span}, n={n}")
     inner = None
@@ -165,6 +177,21 @@ def _mirrored_grid(span, n_uniform, log_points=None):
         pos = np.concatenate([pos, log_points])
     pos = np.unique(pos)
     return np.concatenate([-pos[:0:-1], pos])
+
+
+def _detuning_values(detuning_grid) -> np.ndarray:
+    """detuning_grid as a 1-D float array; ValueError names the first value
+    that is not finite or not above the one before it."""
+    d = np.asarray(detuning_grid, dtype=float)
+    if d.ndim != 1:
+        raise ValueError(f"detuning_grid must be 1-D, got shape {d.shape}")
+    bad = ~np.isfinite(d)
+    bad[1:] |= ~(d[1:] > d[:-1])
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"detuning_grid must be finite and strictly increasing, "
+                         f"got {float(d[i])!r} at index {i}")
+    return d
 
 
 def _name_bad_detuning(what, detunings, ok):
@@ -189,13 +216,12 @@ def _mirror_symmetric(fields: FieldConfig, detunings: np.ndarray) -> bool:
 def _solve(route, method, what, params, fields, grid, detuning_grid,
            check_convergence, conv_rtol):
     """Run ``route`` on the grid's product mesh, and on the node-doubled one
-    with check_convergence; each run gives (response, extra).  Returns
-    (detunings, the runs in order, report with max_condition 0).  When
-    ``_mirror_symmetric`` holds the route sees only the detunings >= 0, and
-    the response and Components in extra are reflected for the rest."""
-    if check_convergence:
-        _require_tolerance(what, "conv_rtol", conv_rtol)
-    detunings = np.asarray(detuning_grid, dtype=float)
+    with check_convergence (``_doubling_runs``); each run gives (response,
+    extra).  Returns (detunings, the runs in order, report with
+    max_condition 0).  When ``_mirror_symmetric`` holds the route sees only
+    the detunings >= 0, and the response and Components in extra are
+    reflected for the rest."""
+    detunings = _detuning_values(detuning_grid)
     mirror = _mirror_symmetric(fields, detunings)
     solved = detunings[detunings.size // 2:] if mirror else detunings
     odd = detunings.size % 2  # an odd symmetric grid holds 0 once: do not mirror it
@@ -211,15 +237,11 @@ def _solve(route, method, what, params, fields, grid, detuning_grid,
             extra = Components(*map(mirrored, extra))
         return mirrored(response), extra
 
-    runs, notes, converged, used = [solve_on(grid)], "", None, grid
-    spans = _spans_residual_axis(fields)
-    if check_convergence:
-        fine, notes = _doubling_check(what, solve_on, fields, grid, runs[0][0], conv_rtol)
-        runs.append(fine)
-        converged, used = True, _doubled(grid, spans)
-    report = SolveReport(method=method, n_par=used.n_par, n_res=used.n_res if spans else 1,
-                         n_detunings=solved.size, max_condition=0.0,
-                         converged=converged, notes=notes)
+    runs, used, change = _doubling_runs(what, "conv_rtol", solve_on, fields, grid,
+                                        conv_rtol if check_convergence else None)
+    report = SolveReport(method=method, n_par=used.n_par,
+                         n_res=used.n_res if _spans_residual_axis(fields) else 1,
+                         n_detunings=solved.size, max_condition=0.0, doubling_change=change)
     return detunings, runs, report
 
 
@@ -285,7 +307,8 @@ def solve_exact(params: ModelParams, fields: FieldConfig, grid: QuadratureGrid,
     velocity-integrated densities.  Returns (Spectrum, SolveReport).  With
     check_convergence the whole spectrum is recomputed on a node-doubled grid
     and the finer result is kept; disagreement beyond conv_rtol raises
-    NonConvergenceError, and a conv_rtol that is NaN or not > 0 raises
+    NonConvergenceError.  A conv_rtol that is NaN or not > 0, and a
+    detuning grid that is not finite and strictly increasing, raise
     ValueError before any solve.  A density system that is not finite, as a
     vanishing xi_d makes it, raises IllConditionedError naming the first such
     detuning.  With delta1 = delta2 = 0, a real v1 conj(v2) and a grid
@@ -350,7 +373,8 @@ def solve_approximate(params: ModelParams, fields: FieldConfig, grid: Quadrature
     warning (not an error) is emitted outside that regime.  Returns
     (Spectrum with components, SolveReport).  With check_convergence the
     spectrum is recomputed on a node-doubled grid and the finer result is
-    kept; disagreement beyond conv_rtol raises NonConvergenceError.  An
+    kept; disagreement beyond conv_rtol raises NonConvergenceError.  Bad
+    inputs raise ValueError before any solve, as in ``solve_exact``.  An
     average that is not finite, because xi_d vanishes at a node, raises
     IllConditionedError naming the first such detuning.  A mirror-symmetric
     grid is halved as in ``solve_exact``, and each component reflected too.
@@ -376,10 +400,11 @@ def at_rest_spectrum(params: ModelParams, fields: FieldConfig, detuning_grid) ->
     pedestal plus a background that also holds the b-switched two-pump
     interference term (zero at line center for delta1 = 0, broad off it).
     A determinant xi_d that vanishes, or underflows to a subnormal, raises
-    IllConditionedError naming the first such detuning.
+    IllConditionedError naming the first such detuning; a detuning grid
+    that is not finite and strictly increasing raises ValueError first.
     """
     params0 = replace(params, gamma_vcc=0.0)
-    detunings = np.asarray(detuning_grid, dtype=float)
+    detunings = _detuning_values(detuning_grid)
     xi = xi_set(params0, fields, 0.0, 0.0, deltap=detunings)
     xd = toc_determinant(xi, params0, fields)
     _name_bad_detuning("at-rest spectrum: xi_d vanishes or underflows", detunings,

@@ -18,6 +18,7 @@ named kernels ``G1_SPEC`` .. ``G_PUMP`` node by node; the solvers of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import zip_longest
@@ -112,33 +113,28 @@ def _doubled(grid: QuadratureGrid, need_res: bool) -> QuadratureGrid:
     return QuadratureGrid(*_gh_axis(2 * grid.n_par), *res)
 
 
-def _require_tolerance(what, name, rtol):
-    """Reject a doubling tolerance that is not > 0 (inf is allowed), naming it
-    as the caller's parameter ``name``: the check's comparison is False for
-    NaN, which would pass any change.  Callers check before their first solve."""
+def _doubling_runs(what, name, solve_on, fields, grid, rtol):
+    """Run ``solve_on(grid)``, which gives (response, extra), and with rtol set
+    also on the node-doubled grid.  Returns (the runs in order, the last
+    run's grid, the responses' relative change as a float, None without
+    rtol).  An rtol that is not > 0 (inf is allowed; NaN would pass any change)
+    raises ValueError naming it as the caller's ``name``, before any solve;
+    a change that is not <= rtol, NaN included, raises NonConvergenceError.
+    Both messages start with ``what``."""
+    if rtol is None:
+        return [solve_on(grid)], grid, None
     if not rtol > 0:
         raise ValueError(f"{what}: {name} must be > 0, got {rtol}")
-
-
-def _doubling_check(what, solve_on, fields, grid, response, rtol):
-    """Solve again on the node-doubled grid and compare the two responses.
-
-    ``solve_on(grid)`` returns ``(response, extra)``, with response a complex
-    scalar or array.  Returns the doubled grid's result and the report note;
-    a relative change that is not <= rtol, NaN included, raises
-    NonConvergenceError, whose message starts with ``what``.  rtol has
-    passed ``_require_tolerance``.
-    """
     spans = _spans_residual_axis(fields)
-    fine = solve_on(_doubled(grid, spans))
-    scale = max(np.abs(fine[0]).max(initial=0.0), np.finfo(float).tiny)
-    rel = np.abs(fine[0] - response).max(initial=0.0) / scale
+    fine_grid = _doubled(grid, spans)
+    (coarse, _), (fine, _) = runs = [solve_on(grid), solve_on(fine_grid)]
+    scale = max(np.abs(fine).max(initial=0.0), np.finfo(float).tiny)
+    rel = float(np.abs(fine - coarse).max(initial=0.0) / scale)
     if not rel <= rtol:
         raise NonConvergenceError(
             f"{what} not converged: doubling {grid.n_par}x{grid.n_res if spans else 1} nodes "
-            f"moved the result by {rel:.3e} (> rtol {rtol:.1e})"
-        )
-    return fine, f"doubling check rel change {rel:.2e}"
+            f"moved the result by {rel:.3e} (> rtol {rtol:.1e})")
+    return runs, fine_grid, rel
 
 
 def velocity_mesh(fields: FieldConfig, grid: QuadratureGrid):
@@ -377,14 +373,10 @@ def g_integral(spec: _Kernel, params: ModelParams, fields: FieldConfig,
     """
     if not any(spec is k for k in _KERNELS):
         raise ValueError(f"spec must be one of the eight named kernels, got {spec!r}")
-    if rtol is None:
-        return _eval_on_grid(spec, params, fields, grid, deltap)
-    _require_tolerance("quadrature", "rtol", rtol)
-    coarse = _eval_on_grid(spec, params, fields, grid, deltap)
-    (fine, _), _ = _doubling_check(
-        "quadrature", lambda g: (_eval_on_grid(spec, params, fields, g, deltap), None),
-        fields, grid, coarse, rtol)
-    return fine
+    runs, _, _ = _doubling_runs(
+        "quadrature", "rtol", lambda g: (_eval_on_grid(spec, params, fields, g, deltap), None),
+        fields, grid, rtol)
+    return runs[-1][0]
 
 
 def pole_average(x: float, q: float, gamma_pos: float) -> complex:
@@ -398,8 +390,11 @@ def pole_average(x: float, q: float, gamma_pos: float) -> complex:
     1/(x + i gamma_pos): the Doppler correction, relative q^2/(x + i
     gamma_pos)^2, is then below double precision, and z could overflow.
     For a multi-axis velocity combination sum_j c_j v_j over independent unit
-    Gaussians, pass q = ||c||_2.
+    Gaussians, pass q = ||c||_2.  x and q must be finite.
     """
+    for name, value in (("x", x), ("q", q)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if not gamma_pos > 0:
         raise ValueError(f"gamma_pos must be > 0, got {gamma_pos}")
     q = abs(q)

@@ -302,6 +302,37 @@ class TestMainRuns:
         assert all(r["method"] == "approximate" and r["n_par"] == 300
                    for r in report["reports"])
 
+    @pytest.mark.parametrize("check", [True, False])
+    def test_manifest_carries_the_doubling_change_as_a_number(self, tmp_path, check):
+        # a small Doppler scale, so that 40 nodes pass the check
+        sets = {"gamma_pcc": 1.0, "gamma_vcc": 0.1, "gamma_g": 0.001, "qp_vth": 1.0,
+                "n_par": 40, "detuning_n": 21, "check_convergence": check}
+        out = tmp_path / "sp"
+        rc = main(["spectrum_approx", "--out", str(out),
+                   *[a for k, v in sets.items() for a in ("--set", f"{k}={v}")]])
+        assert rc == 0
+        report = read_manifest(out)["report"]
+        cfg = parse_config("spectrum_approx", sets)
+        _, want = solve_approximate(cfg.model_params(), cfg.field_config(), cfg.quad_grid(),
+                                    cfg.detuning_grid(), check_convergence=check)
+        assert report["doubling_change"] == want.doubling_change
+        if check:
+            assert type(report["doubling_change"]) is float
+        else:
+            assert report["doubling_change"] is None
+        assert report["fallback"] == "" and "notes" not in report and "converged" not in report
+
+    def test_fwhm_scan_manifest_names_a_rung_fallback(self, tmp_path):
+        out = tmp_path / "scan"
+        rc = main(["fwhm_scan", "--set", "gamma_pcc=1", "--set", "gamma_vcc=0.1",
+                   "--set", "gamma_g=0.001", "--set", "dq_ladder=[0, 0.01]",
+                   "--set", "delta1=0.01", "--set", "n_par=60", "--set", "n_res=1",
+                   "--set", "check_convergence=false", "--out", str(out)])
+        assert rc == 0
+        reports = read_manifest(out)["report"]["reports"]
+        assert [r["fallback"] for r in reports] == ["mirror conditions fail"] * 2
+        assert [r["doubling_change"] for r in reports] == [None, None]
+
     FILTER_SETS = ["--set", "gamma_pcc=10", "--set", "gamma_vcc=0.025",
                    "--set", "gamma_g=0.001", "--set", "n_par=500", "--set", "n_k=17",
                    "--set", "check_convergence=false"]

@@ -362,7 +362,7 @@ class TestScanRung:
         for row in scan_delta_q(self.P, f, grid, [0.0, 0.01, 0.05]):
             _assert_row_matches(row, self.P, f, grid)
 
-    def test_doubling_check_rows_match_the_full_grid(self, monkeypatch):
+    def test_node_doubling_rows_match_the_full_grid(self, monkeypatch):
         # a small Doppler scale, so that 40 nodes pass the check at rtol 1e-6
         f, grid = replace(self.F, qp_vth=1.0, dq_direction="collinear"), make_grid(40, 1)
         calls = {}
@@ -384,6 +384,7 @@ class TestScanRung:
             # the largest change of the rung's calls, in the solver's format
             assert float(change.fullmatch(row.report.notes).group(1)) == \
                 max(float(change.fullmatch(r.notes).group(1)) for r in reports) <= 1e-6
+            assert row.report.doubling_change == max(r.doubling_change for r in reports)
             assert change.fullmatch(report.notes)
 
     def test_falls_back_when_the_mirror_conditions_fail(self, monkeypatch):
@@ -396,6 +397,15 @@ class TestScanRung:
             assert solved[0.01] == [_scan_detuning_grid(self.P, 0.01).size]
             assert row.report.n_detunings == solved[0.01][0]
             assert row.report.notes == "fallback: mirror conditions fail"
+            assert row.report.fallback == "mirror conditions fail"
+
+    def test_checked_fallback_notes_give_the_change_then_the_reason(self):
+        f = replace(self.F, qp_vth=1.0, dq_direction="collinear", delta1=0.01)
+        row, = scan_delta_q(self.P, f, make_grid(40, 1), [0.01], check_convergence=True)
+        report = row.report
+        assert report.converged is True and report.fallback == "mirror conditions fail"
+        assert report.notes == (f"doubling check rel change {report.doubling_change:.2e}; "
+                                "fallback: mirror conditions fail")
 
     def test_falls_back_on_an_off_center_maximum(self, monkeypatch):
         # at these rates a coarse sample reaches the line-center value

@@ -1,8 +1,8 @@
-"""Package surface: every exported name resolves, the benchmark's calls bind, no
-function takes a parameter it never reads, no dataclass or NamedTuple stores a
-field that nothing reads, the CLI reads every config key it accepts and
-accepts every default it has, start-up does not load scipy.optimize, and the
-README's Python example runs."""
+"""Package surface: every exported name resolves, the benchmark's calls bind and
+its reading of a solve report holds, no function takes a parameter it never
+reads, no dataclass or NamedTuple stores a field that nothing reads, the CLI
+reads every config key it accepts and accepts every default it has, start-up
+does not load scipy.optimize, and the README's Python example runs."""
 
 import ast
 import importlib
@@ -56,6 +56,32 @@ def test_benchmark_call_binds(target, args, kwargs):
     module, _, name = target.partition(".")
     fn = getattr(importlib.import_module(f"eia.{module}"), name)
     inspect.signature(fn).bind(*args, **kwargs)
+
+
+# what the benchmark reads of a solve report, as perfbench/spans.py and
+# workloads.py read it: the change parsed from notes, converged, and a digest
+# of repr((max_condition, converged, notes))
+_DOUBLING = re.compile(r"doubling check rel change ([0-9.eE+-]+)")
+
+
+@pytest.mark.parametrize("solver", ["solve_exact", "solve_approximate"])
+def test_benchmark_reading_of_a_solve_report(solver):
+    from eia.core_model import FieldConfig, ModelParams
+    from eia.velocity_integrals import make_grid
+
+    solve = getattr(importlib.import_module("eia.spectrum_solver"), solver)
+    params = ModelParams(gamma_pcc=5.0, gamma_vcc=0.025, gamma_g=0.001)
+    fields = FieldConfig(v1=0.0816, v2=0.1, vp=0.001, qp_vth=36.5, dq_vth=0.0,
+                         dq_direction="collinear")
+    args = (params, fields, make_grid(3000, 1), [-0.5, -0.1, 0.0, 0.1, 0.5])
+    _, report = solve(*args, check_convergence=True, conv_rtol=1e-6)
+    assert _DOUBLING.search(report.notes).group(1) == f"{report.doubling_change:.2e}"
+    assert report.converged is True
+    digest = (report.max_condition, report.converged, report.notes)
+    assert [type(x) for x in digest] == [float, bool, str]
+    assert ast.literal_eval(repr(digest)) == digest  # plain Python literals
+    _, report = solve(*args, check_convergence=False)
+    assert (report.converged, report.notes) == (None, "")
 
 
 def test_import_leaves_scipy_optimize_unloaded():

@@ -1,5 +1,6 @@
 """Stepwise-sheet diffusion solution: matching, goldens, and limits."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -319,3 +320,16 @@ class TestSpectrum:
         sp = ramsey_spectrum(cfg, d)
         assert np.all(np.isfinite(sp.response)) and np.all(sp.absorption > 0)
         assert sp.absorption[1] == pytest.approx(sp.absorption[2], rel=1e-9)
+
+    @pytest.mark.parametrize("deltap", [np.nan, np.inf, -np.inf])
+    def test_non_finite_detuning_is_refused_by_name(self, deltap):
+        # it used to end in "SVD did not converge" after three RuntimeWarnings
+        cfg = config()
+        calls = (lambda: ramsey_coefficients(cfg, deltap), lambda: build_solution(cfg, deltap),
+                 lambda: uniform_response(cfg, deltap),
+                 lambda: ramsey_spectrum(cfg, [-0.001, deltap]))
+        for call in calls:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=f"^deltap must be finite, got {deltap}"):
+                    call()

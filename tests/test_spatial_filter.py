@@ -82,6 +82,21 @@ class TestFilterResponse:
         assert isinstance(got, np.ndarray) and got.shape == (2,)
         assert k.tolist() == [0.0, 0.01]  # the caller's k is not overwritten
 
+    @pytest.mark.parametrize("deltap", [np.nan, np.inf])
+    def test_non_finite_detuning_is_refused_by_name(self, deltap):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before the validity warning
+            with pytest.raises(ValueError, match=f"^deltap must be finite, got {deltap}"):
+                filter_response(hand_params(), P0, deltap, 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_k_is_refused_by_name(self, bad):
+        k = np.linspace(0.0, 0.01, 64)
+        k[37] = bad
+        for arg in (k, bad):
+            with pytest.raises(ValueError, match="^k must be finite"):
+                filter_response(hand_params(), P0, 0.0, arg)
+
     def test_detuned_response_is_smaller_and_warns(self):
         fp = hand_params()
         gamma_hom = P0.gamma_g + fp.power_broadening.real

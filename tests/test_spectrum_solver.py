@@ -650,7 +650,7 @@ class TestFactoredSolver:
         for got_part, want_part in zip(sp.components, want):
             assert np.abs(got_part - want_part).max() <= 1e-12 * np.abs(want_part).max()
 
-    def test_doubling_check_report_and_gate(self):
+    def test_node_doubling_report_and_gate(self):
         # the note is parsed by tools that read reports; keep its wording
         p = ModelParams(gamma_pcc=1.0, gamma_vcc=0.1, gamma_g=0.05)
         f = FieldConfig(v1=0.1, v2=0.1, vp=1e-4, qp_vth=1.0, dq_vth=0.2)
@@ -709,9 +709,11 @@ def test_checked_report_gives_the_doubled_nodes_behind_the_data(solve, geometry,
     assert np.array_equal(sp.response, fine.response)
 
 
-# each entry point with a doubling check, and the detuning grid's span; a NaN
-# tolerance would pass any change, because rel > NaN is False.  Each message
-# names the parameter the call used.
+# each entry point with a doubling check, the detuning grid's span and count,
+# and the solvers' detuning grids; a NaN tolerance would pass any change,
+# because rel > NaN is False, and a NaN detuning was reported as a vanishing
+# xi_d.  Each message names the parameter the call used.
+BAD_DETUNING = "^detuning_grid must be finite and strictly increasing, got "
 BAD_TOLERANCE_CALLS = {
     "solve_exact": (lambda p, f, g: solve_exact(p, f, g, [-0.01, 0.0, 0.01], conv_rtol=np.nan),
                     "^exact solve: conv_rtol must be > 0, got nan"),
@@ -726,6 +728,22 @@ BAD_TOLERANCE_CALLS = {
                  "^span must be finite and > 0 .* got span=nan"),
     "span_inf": (lambda p, f, g: default_detuning_grid(p, span=np.inf),
                  "^span must be finite and > 0 .* got span=inf"),
+    "n_fraction": (lambda p, f, g: default_detuning_grid(p, n=2.5),
+                   "^n must be an integer, got 2.5"),
+    "detunings_nan_exact": (lambda p, f, g: solve_exact(p, f, g, [-0.01, np.nan, 0.01]),
+                            BAD_DETUNING + "nan at index 1"),
+    "detunings_inf_approx": (lambda p, f, g: solve_approximate(p, f, g, [-0.01, 0.0, np.inf]),
+                             BAD_DETUNING + "inf at index 2"),
+    "detunings_unsorted_exact": (lambda p, f, g: solve_exact(p, f, g, [0.01, -0.01, 0.0]),
+                                 BAD_DETUNING + "-0.01 at index 1"),
+    "detunings_repeated_approx": (lambda p, f, g: solve_approximate(p, f, g, [0.0, 0.0]),
+                                  BAD_DETUNING + "0.0 at index 1"),
+    "detunings_2d_approx": (lambda p, f, g: solve_approximate(p, f, g, [[0.0, 1.0]]),
+                            r"^detuning_grid must be 1-D, got shape \(1, 2\)"),
+    "detunings_nan_at_rest": (lambda p, f, g: at_rest_spectrum(p, f, [-np.inf, 0.0]),
+                              BAD_DETUNING + "-inf at index 0"),
+    "detunings_unsorted_at_rest": (lambda p, f, g: at_rest_spectrum(p, f, [0.0, 1.0, 0.5]),
+                                   BAD_DETUNING + "0.5 at index 2"),
 }
 
 
@@ -821,7 +839,7 @@ class TestMirroredSolve:
         assert_same_spectrum(got, want)
         assert rep.n_detunings == (n_det + 1) // 2
 
-    def test_doubling_check_solves_the_same_half(self, fig2_params, fig2_fields):
+    def test_node_doubling_solves_the_same_half(self, fig2_params, fig2_fields):
         d = symmetric_grid(21, 1.0)
         got, rep = solve_approximate(fig2_params, fig2_fields, make_grid(300, 1), d,
                                      conv_rtol=1.0)
@@ -831,6 +849,8 @@ class TestMirroredSolve:
         assert_same_spectrum(got, want)
         assert rep.converged is True and rep.n_detunings == 11
         change = np.abs(want.response - coarse.response).max() / np.abs(want.response).max()
+        assert type(rep.doubling_change) is float
+        assert rep.doubling_change == pytest.approx(change, rel=1e-9)
         assert rep.notes == f"doubling check rel change {change:.2e}"
 
     @pytest.mark.parametrize("route", sorted(ROUTES))

@@ -10,7 +10,7 @@ from eia.velocity_integrals import (
     MAX_NODES,
     NonConvergenceError,
     _Kernel,
-    _doubling_check,
+    _doubling_runs,
     _spans_residual_axis,
     make_grid,
     velocity_mesh,
@@ -52,6 +52,13 @@ class TestPoleAverage:
 
     def test_sign_of_q_is_irrelevant(self):
         assert pole_average(1.0, 3.0, 0.5) == pole_average(1.0, -3.0, 0.5)
+
+    @pytest.mark.parametrize("x, q, name", [(np.nan, 1.0, "x"), (np.inf, 1.0, "x"),
+                                            (0.0, np.inf, "q"), (0.0, np.nan, "q")])
+    def test_refuses_a_value_that_is_not_finite(self, x, q, name):
+        # NaN gave nan+nanj and q = inf a silent 0j
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            pole_average(x, q, 1.0)
 
     def test_requires_positive_width(self):
         with pytest.raises(ValueError):
@@ -181,19 +188,39 @@ class TestGIntegral:
         gotp = g_integral(G_PUMP, self.P, f2, make_grid(800, 1), 0.0, rtol=None)
         assert gotp == pytest.approx(pole_average(-0.4, 5.0, gamma_eff), rel=1e-10)
 
-    def test_doubling_check_catches_underresolved_doppler(self):
+    def test_node_doubling_catches_underresolved_doppler(self):
         # narrow pole far under the Doppler width: 80 nodes are nowhere near
         p = ModelParams(gamma_pcc=5.0, gamma_vcc=0.025, gamma_g=0.001)
         f = FieldConfig(qp_vth=36.5, dq_vth=0.0)
         with pytest.raises(NonConvergenceError, match="doubling"):
             g_integral(G_1P, p, f, make_grid(80, 1), 0.0)
 
-    def test_doubling_check_fails_a_change_that_is_nan(self):
+    def test_node_doubling_fails_a_change_that_is_nan(self):
         # NaN > rtol is false: a NaN change passed as converged
         f = FieldConfig(qp_vth=36.5, dq_vth=0.0)
+
+        def solve_on(g):  # finite on the given grid, NaN on the doubled one
+            return np.array([1.0 if g.n_par == 10 else np.nan]), None
         with pytest.raises(NonConvergenceError, match="^probe not converged.* nan "):
-            _doubling_check("probe", lambda g: (np.array([np.nan]), None), f,
-                            make_grid(10, 1), np.array([1.0]), 1e-6)
+            _doubling_runs("probe", "rtol", solve_on, f, make_grid(10, 1), 1e-6)
+
+    def test_doubling_runs_return_the_change_as_a_float(self):
+        f = FieldConfig(qp_vth=36.5, dq_vth=0.0)
+        grid = make_grid(10, 4)
+        calls = []
+
+        def solve_on(g):
+            calls.append(g.n_par)
+            return np.array([1.0, 2.0 if g.n_par == 10 else 2.5]), g.n_par
+        runs, used, change = _doubling_runs("probe", "rtol", solve_on, f, grid, 0.5)
+        assert calls == [10, 20] and [extra for _, extra in runs] == [10, 20]
+        assert (used.n_par, used.n_res) == (20, 4)  # no live residual axis
+        assert type(change) is float and change == 0.5 / 2.5
+        runs, used, change = _doubling_runs("probe", "rtol", solve_on, f, grid, None)
+        assert calls == [10, 20, 10] and used is grid and change is None
+        with pytest.raises(ValueError, match="^probe: rtol must be > 0, got 0.0"):
+            _doubling_runs("probe", "rtol", solve_on, f, grid, 0.0)
+        assert calls == [10, 20, 10]
 
     def test_rtol_none_skips_the_check(self):
         p = ModelParams(gamma_pcc=5.0, gamma_vcc=0.025, gamma_g=0.001)
